@@ -79,6 +79,15 @@ double MacroFleetSeconds(std::size_t devices, std::int64_t sim_hours) {
   return CpuSecondsNow() - c0;
 }
 
+// Restarts this thread's heap-sampling countdown. The countdown only exists
+// when the profiler is compiled in; main() returns before any arm runs
+// otherwise.
+void ResetHeapCountdown() {
+#ifndef FL_PROFILER_DISABLED
+  profiler::internal::g_heap_countdown = 0;
+#endif
+}
+
 // Arm setup. FLSystem::Start calls profiler::StartFromEnv(), which reads
 // these variables, so each arm configures exactly what a real deployment
 // would get.
@@ -86,7 +95,7 @@ void ArmDisabled() {
   profiler::StopAll();
   profiler::SetEnabled(false);
   profiler::HeapProfiler::Global().Reset();
-  profiler::internal::g_heap_countdown = 0;
+  ResetHeapCountdown();
 }
 
 // The countdown is reset in every arm: it is thread-local and would
@@ -98,7 +107,7 @@ void ArmIdle() {
   profiler::HeapProfiler::Global().Reset();
   ::setenv("FL_PROFILER_HZ", "0", 1);  // heap-only, no kernel timer
   ::setenv("FL_PROFILER_HEAP_INTERVAL", "1073741824", 1);  // 1 GiB
-  profiler::internal::g_heap_countdown = 0;
+  ResetHeapCountdown();
   profiler::SetEnabled(true);
 }
 
@@ -107,7 +116,7 @@ void ArmEnabled() {
   profiler::HeapProfiler::Global().Reset();
   ::setenv("FL_PROFILER_HZ", "100", 1);
   ::setenv("FL_PROFILER_HEAP_INTERVAL", "262144", 1);
-  profiler::internal::g_heap_countdown = 0;
+  ResetHeapCountdown();
   profiler::SetEnabled(true);
 }
 

@@ -5,8 +5,18 @@
 namespace fl::crypto {
 
 std::uint64_t MulMod(std::uint64_t a, std::uint64_t b, std::uint64_t m) {
-  return static_cast<std::uint64_t>(
-      (static_cast<__uint128_t>(a) * b) % m);
+  const __uint128_t prod = static_cast<__uint128_t>(a) * b;
+  if (m == kDhPrime) {
+    // Mersenne reduction, 2^61 = 1 (mod p): fold the bits above 61 onto the
+    // low 61. Operands may be any 64-bit values, so the first fold can
+    // reach 68 bits; a second fold brings it under 2p.
+    const __uint128_t once = (prod & kDhPrime) + (prod >> 61);
+    std::uint64_t r = static_cast<std::uint64_t>(once & kDhPrime) +
+                      static_cast<std::uint64_t>(once >> 61);
+    if (r >= kDhPrime) r -= kDhPrime;
+    return r;
+  }
+  return static_cast<std::uint64_t>(prod % m);
 }
 
 std::uint64_t PowMod(std::uint64_t base, std::uint64_t exp, std::uint64_t m) {

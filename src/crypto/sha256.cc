@@ -1,75 +1,103 @@
 #include "src/crypto/sha256.h"
 
+#include <atomic>
 #include <cstring>
+
+#include "src/crypto/sha256_internal.h"
 
 namespace fl::crypto {
 namespace {
-
-constexpr std::uint32_t kK[64] = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
 
 inline std::uint32_t Rotr(std::uint32_t x, int n) {
   return (x >> n) | (x << (32 - n));
 }
 
+// The scalar compression: the reference every other kernel is pinned
+// against, and the fallback on CPUs without SHA extensions.
+void ScalarBlocks(std::uint32_t state[8], const std::uint8_t* data,
+                  std::size_t nblocks) {
+  using internal::kSha256K;
+  for (; nblocks > 0; --nblocks, data += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<std::uint32_t>(data[i * 4]) << 24) |
+             (static_cast<std::uint32_t>(data[i * 4 + 1]) << 16) |
+             (static_cast<std::uint32_t>(data[i * 4 + 2]) << 8) |
+             static_cast<std::uint32_t>(data[i * 4 + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 =
+          Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 =
+          Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t t1 = h + s1 + ch + kSha256K[i] + w[i];
+      const std::uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t t2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+// --- Kernel dispatch --------------------------------------------------------
+
+internal::Sha256BlocksFn Resolve() {
+#if defined(FL_SHA256_SHANI)
+  if (__builtin_cpu_supports("sha")) return internal::Sha256BlocksShaNi;
+#endif
+  return ScalarBlocks;
+}
+
+// Resolved once on first use; an atomic so the test override cannot race
+// with hashing on other threads.
+std::atomic<internal::Sha256BlocksFn>& ActiveBlocks() {
+  static std::atomic<internal::Sha256BlocksFn> fn{Resolve()};
+  return fn;
+}
+
 }  // namespace
+
+namespace internal {
+
+bool ShaNiSha256Available() { return Resolve() != ScalarBlocks; }
+
+void UseScalarSha256ForTest(bool scalar) {
+  ActiveBlocks().store(scalar ? ScalarBlocks : Resolve(),
+                       std::memory_order_relaxed);
+}
+
+}  // namespace internal
 
 Sha256::Sha256() {
   state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
 }
 
-void Sha256::ProcessBlock(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[i * 4]) << 24) |
-           (static_cast<std::uint32_t>(block[i * 4 + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[i * 4 + 2]) << 8) |
-           static_cast<std::uint32_t>(block[i * 4 + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t t1 = h + s1 + ch + kK[i] + w[i];
-    const std::uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t t2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+void Sha256::Compress(const std::uint8_t* blocks, std::size_t nblocks) {
+  ActiveBlocks().load(std::memory_order_relaxed)(state_.data(), blocks,
+                                                  nblocks);
 }
 
 void Sha256::Update(std::span<const std::uint8_t> data) {
@@ -82,13 +110,14 @@ void Sha256::Update(std::span<const std::uint8_t> data) {
     buffer_len_ += take;
     pos = take;
     if (buffer_len_ == 64) {
-      ProcessBlock(buffer_.data());
+      Compress(buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
-  while (pos + 64 <= data.size()) {
-    ProcessBlock(data.data() + pos);
-    pos += 64;
+  const std::size_t whole = (data.size() - pos) / 64;
+  if (whole > 0) {
+    Compress(data.data() + pos, whole);
+    pos += whole * 64;
   }
   if (pos < data.size()) {
     std::memcpy(buffer_.data(), data.data() + pos, data.size() - pos);
@@ -98,16 +127,18 @@ void Sha256::Update(std::span<const std::uint8_t> data) {
 
 Digest Sha256::Finalize() {
   // Append 0x80, pad with zeros, append 64-bit big-endian length.
-  std::uint8_t pad[72] = {0x80};
-  const std::uint64_t bits = bit_count_;
-  const std::size_t rem = buffer_len_;
-  const std::size_t pad_len = (rem < 56) ? (56 - rem) : (120 - rem);
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<std::uint8_t>(bits >> (8 * (7 - i)));
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, 64 - buffer_len_);
+    Compress(buffer_.data(), 1);
+    buffer_len_ = 0;
   }
-  Update(std::span<const std::uint8_t>(pad, pad_len));
-  Update(std::span<const std::uint8_t>(len_be, 8));
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_count_ >> (8 * (7 - i)));
+  }
+  Compress(buffer_.data(), 1);
+  buffer_len_ = 0;
   Digest out;
   for (int i = 0; i < 8; ++i) {
     out[i * 4] = static_cast<std::uint8_t>(state_[i] >> 24);
@@ -130,8 +161,7 @@ Digest Sha256::Hash(const std::string& s) {
   return h.Finalize();
 }
 
-Digest HmacSha256(std::span<const std::uint8_t> key,
-                  std::span<const std::uint8_t> message) {
+HmacSha256Key::HmacSha256Key(std::span<const std::uint8_t> key) {
   std::array<std::uint8_t, 64> k{};
   if (key.size() > 64) {
     const Digest d = Sha256::Hash(key);
@@ -144,14 +174,22 @@ Digest HmacSha256(std::span<const std::uint8_t> key,
     ipad[i] = k[i] ^ 0x36;
     opad[i] = k[i] ^ 0x5c;
   }
-  Sha256 inner;
-  inner.Update(std::span<const std::uint8_t>(ipad));
+  inner_.Update(std::span<const std::uint8_t>(ipad));
+  outer_.Update(std::span<const std::uint8_t>(opad));
+}
+
+Digest HmacSha256Key::Mac(std::span<const std::uint8_t> message) const {
+  Sha256 inner = inner_;
   inner.Update(message);
   const Digest inner_digest = inner.Finalize();
-  Sha256 outer;
-  outer.Update(std::span<const std::uint8_t>(opad));
+  Sha256 outer = outer_;
   outer.Update(std::span<const std::uint8_t>(inner_digest));
   return outer.Finalize();
+}
+
+Digest HmacSha256(std::span<const std::uint8_t> key,
+                  std::span<const std::uint8_t> message) {
+  return HmacSha256Key(key).Mac(message);
 }
 
 Digest DeriveKey(std::span<const std::uint8_t> key_material,

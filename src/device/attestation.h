@@ -26,8 +26,7 @@ struct AttestationToken {
 
 class AttestationAuthority {
  public:
-  explicit AttestationAuthority(std::uint64_t platform_secret)
-      : secret_(platform_secret) {}
+  explicit AttestationAuthority(std::uint64_t platform_secret);
 
   // Issued by the platform on genuine devices. Non-genuine devices cannot
   // call this; they forge tokens with a wrong secret.
@@ -40,9 +39,9 @@ class AttestationAuthority {
   bool Verify(const AttestationToken& token) const;
 
  private:
-  crypto::Digest Mac(DeviceId device, std::uint64_t nonce,
-                     std::uint64_t secret) const;
-  std::uint64_t secret_;
+  // The platform secret as an HMAC key with its pads absorbed once, so
+  // every Issue and Verify on the check-in path skips the key schedule.
+  crypto::HmacSha256Key key_;
 };
 
 }  // namespace fl::device

@@ -315,6 +315,11 @@ void HttpServer::Stop() {
     const std::scoped_lock lock(live_mu_);
     for (int fd : live_fds_) ::shutdown(fd, SHUT_RDWR);
   }
+  {
+    // A worker that read stopping_ == false under queue_mu_ is now inside
+    // wait(), so the notify below reaches it instead of being lost.
+    const std::scoped_lock lock(queue_mu_);
+  }
   queue_cv_.notify_all();
   if (accept_thread_.joinable()) accept_thread_.join();
   for (std::thread& t : workers_) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 namespace fl::crypto {
 namespace {
 
@@ -17,6 +19,31 @@ TEST(ModArithTest, MulModMatchesSmallCases) {
   // Large operands that would overflow 64-bit multiplication.
   const std::uint64_t big = kDhPrime - 1;
   EXPECT_EQ(MulMod(big, big, kDhPrime), 1u);  // (-1)^2 = 1 mod p
+}
+
+TEST(ModArithTest, MersenneMulModMatchesWideRemainder) {
+  const auto ref = [](std::uint64_t a, std::uint64_t b) {
+    return static_cast<std::uint64_t>((static_cast<__uint128_t>(a) * b) %
+                                      kDhPrime);
+  };
+  const std::uint64_t edges[] = {0,           1,          kDhPrime - 1,
+                                 kDhPrime,    1ULL << 61, ~0ULL};
+  for (std::uint64_t a : edges) {
+    for (std::uint64_t b : edges) {
+      EXPECT_EQ(MulMod(a, b, kDhPrime), ref(a, b)) << a << " * " << b;
+    }
+  }
+  std::mt19937_64 gen(61);
+  for (int i = 0; i < 100000; ++i) {
+    // Alternate full 64-bit operands with reduced ones, the shape every
+    // DH and Shamir caller passes.
+    std::uint64_t a = gen(), b = gen();
+    if (i % 2 == 0) {
+      a %= kDhPrime;
+      b %= kDhPrime;
+    }
+    ASSERT_EQ(MulMod(a, b, kDhPrime), ref(a, b)) << a << " * " << b;
+  }
 }
 
 TEST(ModArithTest, PowModKnownValues) {

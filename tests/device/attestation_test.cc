@@ -47,5 +47,16 @@ TEST(AttestationTest, LuckyForgeryRequiresExactSecret) {
   EXPECT_FALSE(authority.Verify(forged_close));
 }
 
+TEST(AttestationTest, TokenBytesArePinned) {
+  // HMAC-SHA256 under the little-endian secret over little-endian
+  // (device, nonce). Pinned so kernel or key-caching changes cannot
+  // silently change the tokens a fleet issues.
+  AttestationAuthority authority(12345);
+  const auto token = authority.Issue(DeviceId{42}, 0x1234);
+  EXPECT_EQ(crypto::DigestToHex(token.mac),
+            "5438b4ce7120e258f286cf0c1e9609a04e6d9f5805667efa39e5c741b0b697ac");
+  EXPECT_EQ(authority.Forge(DeviceId{42}, 0x1234, 12345).mac, token.mac);
+}
+
 }  // namespace
 }  // namespace fl::device

@@ -10,6 +10,7 @@
 #include "src/graph/model_zoo.h"
 #include "src/ops/http.h"
 #include "src/ops/json.h"
+#include "src/telemetry/telemetry.h"
 
 namespace fl::core {
 namespace {
@@ -58,6 +59,7 @@ std::string Get(int port, const std::string& path, int* status) {
 }
 
 TEST(StatusE2eTest, RunningSystemAnswersEveryEndpoint) {
+  if (!telemetry::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   FLSystemConfig config = SmallConfig();
   config.statusz_port = 0;  // ephemeral, loopback only
   FLSystem system(config);
@@ -139,6 +141,7 @@ TEST(StatusE2eTest, RunningSystemAnswersEveryEndpoint) {
 }
 
 TEST(StatusE2eTest, HealthzGoesUnhealthyWhenPolicyViolated) {
+  if (!telemetry::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   FLSystemConfig config = SmallConfig();
   config.statusz_port = 0;
   // Impossible SLO: demand more commits per hour than the fleet can do.

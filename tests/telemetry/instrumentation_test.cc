@@ -45,6 +45,7 @@ std::size_t CountSpans(const std::vector<telemetry::SpanRecord>& spans,
 }
 
 TEST_F(InstrumentationTest, FleetSimEmitsRoundPhaseSpansAndServerMetrics) {
+  if (!telemetry::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   core::FLSystemConfig config;
   config.seed = 7;
   config.population.device_count = 200;
@@ -134,6 +135,7 @@ TEST_F(InstrumentationTest, FleetSimEmitsRoundPhaseSpansAndServerMetrics) {
 }
 
 TEST_F(InstrumentationTest, ParallelEngineEmitsSpansAndQueueWait) {
+  if (!telemetry::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   data::TextWorkloadParams text_params;
   text_params.vocab_size = 32;
   text_params.context = 2;

@@ -80,6 +80,7 @@ TEST(TraceContextTest, OrphanSpanParentsUnderAmbientContext) {
 }
 
 TEST(TraceContextTest, ExplicitStackParentBeatsAmbientContext) {
+  if (!kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   SetEnabled(true);
   SetFlightRecorderEnabled(false);
   Tracer::Global().Clear();

@@ -59,6 +59,7 @@ TEST_F(TraceTest, ManualSpansRecordSimTimesAndAttrs) {
 }
 
 TEST_F(TraceTest, ScopedSpansNestViaThreadLocalStack) {
+  if (!kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   {
     ScopedSpan outer("outer");
     ScopedSpan inner("inner");  // inherits outer as parent
@@ -78,6 +79,7 @@ TEST_F(TraceTest, ScopedSpansNestViaThreadLocalStack) {
 }
 
 TEST_F(TraceTest, CrossThreadChildNamesParentExplicitly) {
+  if (!kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   std::uint64_t parent_id = 0;
   {
     ScopedSpan round("sim_round");
