@@ -1,13 +1,14 @@
 // Reproduces the Sec. 11 "Bandwidth" direction: update compression
-// (Konecny et al. 2016b-style quantization + subsampling). Sweeps bit width
-// and sparsity, reporting wire size, reconstruction error, and the effect on
-// downstream FedAvg model quality.
+// (Konecny et al. 2016b-style quantization + sparsification) through the
+// update codec (src/fedavg/codec.h). Sweeps bit width and sparsity,
+// reporting wire size, reconstruction error, and the effect on downstream
+// FedAvg model quality.
 #include <cmath>
 #include <cstdio>
 
 #include "src/analytics/dashboard.h"
 #include "src/data/blobs.h"
-#include "src/fedavg/compression.h"
+#include "src/fedavg/codec.h"
 #include "src/graph/model_zoo.h"
 #include "src/tools/simulation_runner.h"
 
@@ -15,9 +16,9 @@ using namespace fl;
 
 namespace {
 
-// FedAvg where every client update passes through compress->decompress.
-double AccuracyWithCompression(
-    const std::optional<fedavg::CompressionConfig>& cfg,
+// FedAvg where every client update passes through encode->decode.
+double AccuracyWithCodec(
+    const protocol::WireCodecConfig& codec,
     const plan::FLPlan& plan, const Checkpoint& init,
     const std::vector<std::vector<data::Example>>& clients,
     std::span<const data::Example> eval) {
@@ -32,10 +33,10 @@ double AccuracyWithCompression(
                                             1, shuffle);
       if (!update.ok()) continue;
       Checkpoint delta = std::move(update->weighted_delta);
-      if (cfg.has_value()) {
+      if (codec.enabled()) {
         const std::vector<float> flat = delta.Flatten();
-        const auto wire = fedavg::Compress(flat, *cfg, rng.Next());
-        auto restored = fedavg::Decompress(wire);
+        const auto wire = fedavg::EncodeUpdate(flat, codec, rng.Next());
+        auto restored = fedavg::DecodeUpdate(wire.payload);
         FL_CHECK(restored.ok());
         auto restored_ckpt = delta.Unflatten(*restored);
         FL_CHECK(restored_ckpt.ok());
@@ -91,20 +92,20 @@ int main() {
                               "final FedAvg accuracy"});
   struct Config {
     std::string name;
-    std::optional<fedavg::CompressionConfig> cfg;
+    protocol::WireCodecConfig codec;
   };
   std::vector<Config> configs;
-  configs.push_back({"raw float32", std::nullopt});
-  for (std::uint8_t bits : {16, 8, 4, 2}) {
-    fedavg::CompressionConfig c;
-    c.quantization_bits = bits;
+  configs.push_back({"raw float32", {}});
+  for (std::uint8_t bits : {8, 4, 2}) {
+    protocol::WireCodecConfig c;
+    c.quant_bits = bits;
     configs.push_back({std::to_string(bits) + "-bit quantized", c});
   }
   {
-    fedavg::CompressionConfig c;
-    c.quantization_bits = 8;
-    c.keep_fraction = 0.25;
-    configs.push_back({"8-bit + 25% subsampled", c});
+    protocol::WireCodecConfig c;
+    c.quant_bits = 8;
+    c.topk_fraction = 0.25;
+    configs.push_back({"8-bit + top-25%", c});
   }
 
   double base_norm = 0;
@@ -112,25 +113,21 @@ int main() {
   base_norm = std::sqrt(base_norm);
 
   for (const auto& config : configs) {
-    double ratio = 1.0, rel_err = 0.0;
-    if (config.cfg.has_value()) {
-      const auto wire = fedavg::Compress(flat, *config.cfg, 77);
-      ratio = wire.CompressionRatio();
-      const auto back = fedavg::Decompress(wire);
-      FL_CHECK(back.ok());
-      double err = 0;
-      for (std::size_t i = 0; i < flat.size(); ++i) {
-        const double d = flat[i] - (*back)[i];
-        err += d * d;
-      }
-      rel_err = std::sqrt(err) / std::max(1e-12, base_norm);
+    const auto wire = fedavg::EncodeUpdate(flat, config.codec, 77);
+    const auto back = fedavg::DecodeUpdate(wire.payload);
+    FL_CHECK(back.ok());
+    double err = 0;
+    for (std::size_t i = 0; i < flat.size(); ++i) {
+      const double d = flat[i] - (*back)[i];
+      err += d * d;
     }
-    const double acc = AccuracyWithCompression(config.cfg, plan,
-                                               model.init_params, clients,
-                                               eval);
+    const double rel_err = std::sqrt(err) / std::max(1e-12, base_norm);
+    const double acc = AccuracyWithCodec(config.codec, plan,
+                                         model.init_params, clients, eval);
     char pct[16];
     std::snprintf(pct, sizeof(pct), "%.1f%%", 100.0 * acc);
-    table.AddRow({config.name, analytics::TextTable::Num(ratio),
+    table.AddRow({config.name,
+                  analytics::TextTable::Num(wire.CompressionRatio()),
                   analytics::TextTable::Num(rel_err, 4), pct});
   }
   std::printf("%s", table.Render().c_str());

@@ -15,17 +15,13 @@ struct TrafficResult {
 };
 
 TrafficResult Run(bool compressed) {
-  core::FLSystemConfig config = bench::FleetConfig(1000, 23);
-  if (compressed) {
-    fedavg::CompressionConfig comp;
-    comp.quantization_bits = 8;
-    config.upload_compression = comp;
-  }
-  core::FLSystem system(std::move(config));
+  core::FLSystem system(bench::FleetConfig(1000, 23));
   plan::TrainingHyperparams hyper;
   hyper.learning_rate = 0.2f;
-  system.AddTrainingTask("train", bench::BenchModel(), hyper, {},
-                         bench::StandardRound(25), Seconds(30));
+  protocol::RoundConfig round = bench::StandardRound(25);
+  if (compressed) round.codec.quant_bits = 8;
+  system.AddTrainingTask("train", bench::BenchModel(), hyper, {}, round,
+                         Seconds(30));
   system.ProvisionData(bench::BlobsProvisioner());
   system.Start();
   system.RunFor(Hours(24));

@@ -4,14 +4,14 @@
 //
 // Two measurements:
 //
-//  1. Churn microbench, wheel vs. legacy heap: the simulator's dominant
-//     queue pattern is timeout churn — every session schedules deadlines
-//     that are almost always cancelled before they fire. The heap keeps
-//     cancelled events as tombstones until they surface; the wheel frees
-//     them in O(1). Gate: wheel >= 3x heap events/sec.
+//  1. Churn microbench: the simulator's dominant queue pattern is timeout
+//     churn — every session schedules deadlines that are almost always
+//     cancelled before they fire. Reports queue operations per second and
+//     the queue's lifetime counters (every scheduled event is either fired
+//     or cancelled once the queue drains).
 //
-//  2. Fleet macro run on the wheel: N devices (default 1,000,000) simulated
-//     over a multi-day diurnal cycle, reporting events/sec, peak RSS,
+//  2. Fleet macro run: N devices (default 1,000,000) simulated over a
+//     multi-day diurnal cycle, reporting events/sec, peak RSS,
 //     bytes/device, the queue's lifetime counters, and the wheel's
 //     per-level occupancy.
 //
@@ -53,18 +53,17 @@ std::size_t CurrentRssBytes() {
 
 struct ChurnResult {
   double seconds = 0;
-  double events_per_sec = 0;
+  double ops_per_sec = 0;
   sim::EventQueue::Stats stats;
 };
 
 // Timeout churn: each round schedules a batch of deadlines spread over the
 // next ten minutes, cancels 90% of them (sessions that completed in time),
 // and advances the clock one minute so survivors interleave with fresh
-// batches across wheel levels. events/sec counts every queue operation the
+// batches across wheel levels. ops/sec counts every queue operation the
 // engine absorbed: schedules, cancels, and fires.
-ChurnResult ChurnBench(sim::EventQueue::Impl impl, std::size_t rounds,
-                       std::size_t batch) {
-  sim::EventQueue q(impl);
+ChurnResult ChurnBench(std::size_t rounds, std::size_t batch) {
+  sim::EventQueue q;
   Rng rng(11);
   std::uint64_t fired = 0;
   std::vector<sim::EventHandle> handles(batch);
@@ -87,7 +86,7 @@ ChurnResult ChurnBench(sim::EventQueue::Impl impl, std::size_t rounds,
   result.stats = q.stats();
   const std::uint64_t ops =
       result.stats.scheduled + result.stats.cancelled + result.stats.fired;
-  result.events_per_sec = static_cast<double>(ops) / result.seconds;
+  result.ops_per_sec = static_cast<double>(ops) / result.seconds;
   FL_CHECK(fired == result.stats.fired);
   return result;
 }
@@ -105,27 +104,23 @@ int main(int argc, char** argv) {
       "simulator's event core must sustain that scale in memory and "
       "events/sec.");
 
-  // --- 1. churn microbench: wheel vs. legacy heap ---
+  // --- 1. churn microbench ---
   const std::size_t churn_rounds = 2'000;
   const std::size_t churn_batch = 1'000;
-  ChurnBench(sim::EventQueue::Impl::kWheel, 100, churn_batch);  // warm-up
-  const ChurnResult wheel =
-      ChurnBench(sim::EventQueue::Impl::kWheel, churn_rounds, churn_batch);
-  const ChurnResult heap = ChurnBench(sim::EventQueue::Impl::kLegacyHeap,
-                                      churn_rounds, churn_batch);
-  const double speedup = wheel.events_per_sec / heap.events_per_sec;
-  const bool churn_ok = speedup >= 3.0;
+  ChurnBench(100, churn_batch);  // warm-up
+  const ChurnResult churn = ChurnBench(churn_rounds, churn_batch);
 
   std::printf("\nchurn microbench (%zu rounds x %zu timeouts, 90%% "
               "cancelled):\n", churn_rounds, churn_batch);
-  std::printf("  %-12s %8.2f M ops/s  (%.3f s)\n", "wheel",
-              wheel.events_per_sec / 1e6, wheel.seconds);
-  std::printf("  %-12s %8.2f M ops/s  (%.3f s)\n", "legacy heap",
-              heap.events_per_sec / 1e6, heap.seconds);
-  std::printf("  %-12s %8.2fx — target >= 3x: %s\n", "speedup", speedup,
-              churn_ok ? "PASS" : "FAIL");
+  std::printf("  %-12s %8.2f M ops/s  (%.3f s)\n", "throughput",
+              churn.ops_per_sec / 1e6, churn.seconds);
+  std::printf("  %-12s %llu scheduled = %llu fired + %llu cancelled\n",
+              "events",
+              static_cast<unsigned long long>(churn.stats.scheduled),
+              static_cast<unsigned long long>(churn.stats.fired),
+              static_cast<unsigned long long>(churn.stats.cancelled));
 
-  // --- 2. fleet macro run on the wheel ---
+  // --- 2. fleet macro run ---
   const std::size_t rss_before = CurrentRssBytes();
   const auto build_t0 = std::chrono::steady_clock::now();
   auto config = bench::FleetConfig(devices, /*seed=*/42);
@@ -160,7 +155,7 @@ int main(int argc, char** argv) {
   const double events_per_sec =
       static_cast<double>(fleet.fired) / run_seconds;
 
-  std::printf("\nfleet macro run (wheel engine):\n");
+  std::printf("\nfleet macro run:\n");
   std::printf("  %-24s %zu\n", "devices", devices);
   std::printf("  %-24s %lld h\n", "simulated time",
               static_cast<long long>(sim_hours));
@@ -190,10 +185,11 @@ int main(int argc, char** argv) {
       .BeginObject("churn")
       .Field("rounds", churn_rounds)
       .Field("batch", churn_batch)
-      .Field("wheel_events_per_sec", wheel.events_per_sec)
-      .Field("heap_events_per_sec", heap.events_per_sec)
-      .Field("speedup", speedup)
-      .Field("speedup_ge_3x", churn_ok)
+      .Field("seconds", churn.seconds)
+      .Field("ops_per_sec", churn.ops_per_sec)
+      .Field("scheduled", static_cast<std::size_t>(churn.stats.scheduled))
+      .Field("fired", static_cast<std::size_t>(churn.stats.fired))
+      .Field("cancelled", static_cast<std::size_t>(churn.stats.cancelled))
       .EndObject()
       .BeginObject("fleet")
       .Field("devices", devices)
@@ -224,8 +220,5 @@ int main(int argc, char** argv) {
     std::printf("FAILED to write %s\n", out);
     return 1;
   }
-  // The churn gate reflects engine quality, not machine load; the JSON
-  // records the verdict and the bench always exits 0 (matching the other
-  // benches' CI posture).
   return 0;
 }

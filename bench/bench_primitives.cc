@@ -6,7 +6,7 @@
 #include "src/common/rng.h"
 #include "src/crypto/chacha20.h"
 #include "src/crypto/shamir.h"
-#include "src/fedavg/compression.h"
+#include "src/fedavg/codec.h"
 #include "src/tensor/checkpoint.h"
 
 namespace fl {
@@ -66,19 +66,19 @@ void BM_ShamirReconstruct(benchmark::State& state) {
 }
 BENCHMARK(BM_ShamirReconstruct)->Arg(8)->Arg(32)->Arg(128);
 
-void BM_CompressUpdate(benchmark::State& state) {
+void BM_EncodeUpdate(benchmark::State& state) {
   Rng rng(5);
   std::vector<float> update(1 << 16);
   for (auto& v : update) v = static_cast<float>(rng.Normal(0, 0.5));
-  fedavg::CompressionConfig cfg;
-  cfg.quantization_bits = static_cast<std::uint8_t>(state.range(0));
+  protocol::WireCodecConfig codec;
+  codec.quant_bits = static_cast<std::uint8_t>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fedavg::Compress(update, cfg, 7));
+    benchmark::DoNotOptimize(fedavg::EncodeUpdate(update, codec, 7));
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(update.size() * 4));
 }
-BENCHMARK(BM_CompressUpdate)->Arg(8)->Arg(4)->Arg(1);
+BENCHMARK(BM_EncodeUpdate)->Arg(8)->Arg(4)->Arg(2);
 
 }  // namespace
 }  // namespace fl

@@ -75,12 +75,16 @@ Result<Bytes> BytesReader::ReadBytes() {
 
 Result<std::vector<float>> BytesReader::ReadF32Vector() {
   FL_ASSIGN_OR_RETURN(std::uint64_t count, ReadVarint());
-  if (count * sizeof(float) > remaining()) {
+  // Divide rather than multiply: count * sizeof(float) can wrap.
+  if (count > remaining() / sizeof(float)) {
     return DataLossError("truncated float vector of declared count " +
                          std::to_string(count));
   }
   std::vector<float> v(count);
-  std::memcpy(v.data(), data_.data() + pos_, count * sizeof(float));
+  // memcpy needs non-null pointers even for zero bytes; v.data() may be null.
+  if (count > 0) {
+    std::memcpy(v.data(), data_.data() + pos_, count * sizeof(float));
+  }
   pos_ += count * sizeof(float);
   return v;
 }

@@ -5,14 +5,12 @@
 #include <optional>
 #include <string>
 
-#include "src/fedavg/compression.h"
 #include "src/graph/registry.h"
 #include "src/ops/debug_bundle.h"
 #include "src/ops/health.h"
 #include "src/ops/ops_plane.h"
 #include "src/protocol/pace_steering.h"
 #include "src/sim/availability.h"
-#include "src/sim/event_queue.h"
 #include "src/sim/network.h"
 
 namespace fl::core {
@@ -20,10 +18,6 @@ namespace fl::core {
 struct FLSystemConfig {
   std::string population_name = "population/default";
   std::uint64_t seed = 42;
-
-  // Event-queue engine; defaults to the FL_EVENT_QUEUE env override (wheel
-  // when unset). Tests pin this to compare schedulers in one process.
-  sim::EventQueue::Impl event_queue_impl = sim::EventQueue::DefaultImpl();
 
   sim::PopulationParams population;
   sim::DiurnalCurve::Params diurnal;
@@ -45,8 +39,6 @@ struct FLSystemConfig {
   Duration device_give_up = Minutes(8);   // waiting with no server response
   Duration ack_timeout = Minutes(3);      // upload sent, no ack
   Duration data_refresh_period = Hours(12);  // 0 => provision once
-  // Update upload compression (Sec. 11, Bandwidth); nullopt = raw floats.
-  std::optional<fedavg::CompressionConfig> upload_compression;
 
   // Analytics resolution.
   Duration stats_bucket = Minutes(15);

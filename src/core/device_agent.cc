@@ -6,7 +6,6 @@
 #include "src/analytics/flight_dump.h"
 #include "src/common/fixed_point.h"
 #include "src/fedavg/codec.h"
-#include "src/fedavg/compression.h"
 #include "src/profiler/profiler.h"
 #include "src/telemetry/trace.h"
 
@@ -435,29 +434,15 @@ void DeviceAgent::BeginUpload(std::uint64_t gen) {
   std::uint64_t wire_bytes = 256;  // metrics-only floor (evaluation tasks)
   if (s.update.has_value()) {
     report.weight = s.update->weight;
-    const auto& compression = services_.config->upload_compression;
     if (s.codec.enabled()) {
-      // Pluggable codec path: the encoded payload itself travels; the
-      // Aggregator decodes and accumulates (no server-side reconstruction
-      // happens device-side, unlike the legacy compression path below).
+      // Codec path (Sec. 11, Bandwidth): the encoded payload itself travels;
+      // the Aggregator decodes and accumulates.
       const std::vector<float> flat = s.update->weighted_delta.Flatten();
       fedavg::EncodedUpdate wire =
           fedavg::EncodeUpdate(flat, s.codec, rng_.Next());
       wire_bytes = wire.WireBytes();
       report.update_bytes = std::move(wire.payload);
       report.codec_encoded = true;
-    } else if (compression.has_value()) {
-      // Sec. 11 Bandwidth: compress the (compressible) update for the wire;
-      // the server aggregates the reconstruction.
-      const std::vector<float> flat = s.update->weighted_delta.Flatten();
-      const fedavg::CompressedUpdate wire =
-          fedavg::Compress(flat, *compression, rng_.Next());
-      wire_bytes = wire.WireBytes();
-      auto restored = fedavg::Decompress(wire);
-      FL_CHECK(restored.ok());
-      auto restored_ckpt = s.update->weighted_delta.Unflatten(*restored);
-      FL_CHECK(restored_ckpt.ok());
-      report.update_bytes = restored_ckpt->Serialize();
     } else {
       report.update_bytes = s.update->weighted_delta.Serialize();
       wire_bytes = report.update_bytes.size() + 64;

@@ -17,7 +17,6 @@ constexpr std::uint64_t kAttestSeedSalt = 0x61747465737421ULL;  // "attest!"
 FLSystem::FLSystem(FLSystemConfig config)
     : config_(std::move(config)),
       rng_(config_.seed),
-      queue_(config_.event_queue_impl),
       curve_(config_.diurnal),
       network_(config_.network, config_.seed ^ kNetworkSeedSalt),
       attestation_(config_.seed ^ kAttestSeedSalt) {

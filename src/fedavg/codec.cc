@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include "src/common/rng.h"
 
@@ -19,6 +20,47 @@ constexpr std::uint8_t kFlagQuant = 0x04;
 // Index encodings for the top-k stage.
 constexpr std::uint8_t kIndexBitmap = 0;
 constexpr std::uint8_t kIndexVarint = 1;
+
+// Little-endian bit packing: `bits` bits per level.
+void PackBits(BytesWriter& w, std::span<const std::uint32_t> levels,
+              std::uint8_t bits) {
+  std::uint64_t acc = 0;
+  int filled = 0;
+  for (std::uint32_t level : levels) {
+    acc |= static_cast<std::uint64_t>(level) << filled;
+    filled += bits;
+    while (filled >= 8) {
+      w.WriteU8(static_cast<std::uint8_t>(acc));
+      acc >>= 8;
+      filled -= 8;
+    }
+  }
+  if (filled > 0) w.WriteU8(static_cast<std::uint8_t>(acc));
+}
+
+Result<std::vector<std::uint32_t>> UnpackBits(BytesReader& r,
+                                              std::uint64_t count,
+                                              std::uint8_t bits) {
+  // count * bits <= 8 * remaining, written so that neither side overflows.
+  if (count > r.remaining() * 8 / bits) {
+    return DataLossError("truncated bit-packed values");
+  }
+  std::vector<std::uint32_t> levels(count);
+  std::uint64_t acc = 0;
+  int filled = 0;
+  const std::uint32_t mask = (1u << bits) - 1;
+  for (auto& level : levels) {
+    while (filled < bits) {
+      FL_ASSIGN_OR_RETURN(std::uint8_t b, r.ReadU8());
+      acc |= static_cast<std::uint64_t>(b) << filled;
+      filled += 8;
+    }
+    level = static_cast<std::uint32_t>(acc) & mask;
+    acc >>= bits;
+    filled -= bits;
+  }
+  return levels;
+}
 
 std::size_t VarintDeltaBytes(std::span<const std::uint32_t> indices) {
   std::size_t bytes = 0;
@@ -53,10 +95,10 @@ void WriteQuantized(BytesWriter& w, std::span<const float> values,
     q = std::clamp(q, -qmax, qmax);
     levels[i] = static_cast<std::uint32_t>(q + qmax);
   }
-  wire::PackBits(w, levels, bits);
+  PackBits(w, levels, bits);
 }
 
-Result<std::vector<float>> ReadQuantized(BytesReader& r, std::size_t count,
+Result<std::vector<float>> ReadQuantized(BytesReader& r, std::uint64_t count,
                                          std::uint8_t bits) {
   const auto qmax =
       static_cast<std::int32_t>((1u << (bits - 1)) - 1u);
@@ -64,10 +106,9 @@ Result<std::vector<float>> ReadQuantized(BytesReader& r, std::size_t count,
   if (!(max_abs >= 0.0f) || !std::isfinite(max_abs)) {
     return DataLossError("bad quantization scale");
   }
-  std::vector<float> values(count);
-  if (count == 0) return values;
   FL_ASSIGN_OR_RETURN(std::vector<std::uint32_t> levels,
-                      wire::UnpackBits(r, count, bits));
+                      UnpackBits(r, count, bits));
+  std::vector<float> values(count);
   const double inv_scale =
       max_abs > 0.0f ? static_cast<double>(max_abs) / qmax : 0.0;
   const auto max_level = static_cast<std::uint32_t>(2 * qmax);
@@ -170,8 +211,9 @@ EncodedUpdate EncodeUpdate(std::span<const float> update,
   return out;
 }
 
-Result<std::vector<float>> DecodeUpdate(std::span<const std::uint8_t> payload,
-                                        std::span<const float> reference) {
+Result<std::vector<float>> DecodeUpdate(
+    std::span<const std::uint8_t> payload, std::span<const float> reference,
+    std::optional<std::size_t> expected_count) {
   BytesReader r(payload);
   for (char expected : kMagic) {
     FL_ASSIGN_OR_RETURN(std::uint8_t b, r.ReadU8());
@@ -188,6 +230,15 @@ Result<std::vector<float>> DecodeUpdate(std::span<const std::uint8_t> payload,
     FL_ASSIGN_OR_RETURN(bits, r.ReadU8());
     if (bits < 2 || bits > 8) return DataLossError("bad quantization bits");
   }
+  if (expected_count.has_value() && total != *expected_count) {
+    return DataLossError("encoded update has " + std::to_string(total) +
+                         " coordinates, expected " +
+                         std::to_string(*expected_count));
+  }
+  // Indices are 32-bit on the wire.
+  if (total > (std::uint64_t{1} << 32)) {
+    return DataLossError("encoded update length out of range");
+  }
   if (delta && reference.size() != total) {
     return InvalidArgumentError("delta-coded update needs its reference");
   }
@@ -198,10 +249,13 @@ Result<std::vector<float>> DecodeUpdate(std::span<const std::uint8_t> payload,
     FL_ASSIGN_OR_RETURN(kept, r.ReadVarint());
     if (kept > total) return DataLossError("kept count exceeds total");
     FL_ASSIGN_OR_RETURN(std::uint8_t index_mode, r.ReadU8());
-    indices.reserve(kept);
     if (index_mode == kIndexBitmap) {
-      const std::size_t bitmap_bytes = (total + 7) / 8;
-      for (std::size_t byte = 0; byte < bitmap_bytes; ++byte) {
+      const std::uint64_t bitmap_bytes = (total + 7) / 8;
+      if (bitmap_bytes > r.remaining()) {
+        return DataLossError("truncated index bitmap");
+      }
+      indices.reserve(kept);
+      for (std::uint64_t byte = 0; byte < bitmap_bytes; ++byte) {
         FL_ASSIGN_OR_RETURN(std::uint8_t b, r.ReadU8());
         for (int bit = 0; bit < 8 && byte * 8 + bit < total; ++bit) {
           if ((b >> bit) & 1) {
@@ -213,6 +267,9 @@ Result<std::vector<float>> DecodeUpdate(std::span<const std::uint8_t> payload,
         return DataLossError("bitmap population mismatch");
       }
     } else if (index_mode == kIndexVarint) {
+      // Every varint takes at least one byte.
+      if (kept > r.remaining()) return DataLossError("truncated indices");
+      indices.reserve(kept);
       std::uint32_t prev = 0;
       for (std::uint64_t i = 0; i < kept; ++i) {
         FL_ASSIGN_OR_RETURN(std::uint64_t d, r.ReadVarint());
@@ -229,6 +286,9 @@ Result<std::vector<float>> DecodeUpdate(std::span<const std::uint8_t> payload,
   if (bits != 32) {
     FL_ASSIGN_OR_RETURN(values, ReadQuantized(r, kept, bits));
   } else {
+    if (kept > r.remaining() / sizeof(float)) {
+      return DataLossError("truncated float values");
+    }
     values.resize(kept);
     for (auto& v : values) {
       FL_ASSIGN_OR_RETURN(v, r.ReadF32());

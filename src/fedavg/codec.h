@@ -14,22 +14,26 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "src/common/bytes.h"
 #include "src/common/status.h"
-#include "src/fedavg/compression.h"
 #include "src/protocol/round_config.h"
 
 namespace fl::fedavg {
+
+// Transport framing charged to every encoded update on the wire (report
+// headers: ids, lengths, checksum), so byte accounting and compression
+// ratios compare like for like across codec configurations.
+inline constexpr std::size_t kUpdateWireOverheadBytes = 32;
 
 struct EncodedUpdate {
   Bytes payload;  // complete codec output: header + indices + values
   std::size_t original_floats = 0;
 
-  // Total on-wire bytes, framed exactly like CompressedUpdate::WireBytes()
-  // so ratios are comparable across codecs.
+  // Total on-wire bytes: payload plus the shared transport framing.
   std::size_t WireBytes() const {
     return payload.size() + kUpdateWireOverheadBytes;
   }
@@ -51,9 +55,15 @@ EncodedUpdate EncodeUpdate(std::span<const float> update,
 
 // Inverts EncodeUpdate. Coordinates dropped by top-k decode to the
 // reference value (delta on) or zero. Pass the same `reference` the
-// encoder used.
-Result<std::vector<float>> DecodeUpdate(std::span<const std::uint8_t> payload,
-                                        std::span<const float> reference = {});
+// encoder used. Every declared count is checked against the bytes left
+// before anything is allocated, so hostile payloads fail with DataLoss.
+// `expected_count`, when given, is the only bound on the length a top-k
+// payload with varint indices may declare: callers decoding untrusted bytes
+// pass the model size they will unflatten into.
+Result<std::vector<float>> DecodeUpdate(
+    std::span<const std::uint8_t> payload,
+    std::span<const float> reference = {},
+    std::optional<std::size_t> expected_count = std::nullopt);
 
 // ---------------------------------------------------------------------------
 // SecAgg composition helpers (cohort-agreed sparsification).

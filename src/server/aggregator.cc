@@ -220,8 +220,10 @@ void AggregatorActor::HandleReport(const DeviceReport& report) {
       if (!report.codec_encoded) {
         return Checkpoint::Deserialize(report.update_bytes);
       }
-      // Codec path: payload is the encoded flat weighted delta.
-      auto flat = fedavg::DecodeUpdate(report.update_bytes);
+      // Codec path: payload is the encoded flat weighted delta, exactly as
+      // long as the global model it unflattens into.
+      auto flat = fedavg::DecodeUpdate(report.update_bytes, {},
+                                       init_.global_model->TotalParameters());
       if (!flat.ok()) return flat.status();
       return init_.global_model->Unflatten(*flat);
     }();

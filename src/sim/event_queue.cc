@@ -1,8 +1,6 @@
 #include "src/sim/event_queue.h"
 
-#include <cstdlib>
 #include <limits>
-#include <string_view>
 #include <utility>
 
 namespace fl::sim {
@@ -23,7 +21,6 @@ int LowestBit(std::uint64_t v) { return __builtin_ctzll(v); }
 // overflow-bucket list while live, or the free list (next only) after.
 struct EventQueue::Node {
   std::int64_t time = 0;
-  std::uint64_t seq = 0;
   Node* prev = nullptr;
   Node* next = nullptr;
   std::uint32_t generation = 1;
@@ -33,22 +30,8 @@ struct EventQueue::Node {
   Callback fn;
 };
 
-EventQueue::Impl EventQueue::DefaultImpl() {
-  static const Impl impl = [] {
-    const char* v = std::getenv("FL_EVENT_QUEUE");
-    if (v != nullptr && std::string_view(v) == "heap") {
-      return Impl::kLegacyHeap;
-    }
-    return Impl::kWheel;
-  }();
-  return impl;
-}
-
-EventQueue::EventQueue(Impl impl) : impl_(impl) {
-  if (impl_ == Impl::kWheel) {
-    slots_.resize(static_cast<std::size_t>(kLevels) * kSlots);
-  }
-}
+EventQueue::EventQueue()
+    : slots_(static_cast<std::size_t>(kLevels) * kSlots) {}
 
 EventQueue::~EventQueue() = default;
 
@@ -140,7 +123,7 @@ void EventQueue::Place(Node* n) {
       overflow_.begin()->first == (n->time >> kHorizonBits)) {
     // The cursor's epoch still has an undrained overflow bucket (possible
     // after a RunUntil deadline jump). Entering the wheel now would let
-    // this event overtake earlier-seq equal-time events waiting in the
+    // this event overtake earlier-scheduled equal-time events waiting in the
     // bucket, so append behind them instead; the next drain re-places all
     // of them in order.
     n->level = kOverflowLevel;
@@ -211,7 +194,7 @@ EventQueue::Node* EventQueue::PeekDue(std::int64_t deadline) {
     if (occupied_[0] != 0) {
       // After PullCurrent the earliest event is the head of the lowest
       // occupied level-0 slot: level-0 slots are 1 ms wide, so the list
-      // head (lowest seq) is the exact global minimum.
+      // head (earliest scheduled) is the exact global minimum.
       const int idx = LowestBit(occupied_[0]);
       const std::int64_t t0 = (cursor_ & ~std::int64_t{kSlots - 1}) | idx;
       if (t0 > deadline) return nullptr;
@@ -245,7 +228,7 @@ EventQueue::Node* EventQueue::PeekDue(std::int64_t deadline) {
   return nullptr;
 }
 
-bool EventQueue::WheelPopAndRun(std::int64_t deadline) {
+bool EventQueue::PopAndRun(std::int64_t deadline) {
   Node* n = PeekDue(deadline);
   if (n == nullptr) return false;
   NodeList& list = SlotList(0, n->slot);
@@ -259,16 +242,19 @@ bool EventQueue::WheelPopAndRun(std::int64_t deadline) {
   now_ = SimTime{n->time};
   Callback fn = std::move(n->fn);
   // Free before firing: a Cancel of this very handle from inside the
-  // callback must report "already ran" (matches the legacy engine).
+  // callback must report "already ran".
   FreeNode(n);
   ++stats_.fired;
   fn();
   return true;
 }
 
-bool EventQueue::WheelCancel(std::uint64_t id) {
-  const auto index = static_cast<std::uint32_t>(id >> 32);
-  const auto generation = static_cast<std::uint32_t>(id);
+// ---------------------------------------------------------- public
+
+bool EventQueue::Cancel(EventHandle h) {
+  if (!h.valid()) return false;
+  const auto index = static_cast<std::uint32_t>(h.id >> 32);
+  const auto generation = static_cast<std::uint32_t>(h.id);
   Node* n = NodeAt(index);
   if (n == nullptr || n->generation != generation) return false;
   if (n->level == kOverflowLevel) {
@@ -291,66 +277,21 @@ bool EventQueue::WheelCancel(std::uint64_t id) {
   return true;
 }
 
-// ------------------------------------------------------ legacy heap
-
-void EventQueue::SkimCancelled() {
-  while (!heap_.empty() && live_.count(heap_.top().id) == 0) {
-    heap_.pop();
-  }
-}
-
-bool EventQueue::HeapPopAndRun() {
-  SkimCancelled();
-  if (heap_.empty()) return false;
-  // top() is const&, but the element is not actually const; moving out is
-  // safe because pop() destroys it next. This removes the historical full
-  // Event (and callback) copy per fired event.
-  HeapEvent ev = std::move(const_cast<HeapEvent&>(heap_.top()));
-  heap_.pop();
-  live_.erase(ev.id);
-  --live_count_;
-  now_ = ev.time;
-  ++stats_.fired;
-  ev.fn();
-  return true;
-}
-
-// ---------------------------------------------------------- public
-
 EventHandle EventQueue::At(SimTime t, Callback fn) {
   FL_CHECK_MSG(t >= now_, "cannot schedule into the past");
   FL_CHECK(static_cast<bool>(fn));
   ++stats_.scheduled;
   if (!fn.is_inline()) ++stats_.heap_callbacks;
   ++live_count_;
-  if (impl_ == Impl::kLegacyHeap) {
-    const std::uint64_t id = next_id_++;
-    heap_.push(HeapEvent{t, next_seq_++, id, std::move(fn)});
-    live_.insert(id);
-    return EventHandle{id};
-  }
   Node* n = AllocNode();
   n->time = t.millis;
-  n->seq = next_seq_++;
   n->fn = std::move(fn);
   Place(n);
   return EventHandle{MakeHandleId(n->index, n->generation)};
 }
 
-bool EventQueue::Cancel(EventHandle h) {
-  if (!h.valid()) return false;
-  if (impl_ == Impl::kLegacyHeap) {
-    if (live_.erase(h.id) == 0) return false;
-    --live_count_;
-    ++stats_.cancelled;
-    return true;
-  }
-  return WheelCancel(h.id);
-}
-
 bool EventQueue::Step() {
-  if (impl_ == Impl::kLegacyHeap) return HeapPopAndRun();
-  return WheelPopAndRun(std::numeric_limits<std::int64_t>::max());
+  return PopAndRun(std::numeric_limits<std::int64_t>::max());
 }
 
 std::size_t EventQueue::Run() {
@@ -361,15 +302,7 @@ std::size_t EventQueue::Run() {
 
 std::size_t EventQueue::RunUntil(SimTime deadline) {
   std::size_t n = 0;
-  if (impl_ == Impl::kLegacyHeap) {
-    while (true) {
-      SkimCancelled();
-      if (heap_.empty() || heap_.top().time > deadline) break;
-      if (HeapPopAndRun()) ++n;
-    }
-  } else {
-    while (WheelPopAndRun(deadline.millis)) ++n;
-  }
+  while (PopAndRun(deadline.millis)) ++n;
   if (now_ < deadline) now_ = deadline;
   if (cursor_ < now_.millis) cursor_ = now_.millis;
   return n;

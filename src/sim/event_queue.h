@@ -5,33 +5,23 @@
 // Events at equal timestamps run in scheduling order, which (together with
 // seeded Rng) makes entire multi-day fleet simulations bit-reproducible.
 //
-// Two engines share the public API and the exact execution order contract
-// (time-ascending, FIFO among equal timestamps):
-//
-//  * kWheel (default) — a hierarchical timer wheel: kLevels levels of
-//    kSlots slots each, slot width growing 64x per level (1 ms at level 0,
-//    ~12.4 days at the top), one 64-bit occupancy bitmap per level, and a
-//    sorted overflow map for events beyond the ~2.2-year wheel horizon.
-//    Events are slab-allocated intrusive nodes whose callback is a
-//    small-buffer-optimized move-only InlineFunction — scheduling the
-//    common capture sizes costs no malloc, firing costs no copy, and
-//    Cancel() is O(1): generation-tagged handles unlink and free the node
-//    immediately instead of leaving a tombstone behind.
-//
-//  * kLegacyHeap — the original std::priority_queue<Event> engine, kept
-//    behind this toggle for A/B benchmarking (bench_fleet_scale) and the
-//    cross-engine determinism golden test. Cancelled events remain in the
-//    heap as tombstones until they surface.
-//
-// Select at construction, or process-wide with FL_EVENT_QUEUE=heap|wheel.
+// The engine is a hierarchical timer wheel: kLevels levels of kSlots slots
+// each, slot width growing 64x per level (1 ms at level 0, ~12.4 days at
+// the top), one 64-bit occupancy bitmap per level, and a sorted overflow
+// map for events beyond the ~2.2-year wheel horizon. Events are
+// slab-allocated intrusive nodes whose callback is a small-buffer-optimized
+// move-only InlineFunction — scheduling the common capture sizes costs no
+// malloc, firing costs no copy, and Cancel() is O(1): generation-tagged
+// handles unlink and free the node immediately instead of leaving a
+// tombstone behind. Execution order is time-ascending, FIFO among equal
+// timestamps; tests/sim/ pins that contract against a sorted-vector
+// reference scheduler.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/inline_function.h"
@@ -50,8 +40,6 @@ class EventQueue {
  public:
   using Callback = common::TaskFn;
 
-  enum class Impl : std::uint8_t { kWheel, kLegacyHeap };
-
   // Wheel geometry: kLevels levels of kSlots slots; level L slots are
   // 64^L ms wide, so level L spans 64^(L+1) ms around the cursor. Six
   // levels cover ~2.18 years; anything farther sits in the overflow map.
@@ -60,18 +48,12 @@ class EventQueue {
   static constexpr int kLevels = 6;
   static constexpr int kHorizonBits = kSlotBits * kLevels;  // 36
 
-  // Resolves FL_EVENT_QUEUE ("wheel" | "heap"), read once per process;
-  // defaults to kWheel.
-  static Impl DefaultImpl();
-
-  EventQueue() : EventQueue(DefaultImpl()) {}
-  explicit EventQueue(Impl impl);
+  EventQueue();
   ~EventQueue();
 
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  Impl impl() const { return impl_; }
   SimTime now() const { return now_; }
 
   // Schedules `fn` at absolute time `t` (>= now).
@@ -83,8 +65,7 @@ class EventQueue {
   }
 
   // Cancels a pending event. Returns false if it already ran or was
-  // cancelled. On the wheel engine this is O(1) and releases the event's
-  // memory immediately.
+  // cancelled. O(1); releases the event's memory immediately.
   bool Cancel(EventHandle h);
 
   // Runs events until the queue is empty. Returns number of events executed.
@@ -116,13 +97,11 @@ class EventQueue {
   const Stats& stats() const { return stats_; }
 
   // Live events per wheel level; the last entry is the overflow map.
-  // All-zero (except via pending()) on the legacy engine.
   std::array<std::size_t, kLevels + 1> LevelOccupancy() const {
     return level_occupancy_;
   }
 
  private:
-  // ---- wheel engine ----
   struct Node;
   struct NodeList {
     Node* head = nullptr;
@@ -163,48 +142,22 @@ class EventQueue {
   // cascade nodes, but fires nothing.
   Node* PeekDue(std::int64_t deadline);
 
-  bool WheelPopAndRun(std::int64_t deadline);
-  bool WheelCancel(std::uint64_t id);
+  // Fires the next event if its time is <= `deadline`.
+  bool PopAndRun(std::int64_t deadline);
 
-  // ---- legacy heap engine ----
-  struct HeapEvent {
-    SimTime time;
-    std::uint64_t seq;  // tie-breaker: FIFO among equal timestamps
-    std::uint64_t id;
-    Callback fn;
-  };
-  struct Later {
-    bool operator()(const HeapEvent& a, const HeapEvent& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-
-  bool HeapPopAndRun();
-  // Drops cancelled events from the top of the heap.
-  void SkimCancelled();
-
-  // ---- shared state ----
-  Impl impl_;
   SimTime now_{};
-  std::uint64_t next_seq_ = 0;
   std::size_t live_count_ = 0;
   Stats stats_;
   std::array<std::size_t, kLevels + 1> level_occupancy_{};
 
-  // Wheel engine state. cursor_ trails the earliest live event; equals
-  // now_.millis whenever user code can observe the queue.
+  // cursor_ trails the earliest live event; equals now_.millis whenever
+  // user code can observe the queue.
   std::int64_t cursor_ = 0;
   std::vector<NodeList> slots_;             // kLevels * kSlots lists
   std::array<std::uint64_t, kLevels> occupied_{};  // per-level slot bitmaps
   std::map<std::int64_t, NodeList> overflow_;      // key: time >> kHorizonBits
   std::vector<std::unique_ptr<Node[]>> chunks_;
   Node* free_list_ = nullptr;
-
-  // Legacy heap engine state.
-  std::uint64_t next_id_ = 1;
-  std::priority_queue<HeapEvent, std::vector<HeapEvent>, Later> heap_;
-  std::unordered_set<std::uint64_t> live_;
 };
 
 }  // namespace fl::sim

@@ -1,6 +1,7 @@
 #include "src/tensor/checkpoint.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "src/common/crc32.h"
 
@@ -155,6 +156,9 @@ Result<Checkpoint> Checkpoint::Deserialize(
     std::size_t numel = 1;
     for (auto& d : shape) {
       FL_ASSIGN_OR_RETURN(std::uint64_t dim, r.ReadVarint());
+      if (dim != 0 && numel > std::numeric_limits<std::size_t>::max() / dim) {
+        return DataLossError("tensor '" + name + "' element count overflows");
+      }
       d = dim;
       numel *= d;
     }

@@ -1,7 +1,6 @@
 #include "src/tools/simulation_runner.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "src/analytics/journal.h"
@@ -36,10 +35,10 @@ struct PlannedClient {
   Rng shuffle{0};
 };
 
-// Runs the sequential selection loop's RNG draws (candidate index, drop-out
-// coin, per-client fork) without training, collecting up to `want`
-// survivors. Consumes exactly the same draws as the inline sequential loop
-// does when every dispatched update succeeds.
+// Selects a round's participants before any training: draws a candidate
+// index, a drop-out coin and a per-client fork until `want` survivors are
+// collected (Algorithm 1's header: select 1.3K, keep the first K) or 4 * want
+// attempts are spent.
 std::vector<PlannedClient> PlanRound(
     Rng& rng, const std::vector<std::vector<data::Example>>& client_data,
     const SimulationConfig& config) {
@@ -108,8 +107,8 @@ Result<std::pair<double, std::size_t>> RunRoundOnPool(
                                             client_data[planned[i].client],
                                             runtime, shuffle);
       if (telem.updates_total != nullptr) telem.updates_total->Add();
-      // A failed update is dropped without resampling (the sequential path
-      // resamples; see the determinism contract in DESIGN.md).
+      // A failed update is dropped, not resampled (the determinism
+      // contract in DESIGN.md).
       if (!update.ok()) {
         if (telem.update_failures != nullptr) telem.update_failures->Add();
         continue;
@@ -156,22 +155,19 @@ Result<SimulationResult> RunFedAvgSimulation(
   Checkpoint global = init;
   const std::uint32_t runtime = plan.min_runtime_version;
 
-  // The pool outlives every round; threads==1 keeps the exact sequential
-  // code path (and RNG consumption pattern) of earlier versions.
+  // The pool outlives every round. threads == 1 spawns no workers:
+  // ParallelFor then runs the round's one shard inline.
   const std::size_t threads = std::max<std::size_t>(1, config.threads);
-  std::unique_ptr<common::ThreadPool> pool;
-  if (threads > 1) {
-    pool = std::make_unique<common::ThreadPool>(threads);
-    if (telemetry::Enabled()) {
-      // Queue-wait (enqueue -> dequeue) per pool task, in microseconds:
-      // sustained growth here means the pool is oversubscribed.
-      auto* wait_hist = telemetry::MetricsRegistry::Global().GetHistogram(
-          "fl_sim_pool_queue_wait_micros",
-          telemetry::HistogramOptions{1.0, 2.0, 24});
-      pool->SetQueueWaitObserver([wait_hist](std::int64_t micros) {
-        wait_hist->Observe(static_cast<double>(micros));
-      });
-    }
+  common::ThreadPool pool(threads > 1 ? threads : 0);
+  if (threads > 1 && telemetry::Enabled()) {
+    // Queue-wait (enqueue -> dequeue) per pool task, in microseconds:
+    // sustained growth here means the pool is oversubscribed.
+    auto* wait_hist = telemetry::MetricsRegistry::Global().GetHistogram(
+        "fl_sim_pool_queue_wait_micros",
+        telemetry::HistogramOptions{1.0, 2.0, 24});
+    pool.SetQueueWaitObserver([wait_hist](std::int64_t micros) {
+      wait_hist->Observe(static_cast<double>(micros));
+    });
   }
   const SimTelemetry telem = ResolveSimTelemetry();
 
@@ -195,41 +191,13 @@ Result<SimulationResult> RunFedAvgSimulation(
           RoundId{round}, "want=" + std::to_string(config.clients_per_round));
     }
     acc.Reset();
-    // Select 1.3K, keep the first K survivors (Algorithm 1's header).
-    const std::size_t want = config.clients_per_round;
-    std::size_t got = 0;
-    double train_loss = 0;
-    if (pool == nullptr) {
-      for (std::size_t attempts = 0;
-           got < want && attempts < want * 4; ++attempts) {
-        const std::size_t c = rng.UniformInt(client_data.size());
-        if (client_data[c].empty()) continue;
-        if (rng.Bernoulli(config.client_failure_rate)) continue;  // drop-out
-        Rng shuffle = rng.Fork();
-        telemetry::ScopedSpan span("client_update", round_span.id());
-        auto update = fedavg::RunClientUpdate(plan.device, global,
-                                              client_data[c], runtime,
-                                              shuffle);
-        if (telem.updates_total != nullptr) telem.updates_total->Add();
-        if (!update.ok()) {
-          if (telem.update_failures != nullptr) telem.update_failures->Add();
-          continue;
-        }
-        train_loss += update->metrics.mean_loss;
-        FL_RETURN_IF_ERROR(acc.Accumulate(std::move(update->weighted_delta),
-                                          update->weight, update->metrics));
-        ++got;
-      }
-    } else {
-      const std::vector<PlannedClient> planned =
-          PlanRound(rng, client_data, config);
-      FL_ASSIGN_OR_RETURN(
-          auto outcome,
-          RunRoundOnPool(*pool, plan, global, runtime, client_data, planned,
-                         shard_pool, acc, telem, round_span.id()));
-      train_loss = outcome.first;
-      got = outcome.second;
-    }
+    const std::vector<PlannedClient> planned =
+        PlanRound(rng, client_data, config);
+    FL_ASSIGN_OR_RETURN(
+        const auto outcome,
+        RunRoundOnPool(pool, plan, global, runtime, client_data, planned,
+                       shard_pool, acc, telem, round_span.id()));
+    const auto [train_loss, got] = outcome;
     if (got == 0) {
       return AbortedError("round " + std::to_string(round) +
                           ": no client produced an update");

@@ -27,11 +27,12 @@ struct SimulationConfig {
   std::uint64_t seed = 17;
   // Evaluate on held-out data every `eval_every` rounds (0 = never).
   std::size_t eval_every = 10;
-  // Worker threads for the round engine. 1 (the default) runs the exact
-  // sequential path — bit-for-bit seed-compatible with earlier versions.
-  // N > 1 executes each round's client updates on an N-thread pool with one
+  // Worker threads for the round engine. Each round's participants are
+  // drawn up front, then their client updates run on the pool with one
   // FedAvgAccumulator shard per thread, merged in fixed shard order
-  // (Aggregator → Master Aggregator, Sec. 4.2). All randomness is pre-drawn
+  // (Aggregator → Master Aggregator, Sec. 4.2); 1 (the default) is the
+  // one-shard case and runs inline. At every thread count a failed client
+  // update is dropped, not resampled. All randomness is pre-drawn
   // sequentially, so results are deterministic for a fixed (seed, threads)
   // pair; thread count only changes floating-point merge order.
   std::size_t threads = 1;

@@ -1,14 +1,15 @@
-// Determinism golden test for the event-core rewrite: a seeded FLSystem
-// fleet run must be bit-identical between the legacy heap scheduler and the
-// hierarchical timer wheel, and stable across reruns. "Bit-identical" is
-// checked at three independent layers:
+// Determinism golden test: a seeded FLSystem fleet run must reproduce a
+// pinned digest and be stable across reruns. The digest is checked at three
+// independent layers:
 //   1. the event journal (every device/server lifecycle transition with its
 //      sim timestamp), CRC32'd with the wall-clock field zeroed,
 //   2. the FleetStats round log (outcome, contributors, timing per round),
 //   3. the committed model bytes in the model store.
-// Any divergence in event *order* — the only thing the two engines could
-// disagree on — cascades into RNG draw order, round membership, and model
-// arithmetic, so it cannot hide from all three digests.
+// Any divergence in event *order* cascades into RNG draw order, round
+// membership, and model arithmetic, so it cannot hide from all three
+// digests. The pinned values are the ones the timer wheel and the original
+// binary-heap scheduler agreed on before the heap was retired; a change
+// that moves them changes simulated behaviour and must say so.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -26,10 +27,9 @@
 namespace fl::core {
 namespace {
 
-FLSystemConfig GoldenConfig(sim::EventQueue::Impl impl) {
+FLSystemConfig GoldenConfig() {
   FLSystemConfig config;
   config.seed = 4242;
-  config.event_queue_impl = impl;
   config.population.device_count = 150;
   config.population.mean_examples_per_sec = 200;
   config.selector_count = 3;
@@ -89,7 +89,7 @@ std::uint32_t JournalCrc(const std::string& path, std::uint64_t* lines) {
   return CrcOfString(canonical);
 }
 
-RunDigest RunSeededFleet(sim::EventQueue::Impl impl) {
+RunDigest RunSeededFleet() {
   // Unique per process: both tests in this file run concurrently under
   // `ctest -j`, and a shared path lets one process's Close()+remove()
   // truncate the other's in-flight journal.
@@ -99,7 +99,7 @@ RunDigest RunSeededFleet(sim::EventQueue::Impl impl) {
 
   RunDigest digest;
   {
-    FLSystem system(GoldenConfig(impl));
+    FLSystem system(GoldenConfig());
     Rng model_rng(1);
     plan::TrainingHyperparams hyper;
     hyper.learning_rate = 0.3f;
@@ -139,25 +139,20 @@ RunDigest RunSeededFleet(sim::EventQueue::Impl impl) {
   return digest;
 }
 
-TEST(DeterminismGoldenTest, WheelAndHeapSchedulersAreBitIdentical) {
-  const RunDigest wheel = RunSeededFleet(sim::EventQueue::Impl::kWheel);
-  const RunDigest heap = RunSeededFleet(sim::EventQueue::Impl::kLegacyHeap);
-
-  // Non-trivial run: rounds committed, journal populated.
-  EXPECT_GE(wheel.rounds_committed, 2u);
-  EXPECT_GT(wheel.journal_lines, 500u);
-  EXPECT_GT(wheel.events_fired, 1000u);
-
-  EXPECT_EQ(wheel.journal_crc, heap.journal_crc);
-  EXPECT_EQ(wheel.round_log_crc, heap.round_log_crc);
-  EXPECT_EQ(wheel.model_crc, heap.model_crc);
-  EXPECT_EQ(wheel, heap);
+TEST(DeterminismGoldenTest, SeededFleetMatchesPinnedDigest) {
+  const RunDigest run = RunSeededFleet();
+  EXPECT_EQ(run.journal_crc, 0x20d7c1d1u);
+  EXPECT_EQ(run.round_log_crc, 0xf85b4f26u);
+  EXPECT_EQ(run.model_crc, 0x2144df1cu);
+  EXPECT_EQ(run.journal_lines, 20227u);
+  EXPECT_EQ(run.events_fired, 36298u);
+  EXPECT_EQ(run.events_scheduled, 36982u);
+  EXPECT_EQ(run.events_cancelled, 0u);
+  EXPECT_EQ(run.rounds_committed, 153u);
 }
 
-TEST(DeterminismGoldenTest, WheelIsStableAcrossReruns) {
-  const RunDigest first = RunSeededFleet(sim::EventQueue::Impl::kWheel);
-  const RunDigest second = RunSeededFleet(sim::EventQueue::Impl::kWheel);
-  EXPECT_EQ(first, second);
+TEST(DeterminismGoldenTest, SeededFleetIsStableAcrossReruns) {
+  EXPECT_EQ(RunSeededFleet(), RunSeededFleet());
 }
 
 }  // namespace

@@ -135,16 +135,12 @@ TEST(FLSystemTest, TrafficIsDownloadDominated) {
 }
 
 TEST(FLSystemTest, CompressionShrinksUploads) {
-  FLSystemConfig raw_config = SmallConfig(13);
-  FLSystemConfig compressed_config = SmallConfig(13);
-  fedavg::CompressionConfig comp;
-  comp.quantization_bits = 8;
-  compressed_config.upload_compression = comp;
+  protocol::RoundConfig compressed_round = SmallRound();
+  compressed_round.codec.quant_bits = 8;
 
-  auto run = [&](FLSystemConfig config) {
-    FLSystem system(std::move(config));
-    system.AddTrainingTask("train", TestModel(), {}, {}, SmallRound(),
-                           Seconds(30));
+  auto run = [&](const protocol::RoundConfig& round) {
+    FLSystem system(SmallConfig(13));
+    system.AddTrainingTask("train", TestModel(), {}, {}, round, Seconds(30));
     system.ProvisionData(BlobsProvisioner());
     system.Start();
     system.RunFor(Hours(2));
@@ -152,8 +148,8 @@ TEST(FLSystemTest, CompressionShrinksUploads) {
         system.stats().total_upload_bytes(),
         system.stats().rounds_committed());
   };
-  const auto [raw_bytes, raw_rounds] = run(std::move(raw_config));
-  const auto [comp_bytes, comp_rounds] = run(std::move(compressed_config));
+  const auto [raw_bytes, raw_rounds] = run(SmallRound());
+  const auto [comp_bytes, comp_rounds] = run(compressed_round);
   ASSERT_GT(raw_rounds, 0u);
   ASSERT_GT(comp_rounds, 0u);
   // Normalize per committed round to compare fairly.

@@ -12,7 +12,6 @@
 #include <set>
 
 #include "src/common/rng.h"
-#include "src/fedavg/compression.h"
 
 namespace fl::fedavg {
 namespace {
@@ -224,7 +223,7 @@ TEST(CodecTest, AgreedIndexSetIsDeterministicSortedDistinct) {
 }
 
 TEST(CodecTest, WireAccountingMatchesCompressedUpdateFraming) {
-  // Both codec layers count the same per-update framing constant, so their
+  // Every configuration is charged the same per-update framing constant, so
   // ratios are directly comparable in BENCH_wire.json.
   Rng rng(18);
   const std::vector<float> update = RandomUpdate(1000, rng);

@@ -10,23 +10,8 @@
 namespace fl::sim {
 namespace {
 
-// Every behavioral test runs against both engines: the hierarchical timer
-// wheel and the legacy binary heap kept for A/B benchmarking. The two must
-// be observably identical (same order, same clock, same Cancel semantics).
-class EventQueueTest : public ::testing::TestWithParam<EventQueue::Impl> {
- protected:
-  EventQueue::Impl impl() const { return GetParam(); }
-};
-
-INSTANTIATE_TEST_SUITE_P(
-    Engines, EventQueueTest,
-    ::testing::Values(EventQueue::Impl::kWheel, EventQueue::Impl::kLegacyHeap),
-    [](const ::testing::TestParamInfo<EventQueue::Impl>& info) {
-      return info.param == EventQueue::Impl::kWheel ? "Wheel" : "LegacyHeap";
-    });
-
-TEST_P(EventQueueTest, RunsInTimeOrder) {
-  EventQueue q(impl());
+TEST(EventQueueTest, RunsInTimeOrder) {
+  EventQueue q;
   std::vector<int> order;
   q.At(SimTime{30}, [&] { order.push_back(3); });
   q.At(SimTime{10}, [&] { order.push_back(1); });
@@ -36,8 +21,8 @@ TEST_P(EventQueueTest, RunsInTimeOrder) {
   EXPECT_EQ(q.now().millis, 30);
 }
 
-TEST_P(EventQueueTest, FifoAmongEqualTimestamps) {
-  EventQueue q(impl());
+TEST(EventQueueTest, FifoAmongEqualTimestamps) {
+  EventQueue q;
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
     q.At(SimTime{100}, [&, i] { order.push_back(i); });
@@ -46,16 +31,16 @@ TEST_P(EventQueueTest, FifoAmongEqualTimestamps) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST_P(EventQueueTest, AfterSchedulesRelative) {
-  EventQueue q(impl());
+TEST(EventQueueTest, AfterSchedulesRelative) {
+  EventQueue q;
   SimTime fired{};
   q.After(Seconds(5), [&] { fired = q.now(); });
   q.Run();
   EXPECT_EQ(fired.millis, 5000);
 }
 
-TEST_P(EventQueueTest, EventsCanScheduleMoreEvents) {
-  EventQueue q(impl());
+TEST(EventQueueTest, EventsCanScheduleMoreEvents) {
+  EventQueue q;
   int depth = 0;
   std::function<void()> recurse = [&] {
     if (++depth < 10) q.After(Millis(1), recurse);
@@ -66,8 +51,8 @@ TEST_P(EventQueueTest, EventsCanScheduleMoreEvents) {
   EXPECT_EQ(q.now().millis, 10);
 }
 
-TEST_P(EventQueueTest, CancelPreventsExecution) {
-  EventQueue q(impl());
+TEST(EventQueueTest, CancelPreventsExecution) {
+  EventQueue q;
   bool ran = false;
   const EventHandle h = q.After(Seconds(1), [&] { ran = true; });
   EXPECT_TRUE(q.Cancel(h));
@@ -75,22 +60,22 @@ TEST_P(EventQueueTest, CancelPreventsExecution) {
   EXPECT_FALSE(ran);
 }
 
-TEST_P(EventQueueTest, CancelTwiceReturnsFalse) {
-  EventQueue q(impl());
+TEST(EventQueueTest, CancelTwiceReturnsFalse) {
+  EventQueue q;
   const EventHandle h = q.After(Seconds(1), [] {});
   EXPECT_TRUE(q.Cancel(h));
   EXPECT_FALSE(q.Cancel(h));
 }
 
-TEST_P(EventQueueTest, CancelAfterRunReturnsFalse) {
-  EventQueue q(impl());
+TEST(EventQueueTest, CancelAfterRunReturnsFalse) {
+  EventQueue q;
   const EventHandle h = q.After(Millis(1), [] {});
   q.Run();
   EXPECT_FALSE(q.Cancel(h));
 }
 
-TEST_P(EventQueueTest, CancelOwnHandleInsideCallbackReturnsFalse) {
-  EventQueue q(impl());
+TEST(EventQueueTest, CancelOwnHandleInsideCallbackReturnsFalse) {
+  EventQueue q;
   EventHandle h;
   bool cancel_result = true;
   h = q.After(Millis(1), [&] { cancel_result = q.Cancel(h); });
@@ -98,8 +83,8 @@ TEST_P(EventQueueTest, CancelOwnHandleInsideCallbackReturnsFalse) {
   EXPECT_FALSE(cancel_result);  // the event already fired
 }
 
-TEST_P(EventQueueTest, PendingTracksLiveEvents) {
-  EventQueue q(impl());
+TEST(EventQueueTest, PendingTracksLiveEvents) {
+  EventQueue q;
   const EventHandle a = q.After(Millis(1), [] {});
   q.After(Millis(2), [] {});
   EXPECT_EQ(q.pending(), 2u);
@@ -110,8 +95,8 @@ TEST_P(EventQueueTest, PendingTracksLiveEvents) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST_P(EventQueueTest, RunUntilStopsAtDeadlineAndAdvancesClock) {
-  EventQueue q(impl());
+TEST(EventQueueTest, RunUntilStopsAtDeadlineAndAdvancesClock) {
+  EventQueue q;
   int count = 0;
   q.At(SimTime{10}, [&] { ++count; });
   q.At(SimTime{20}, [&] { ++count; });
@@ -124,8 +109,8 @@ TEST_P(EventQueueTest, RunUntilStopsAtDeadlineAndAdvancesClock) {
   EXPECT_EQ(q.now().millis, 100);
 }
 
-TEST_P(EventQueueTest, StepExecutesOne) {
-  EventQueue q(impl());
+TEST(EventQueueTest, StepExecutesOne) {
+  EventQueue q;
   int count = 0;
   q.After(Millis(1), [&] { ++count; });
   q.After(Millis(2), [&] { ++count; });
@@ -135,16 +120,16 @@ TEST_P(EventQueueTest, StepExecutesOne) {
   EXPECT_FALSE(q.Step());
 }
 
-TEST_P(EventQueueTest, SchedulingIntoThePastRejected) {
-  EventQueue q(impl());
+TEST(EventQueueTest, SchedulingIntoThePastRejected) {
+  EventQueue q;
   q.At(SimTime{100}, [] {});
   q.Run();
   EXPECT_THROW(q.At(SimTime{50}, [] {}), std::logic_error);
 }
 
-TEST_P(EventQueueTest, DeterministicReplay) {
+TEST(EventQueueTest, DeterministicReplay) {
   auto run = [&] {
-    EventQueue q(impl());
+    EventQueue q;
     std::vector<std::int64_t> times;
     for (int i = 0; i < 100; ++i) {
       q.After(Millis((i * 37) % 50), [&times, &q] {
@@ -160,8 +145,8 @@ TEST_P(EventQueueTest, DeterministicReplay) {
 // FIFO must hold even when equal-timestamp events enter the queue from
 // different cursor positions (different wheel levels) and only meet after
 // cascading down to level 0.
-TEST_P(EventQueueTest, FifoAcrossBucketBoundaries) {
-  EventQueue q(impl());
+TEST(EventQueueTest, FifoAcrossBucketBoundaries) {
+  EventQueue q;
   std::vector<int> order;
   const std::int64_t t = 100000;  // several levels above a fresh cursor
   q.At(SimTime{t}, [&] { order.push_back(0); });       // scheduled at now=0
@@ -182,8 +167,8 @@ TEST_P(EventQueueTest, FifoAcrossBucketBoundaries) {
 
 // Equal-timestamp FIFO across a 64-slot level-0 boundary: events that sit
 // in a level-1 slot, cascade together, and must retain seq order.
-TEST_P(EventQueueTest, FifoAfterCascadeFromHigherLevel) {
-  EventQueue q(impl());
+TEST(EventQueueTest, FifoAfterCascadeFromHigherLevel) {
+  EventQueue q;
   std::vector<int> order;
   for (int i = 0; i < 8; ++i) {
     q.At(SimTime{1000}, [&, i] { order.push_back(i); });  // level 1 at t=0
@@ -201,8 +186,8 @@ TEST_P(EventQueueTest, FifoAfterCascadeFromHigherLevel) {
 
 // Far-future events (beyond the ~2.2-year wheel horizon) live in the
 // overflow map; RunUntil must advance the clock through them correctly.
-TEST_P(EventQueueTest, RunUntilWithFarFutureOverflowEvents) {
-  EventQueue q(impl());
+TEST(EventQueueTest, RunUntilWithFarFutureOverflowEvents) {
+  EventQueue q;
   const std::int64_t kYear = 365LL * 24 * 3600 * 1000;
   std::vector<std::int64_t> fired;
   q.At(SimTime{5 * kYear}, [&] { fired.push_back(q.now().millis); });
@@ -226,8 +211,8 @@ TEST_P(EventQueueTest, RunUntilWithFarFutureOverflowEvents) {
   EXPECT_EQ(q.now().millis, 5 * kYear);
 }
 
-TEST_P(EventQueueTest, EqualTimeFifoBetweenOverflowAndFreshInserts) {
-  EventQueue q(impl());
+TEST(EventQueueTest, EqualTimeFifoBetweenOverflowAndFreshInserts) {
+  EventQueue q;
   const std::int64_t kFar = std::int64_t{1} << 40;  // beyond wheel horizon
   std::vector<int> order;
   q.At(SimTime{kFar}, [&] { order.push_back(0); });
@@ -239,8 +224,8 @@ TEST_P(EventQueueTest, EqualTimeFifoBetweenOverflowAndFreshInserts) {
   EXPECT_EQ(order, (std::vector<int>{0, 1}));
 }
 
-TEST_P(EventQueueTest, StatsCountScheduledFiredCancelled) {
-  EventQueue q(impl());
+TEST(EventQueueTest, StatsCountScheduledFiredCancelled) {
+  EventQueue q;
   const EventHandle h = q.After(Millis(5), [] {});
   q.After(Millis(1), [] {});
   q.After(Millis(2), [] {});
@@ -256,7 +241,7 @@ TEST_P(EventQueueTest, StatsCountScheduledFiredCancelled) {
 // arena stays bounded by the peak number of *live* events, not by total
 // churn volume.
 TEST(EventQueueWheelTest, ChurnBoundedMemory) {
-  EventQueue q(EventQueue::Impl::kWheel);
+  EventQueue q;
   constexpr int kBatch = 1024;
   constexpr int kRounds = 1000;  // 1.024M schedule + cancel pairs
   std::vector<EventHandle> handles(kBatch);
@@ -280,7 +265,7 @@ TEST(EventQueueWheelTest, ChurnBoundedMemory) {
 }
 
 TEST(EventQueueWheelTest, LevelOccupancyTracksDistance) {
-  EventQueue q(EventQueue::Impl::kWheel);
+  EventQueue q;
   q.At(SimTime{5}, [] {});                       // level 0 (< 64 ms)
   q.At(SimTime{3000}, [] {});                    // level 1 (< 4096 ms)
   q.At(SimTime{1000000}, [] {});                 // level 3
@@ -298,7 +283,7 @@ TEST(EventQueueWheelTest, LevelOccupancyTracksDistance) {
 }
 
 TEST(EventQueueWheelTest, HandlesStaySafeAfterSlotReuse) {
-  EventQueue q(EventQueue::Impl::kWheel);
+  EventQueue q;
   // Burn through several generations of the same slab slots.
   EventHandle old = q.After(Millis(1), [] {});
   q.Cancel(old);
@@ -311,20 +296,12 @@ TEST(EventQueueWheelTest, HandlesStaySafeAfterSlotReuse) {
 }
 
 TEST(EventQueueWheelTest, HeapCallbackCounterTracksLargeCaptures) {
-  EventQueue q(EventQueue::Impl::kWheel);
+  EventQueue q;
   q.After(Millis(1), [] {});  // small capture: inline
   char big[128] = {1};
   q.After(Millis(1), [big] { (void)big; });  // 128B capture: heap cell
   EXPECT_EQ(q.stats().heap_callbacks, 1u);
   q.Run();
-}
-
-TEST(EventQueueImplTest, DefaultImplRespectsEnvOverride) {
-  // DefaultImpl caches the env var; just assert it returns a valid engine
-  // and the default-constructed queue uses it.
-  const EventQueue::Impl def = EventQueue::DefaultImpl();
-  EventQueue q;
-  EXPECT_EQ(q.impl(), def);
 }
 
 }  // namespace

@@ -36,9 +36,11 @@ struct ParallelSimFixture : public ::testing::Test {
   plan::FLPlan plan;
 };
 
-// The sequential FedAvg loop exactly as it existed before the parallel
-// engine (inline selection, resampling on failure, one accumulator fed in
-// selection order). Golden reference for the threads=1 bit-exactness claim.
+// The sequential FedAvg loop as it existed before the parallel engine
+// (inline selection, one accumulator fed in selection order). It resampled
+// after a failed update where the engine drops it; no update fails in this
+// fixture, so both draw the same clients. Golden reference for the
+// threads=1 bit-exactness claim.
 Result<SimulationResult> ReferenceSequentialFedAvg(
     const plan::FLPlan& plan, const Checkpoint& init,
     const std::vector<std::vector<data::Example>>& client_data,
