@@ -2,10 +2,12 @@
 // means off" contract and measures the enabled sink's throughput. Three
 // measurements:
 //
-//  1. Micro, disabled: an emission site (`if (JournalEnabled()) {...}`)
-//     executed in a tight loop with journaling off, against an
-//     uninstrumented baseline loop — the disabled path must cost about one
-//     predicted branch per site (<= 2% of a real hot-loop unit of work).
+//  1. Micro, disabled: an emission site (analytics::Emit() of a device
+//     event, no reducers) executed in a tight loop with journaling off,
+//     against an uninstrumented baseline loop — the disabled path must cost
+//     about one call and a few predicted branches per site (<= 2% of a real
+//     hot-loop unit of work). The flight recorder is switched off for the
+//     micro loops; bench_flight_recorder measures the ring.
 //  2. Micro, enabled: the same loop with an open journal, giving the sink's
 //     sustained events/sec and bytes/event.
 //  3. Macro: a full fleet simulation (devices + actor server) run with the
@@ -16,7 +18,8 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
-#include "src/analytics/journal.h"
+#include "src/analytics/lifecycle.h"
+#include "src/telemetry/flight_recorder.h"
 
 using namespace fl;
 
@@ -39,20 +42,17 @@ double BaselineLoop(std::size_t iters, std::uint64_t& sink) {
   return SecondsSince(t0);
 }
 
-// One guarded emission site per iteration — the pattern used by every
-// device agent and server actor.
+// One emission site per iteration — the call every device agent and server
+// actor makes.
 double EmissionLoop(std::size_t iters, std::uint64_t& sink) {
   const auto t0 = std::chrono::steady_clock::now();
   std::uint64_t acc = 0;
   for (std::size_t i = 0; i < iters; ++i) {
     acc += i ^ (acc >> 3);
-    if (analytics::JournalEnabled()) {
-      analytics::AppendJournal(
-          SimTime{static_cast<std::int64_t>(i)},
-          analytics::JournalSource::kDevice,
-          analytics::JournalEventKind::kCheckin, DeviceId{i & 1023},
-          SessionId{i}, RoundId{}, {});
-    }
+    analytics::Emit(nullptr, {.t = SimTime{static_cast<std::int64_t>(i)},
+                              .kind = analytics::JournalEventKind::kCheckin,
+                              .device = DeviceId{i & 1023},
+                              .session = SessionId{i}});
   }
   sink += acc;
   return SecondsSince(t0);
@@ -78,6 +78,8 @@ int main() {
   auto& journal = analytics::Journal::Global();
 
   // --- micro: disabled emission sites ---
+  const bool ring_on = telemetry::FlightRecorderEnabled();
+  telemetry::SetFlightRecorderEnabled(false);
   const std::size_t iters = 20'000'000;
   std::uint64_t sink = 0;
   BaselineLoop(iters, sink);  // warm-up
@@ -94,6 +96,7 @@ int main() {
   const std::uint64_t events = journal.events_written();
   const std::uint64_t bytes = journal.bytes_written();
   journal.Close();
+  telemetry::SetFlightRecorderEnabled(ring_on);
   const double events_per_sec = static_cast<double>(events) / on_s;
   const double bytes_per_event =
       static_cast<double>(bytes) / static_cast<double>(events);

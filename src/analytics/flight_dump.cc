@@ -2,7 +2,7 @@
 
 #include <unistd.h>
 
-#include <array>
+#include <utility>
 
 namespace fl::analytics {
 namespace {
@@ -11,53 +11,50 @@ namespace {
 constexpr std::uint8_t kFlightSpanSource = 250;
 constexpr std::uint8_t kFlightSpanBegin = 1;
 
-constexpr std::array<const char*, 17> kReasonNames = {{
-    "",                   // kNone
-    "waiting pool full",  // selector strings, verbatim
-    "not accepting",
-    "quota reduced",
-    "held too long",
-    "round_full",
-    "round_abandoned",
-    "runtime_too_old",
-    "late",
-    "corrupt",
-    "accumulate",
-    "selection timeout",
-    "below min_report",
-    "master end of life",
-    "commit",
-    "master_lost",
-    "other",
-}};
-
-constexpr std::array<const char*, 4> kPhaseNames = {{
-    "selection",
-    "configuration",
-    "reporting",
-    "closing",
-}};
-
 bool IsJournalKind(std::uint8_t source, std::uint8_t kind) {
   return source <= static_cast<std::uint8_t>(JournalSource::kSim) &&
          kind <= static_cast<std::uint8_t>(JournalEventKind::kSimRoundComplete);
 }
 
-FlightReason ReasonOf(std::uint16_t aux_b) {
-  const std::uint8_t code = static_cast<std::uint8_t>(aux_b & 0xffu);
-  return code < kReasonNames.size() ? static_cast<FlightReason>(code)
-                                    : FlightReason::kOther;
+// Inverse of the ring projection Emit() writes (aux_a = `a`; aux_b = the
+// reason, the outcome + reason pair, or a saturated min_report): the fields
+// the ring carries, as a LifecycleEvent the one renderer can format.
+LifecycleEvent EventFromFlight(const telemetry::FlightRecord& f) {
+  LifecycleEvent e;
+  e.t = SimTime{static_cast<std::int64_t>(f.sim_ms)};
+  e.source = static_cast<JournalSource>(f.source);
+  e.kind = static_cast<JournalEventKind>(f.kind);
+  e.device = DeviceId{f.device};
+  e.session = SessionId{f.session};
+  e.round = RoundId{f.round};
+  e.a = f.aux_a;
+  const std::uint8_t lo = static_cast<std::uint8_t>(f.aux_b & 0xffu);
+  const std::uint8_t hi = static_cast<std::uint8_t>(f.aux_b >> 8);
+  switch (e.kind) {
+    case JournalEventKind::kCheckinRejected:
+    case JournalEventKind::kReportRejected:
+    case JournalEventKind::kRoundAbandoned:
+    case JournalEventKind::kRoundOutcome:
+      e.reason = lo <= static_cast<std::uint8_t>(FlightReason::kOther)
+                     ? static_cast<FlightReason>(lo)
+                     : FlightReason::kOther;
+      // High byte = RoundOutcome + 1; a missing or unknown code reads as a
+      // failed round.
+      e.outcome = hi >= 1 && hi <= 4
+                      ? static_cast<protocol::RoundOutcome>(hi - 1)
+                      : protocol::RoundOutcome::kFailed;
+      break;
+    case JournalEventKind::kRoundOpen:
+    case JournalEventKind::kRoundCommit:
+      e.b = f.aux_b;
+      break;
+    default:
+      break;
+  }
+  return e;
 }
 
-// Inverse of PackOutcomeReason's high byte; false when no outcome encoded.
-bool OutcomeOf(std::uint16_t aux_b, protocol::RoundOutcome* out) {
-  const std::uint8_t hi = static_cast<std::uint8_t>(aux_b >> 8);
-  if (hi == 0 || hi > 4) return false;
-  *out = static_cast<protocol::RoundOutcome>(hi - 1);
-  return true;
-}
-
-// --- async-signal-safe formatting (FlightDumpToFd) ---
+// --- async-signal-safe formatting ---
 
 void PutU64(char** p, std::uint64_t v) {
   char tmp[20];
@@ -82,97 +79,81 @@ void WriteAll(int fd, const char* data, std::size_t len) {
   }
 }
 
-}  // namespace
+// Worst case per line: 7 u64 fields + names + a ring-only detail.
+constexpr std::size_t kMaxLine = 320;
+constexpr std::size_t kMaxDetail = 160;
 
-const char* FlightReasonName(FlightReason r) {
-  const auto i = static_cast<std::size_t>(r);
-  return i < kReasonNames.size() ? kReasonNames[i] : "other";
-}
-
-FlightReason FlightReasonForDetail(std::string_view reason) {
-  for (std::size_t i = 1; i < kReasonNames.size(); ++i) {
-    if (reason == kReasonNames[i]) return static_cast<FlightReason>(i);
+// One dump line, newline included, for `f`: the journal line for journal
+// kinds, a `#span` comment for tracer spans, nothing (0) otherwise. No
+// allocation or locking, so the crash path shares it with FlightDumpText().
+std::size_t FormatLine(const telemetry::FlightRecord& f, char* buf) {
+  char* p = buf;
+  if (IsJournalKind(f.source, f.kind)) {
+    PutU64(&p, f.sim_ms);
+    *p++ = ' ';
+    PutU64(&p, f.wall_us);
+    *p++ = ' ';
+    PutStr(&p, JournalSourceName(static_cast<JournalSource>(f.source)));
+    *p++ = ' ';
+    PutStr(&p, JournalEventName(static_cast<JournalEventKind>(f.kind)));
+    for (const std::uint64_t id : {f.device, f.session, f.round}) {
+      *p++ = ' ';
+      PutU64(&p, id);
+    }
+    const std::size_t n =
+        WriteDetail(EventFromFlight(f), /*ring_only=*/true, p + 1, kMaxDetail);
+    if (n > 0) {
+      *p = ' ';
+      p += n + 1;
+    }
+  } else if (f.source == kFlightSpanSource) {
+    PutStr(&p, f.kind == kFlightSpanBegin ? "#span begin " : "#span end ");
+    PutU64(&p, f.sim_ms);
+    *p++ = ' ';
+    PutU64(&p, f.wall_us);
+    PutStr(&p, " name_hash=");
+    PutU64(&p, f.aux_a);
+    PutStr(&p, " span_lo=");
+    PutU64(&p, f.aux_b);
+    const std::pair<const char*, std::uint64_t> ids[] = {
+        {" round=", f.round}, {" session=", f.session}, {" device=", f.device}};
+    for (const auto& [key, id] : ids) {
+      if (id == 0) continue;
+      PutStr(&p, key);
+      PutU64(&p, id);
+    }
+  } else {
+    return 0;
   }
-  return FlightReason::kOther;
+  *p++ = '\n';
+  return static_cast<std::size_t>(p - buf);
 }
+
+}  // namespace
 
 bool JournalRecordFromFlight(const telemetry::FlightRecord& rec,
                              JournalRecord* out) {
   if (!IsJournalKind(rec.source, rec.kind)) return false;
-  out->sim_time = SimTime{static_cast<std::int64_t>(rec.sim_ms)};
+  const LifecycleEvent e = EventFromFlight(rec);
+  out->sim_time = e.t;
   out->wall_us = static_cast<std::int64_t>(rec.wall_us);
-  out->source = static_cast<JournalSource>(rec.source);
-  out->event = static_cast<JournalEventKind>(rec.kind);
-  out->device = DeviceId{rec.device};
-  out->session = SessionId{rec.session};
-  out->round = RoundId{rec.round};
+  out->source = e.source;
+  out->event = e.kind;
+  out->device = e.device;
+  out->session = e.session;
+  out->round = e.round;
   out->detail.clear();
-  const FlightReason reason = ReasonOf(rec.aux_b);
-  switch (out->event) {
-    case JournalEventKind::kSessionEnd:
-      out->detail = "completed=" + std::to_string(rec.aux_a);
-      break;
-    case JournalEventKind::kCheckinRejected:
-    case JournalEventKind::kReportRejected:
-      out->detail = std::string("reason=") + FlightReasonName(reason);
-      break;
-    case JournalEventKind::kReportAccepted:
-      if (rec.aux_a == 1) out->detail = "mode=secagg";
-      break;
-    case JournalEventKind::kRoundOpen:
-      out->detail = "goal=" + std::to_string(rec.aux_a) +
-                    " min_report=" + std::to_string(rec.aux_b);
-      break;
-    case JournalEventKind::kPhase:
-      out->detail =
-          std::string("phase=") +
-          (rec.aux_a < kPhaseNames.size() ? kPhaseNames[rec.aux_a] : "unknown");
-      break;
-    case JournalEventKind::kRoundCommit:
-      out->detail = "contributors=" + std::to_string(rec.aux_a) +
-                    " min_report=" + std::to_string(rec.aux_b);
-      break;
-    case JournalEventKind::kRoundAbandoned:
-    case JournalEventKind::kRoundOutcome: {
-      protocol::RoundOutcome outcome;
-      if (OutcomeOf(rec.aux_b, &outcome)) {
-        out->detail =
-            std::string("outcome=") + protocol::RoundOutcomeName(outcome);
-        if (outcome == protocol::RoundOutcome::kCommitted) {
-          out->detail += " contributors=" + std::to_string(rec.aux_a);
-        }
-      }
-      if (reason != FlightReason::kNone) {
-        if (!out->detail.empty()) out->detail += ' ';
-        out->detail += std::string("reason=") + FlightReasonName(reason);
-      }
-      break;
-    }
-    default:
-      break;
-  }
+  AppendDetail(e, /*ring_only=*/true, &out->detail);
   return true;
 }
 
 std::string FlightDumpText() {
   std::string out = Journal::kHeader;
   out += '\n';
-  JournalRecord rec;
+  char line[kMaxLine];
   for (const telemetry::FlightRecord& f :
        telemetry::FlightRecorder::Global().Snapshot()) {
-    if (JournalRecordFromFlight(f, &rec)) {
-      out += rec.Serialize();
-      out += '\n';
-    } else if (f.source == kFlightSpanSource) {
-      out += f.kind == kFlightSpanBegin ? "#span begin " : "#span end ";
-      out += std::to_string(f.sim_ms) + ' ' + std::to_string(f.wall_us);
-      out += " name_hash=" + std::to_string(f.aux_a);
-      out += " span_lo=" + std::to_string(f.aux_b);
-      if (f.round != 0) out += " round=" + std::to_string(f.round);
-      if (f.session != 0) out += " session=" + std::to_string(f.session);
-      if (f.device != 0) out += " device=" + std::to_string(f.device);
-      out += '\n';
-    }
+    out.append(line, FormatLine(f, line));
   }
   return out;
 }
@@ -183,88 +164,10 @@ std::size_t FlightDumpToFd(int fd) {
   std::size_t written = 0;
   telemetry::FlightRecorder::Global().ForEachUnordered(
       [fd, &written](const telemetry::FlightRecord& f) {
-        // Worst case per line: 7 u64 fields + names + detail < 256 bytes.
-        char buf[320];
-        char* p = buf;
-        if (IsJournalKind(f.source, f.kind)) {
-          PutU64(&p, f.sim_ms);
-          *p++ = ' ';
-          PutU64(&p, f.wall_us);
-          *p++ = ' ';
-          PutStr(&p, JournalSourceName(static_cast<JournalSource>(f.source)));
-          *p++ = ' ';
-          PutStr(&p, JournalEventName(static_cast<JournalEventKind>(f.kind)));
-          *p++ = ' ';
-          PutU64(&p, f.device);
-          *p++ = ' ';
-          PutU64(&p, f.session);
-          *p++ = ' ';
-          PutU64(&p, f.round);
-          const auto kind = static_cast<JournalEventKind>(f.kind);
-          const FlightReason reason = ReasonOf(f.aux_b);
-          switch (kind) {
-            case JournalEventKind::kSessionEnd:
-              PutStr(&p, " completed=");
-              PutU64(&p, f.aux_a);
-              break;
-            case JournalEventKind::kCheckinRejected:
-            case JournalEventKind::kReportRejected:
-              PutStr(&p, " reason=");
-              PutStr(&p, FlightReasonName(reason));
-              break;
-            case JournalEventKind::kReportAccepted:
-              if (f.aux_a == 1) PutStr(&p, " mode=secagg");
-              break;
-            case JournalEventKind::kRoundOpen:
-              PutStr(&p, " goal=");
-              PutU64(&p, f.aux_a);
-              PutStr(&p, " min_report=");
-              PutU64(&p, f.aux_b);
-              break;
-            case JournalEventKind::kPhase:
-              PutStr(&p, " phase=");
-              PutStr(&p, f.aux_a < kPhaseNames.size() ? kPhaseNames[f.aux_a]
-                                                      : "unknown");
-              break;
-            case JournalEventKind::kRoundCommit:
-              PutStr(&p, " contributors=");
-              PutU64(&p, f.aux_a);
-              PutStr(&p, " min_report=");
-              PutU64(&p, f.aux_b);
-              break;
-            case JournalEventKind::kRoundAbandoned:
-            case JournalEventKind::kRoundOutcome: {
-              protocol::RoundOutcome outcome;
-              if (OutcomeOf(f.aux_b, &outcome)) {
-                PutStr(&p, " outcome=");
-                PutStr(&p, protocol::RoundOutcomeName(outcome));
-                if (outcome == protocol::RoundOutcome::kCommitted) {
-                  PutStr(&p, " contributors=");
-                  PutU64(&p, f.aux_a);
-                }
-              }
-              if (reason != FlightReason::kNone) {
-                PutStr(&p, " reason=");
-                PutStr(&p, FlightReasonName(reason));
-              }
-              break;
-            }
-            default:
-              break;
-          }
-        } else if (f.source == kFlightSpanSource) {
-          PutStr(&p, f.kind == kFlightSpanBegin ? "#span begin "
-                                                : "#span end ");
-          PutU64(&p, f.sim_ms);
-          *p++ = ' ';
-          PutU64(&p, f.wall_us);
-          PutStr(&p, " name_hash=");
-          PutU64(&p, f.aux_a);
-        } else {
-          return;
-        }
-        *p++ = '\n';
-        WriteAll(fd, buf, static_cast<std::size_t>(p - buf));
+        char line[kMaxLine];
+        const std::size_t n = FormatLine(f, line);
+        if (n == 0) return;
+        WriteAll(fd, line, n);
         ++written;
       });
   return written;

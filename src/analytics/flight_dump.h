@@ -1,58 +1,28 @@
 // Journal-typed view over the telemetry flight recorder. fl_telemetry keeps
 // the rings protocol-agnostic (opaque u8 source/kind, two aux words); this
 // header owns the encoding: journal sources/events map one-to-one onto the
-// flight codes, free-form reason strings become FlightReason codes, and the
-// dump synthesizes `#fl-journal v1`-format lines that fl_analyze ingests
-// exactly like a real journal (minus byte-accounting details, which the
-// rings do not carry).
+// flight codes, and the dump synthesizes `#fl-journal v1`-format lines that
+// fl_analyze ingests exactly like a real journal. The detail text comes from
+// the one lifecycle renderer (AppendDetail in src/analytics/lifecycle.h),
+// minus the fields the rings do not carry (byte accounting, codec names,
+// free-form reason text).
 //
-// RecordFlight() is the always-on sibling of AppendJournal(): emission sites
-// call it unconditionally (it self-gates on one relaxed load), *before* any
-// `if (JournalEnabled())` block, so the last kSlotsPerThread events per
-// thread exist even when nothing else is recording.
+// Only analytics::Emit() writes the ring in production: every journaled
+// LifecycleEvent lands here (the call self-gates on one relaxed load), so
+// the last kSlotsPerThread events per thread exist even when nothing else
+// is recording. RecordFlight() is the raw slot writer Emit() uses; tests of
+// the ring call it directly.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
 #include "src/analytics/journal.h"
+#include "src/analytics/lifecycle.h"
 #include "src/protocol/round_config.h"
 #include "src/telemetry/flight_recorder.h"
 
 namespace fl::analytics {
-
-// Why a device was turned away / a report refused / a round lost. Encoded in
-// the flight record's aux_b (low byte); FlightReasonName returns the detail
-// string the dump emits, chosen to match the journal's where the journal
-// uses a fixed string ("late", "round_full", ...).
-enum class FlightReason : std::uint8_t {
-  kNone = 0,
-  // Selector rejections (detail strings match selector.cc verbatim).
-  kWaitingPoolFull,   // "waiting pool full"
-  kNotAccepting,      // "not accepting"
-  kQuotaReduced,      // "quota reduced"
-  kHeldTooLong,       // "held too long"
-  // Master / configuration rejections.
-  kRoundFull,         // "round_full"
-  kRoundAbandonedReject,  // "round_abandoned" (pending links on abandon)
-  kRuntimeTooOld,     // "runtime_too_old"
-  // Aggregator report rejections.
-  kLate,              // "late"
-  kCorrupt,           // "corrupt"
-  kAccumulate,        // "accumulate"
-  // Round-loss reasons (abandon / coordinator outcome).
-  kSelectionTimeout,  // "selection timeout"
-  kBelowMinReports,   // "below min_report"
-  kMasterEndOfLife,   // "master end of life"
-  kCommitFailed,      // "commit"
-  kMasterLost,        // "master_lost"
-  kOther,
-};
-
-const char* FlightReasonName(FlightReason r);
-// Inverse for call sites that hold a free-form reason string (the selector's
-// RejectLink); unknown strings map to kOther.
-FlightReason FlightReasonForDetail(std::string_view reason);
 
 // aux_b packing for round-level records: low byte = FlightReason, high byte
 // = RoundOutcome + 1 (0 = no outcome recorded).
@@ -63,7 +33,7 @@ inline std::uint16_t PackOutcomeReason(protocol::RoundOutcome outcome,
       ((static_cast<std::uint16_t>(outcome) + 1) << 8));
 }
 
-// The always-on emission hook. aux_a carries the per-kind count (goal,
+// The raw slot writer. aux_a carries the per-kind count (goal,
 // contributors, phase index, completed flag); aux_b the reason/outcome.
 inline void RecordFlight(SimTime t, JournalSource source,
                          JournalEventKind kind, DeviceId device = DeviceId{},
@@ -77,7 +47,7 @@ inline void RecordFlight(SimTime t, JournalSource source,
       round.value, aux_a, aux_b);
 }
 
-// Decodes one flight record back into a journal record (detail synthesized
+// Decodes one flight record back into a journal record (detail rendered
 // from aux_a/aux_b per kind). Returns false for non-journal records (span
 // begin/end from the tracer, unknown codes).
 bool JournalRecordFromFlight(const telemetry::FlightRecord& rec,

@@ -16,16 +16,17 @@ struct NameEntry {
   const char* name;
 };
 
-constexpr std::array<NameEntry, 6> kSourceNames = {{
+constexpr std::array<NameEntry, 7> kSourceNames = {{
     {"device"},
     {"selector"},
     {"master"},
     {"aggregator"},
     {"coordinator"},
     {"sim"},
+    {"frontend"},
 }};
 
-constexpr std::array<NameEntry, 21> kEventNames = {{
+constexpr std::array<NameEntry, 26> kEventNames = {{
     {"checkin"},
     {"plan_downloaded"},
     {"train_start"},
@@ -47,6 +48,11 @@ constexpr std::array<NameEntry, 21> kEventNames = {{
     {"round_outcome"},
     {"sim_round_start"},
     {"sim_round_complete"},
+    {"traffic"},
+    {"server_error"},
+    {"master_accept"},
+    {"participant_outcome"},
+    {"device_drop"},
 }};
 
 void AppendEscaped(std::string& out, std::string_view s) {

@@ -1,15 +1,17 @@
 // Durable event journal (Sec. 5): "we also log an event for every state in a
-// training round" — devices and server actors append one structured record
-// per lifecycle event to a line-delimited log that survives the process, so
-// session shapes (Table 1) can be regenerated offline and bugs show up as
-// "deviations from the expected state sequences" (checked by
-// tools/log_analyzer + the fl_analyze CLI).
+// training round" — one structured line per journaled lifecycle event in a
+// line-delimited log that survives the process, so session shapes (Table 1)
+// can be regenerated offline and bugs show up as "deviations from the
+// expected state sequences" (checked by tools/log_analyzer + the fl_analyze
+// CLI).
 //
-// Gating mirrors telemetry: JournalEnabled() is one relaxed atomic load,
-// false until a journal file is opened, so every emission site costs ~one
-// predictable branch when journaling is off. Writes go through a buffered
-// sink (format into a stack buffer, append to a heap buffer under a mutex,
-// flush to disk in large blocks), so the enabled path stays cheap too.
+// This header owns the record vocabulary (sources, event kinds) and the
+// line format; lines are written only by analytics::Emit()
+// (src/analytics/lifecycle.h), which renders each one from the typed
+// LifecycleEvent. JournalEnabled() is one relaxed atomic load, false until
+// a journal file is opened, so a closed journal costs Emit() one predictable
+// branch. Writes go through a buffered sink (append to a heap buffer under a
+// mutex, flush to disk in large blocks), so the enabled path stays cheap too.
 #pragma once
 
 #include <atomic>
@@ -36,13 +38,16 @@ enum class JournalSource : std::uint8_t {
   kAggregator,
   kCoordinator,
   kSim,
+  kFrontend,  // device-facing edge; its facts (errors) are never journaled
 };
 
 const char* JournalSourceName(JournalSource s);
 Result<JournalSource> ParseJournalSource(std::string_view name);
 
-// Every journaled lifecycle event. The first block mirrors SessionEvent
-// one-to-one (device-side, Table 1 glyphs); the rest are server/sim states.
+// Every lifecycle event kind. The first block mirrors SessionEvent
+// one-to-one (device-side, Table 1 glyphs); then server and sim states.
+// Kinds up to kSimRoundComplete are journaled and keep their flight-ring
+// codes; the block after it holds reducer-only facts (IsJournaled()).
 enum class JournalEventKind : std::uint8_t {
   // --- device session events (Table 1) ---
   kCheckin = 0,        // '-'
@@ -68,6 +73,12 @@ enum class JournalEventKind : std::uint8_t {
   // --- modeling simulator (tools/simulation_runner) ---
   kSimRoundStart,
   kSimRoundComplete,
+  // --- reducer-only facts (no journal line, no flight slot) ---
+  kTraffic,             // bytes at the server NIC (Fig. 9)
+  kServerError,         // server-side failure (detail in the event note)
+  kMasterAccept,        // master took a forwarded device into its cohort
+  kParticipantOutcome,  // aggregator closed a participant without a report
+  kDeviceDrop,          // device-observed drop mid-round
 };
 
 const char* JournalEventName(JournalEventKind k);
@@ -111,9 +122,8 @@ namespace journal_internal {
 inline std::atomic<bool> g_enabled{false};
 }  // namespace journal_internal
 
-// One relaxed load; every emission site is written
-// `if (JournalEnabled()) { ... }` so a disabled deployment performs no
-// formatting, locking, or allocation.
+// One relaxed load; Emit() checks it before rendering, so a disabled
+// deployment performs no formatting, locking, or allocation.
 inline bool JournalEnabled() {
   return journal_internal::g_enabled.load(std::memory_order_relaxed);
 }
@@ -167,25 +177,5 @@ class Journal {
   std::atomic<std::uint64_t> events_written_{0};
   std::atomic<std::uint64_t> bytes_written_{0};
 };
-
-// Emission convenience: stamps the wall clock and appends to the global
-// journal. Callers must pre-check JournalEnabled() so disabled deployments
-// never reach the formatting/locking path.
-inline void AppendJournal(SimTime t, JournalSource source,
-                          JournalEventKind event,
-                          DeviceId device = DeviceId{},
-                          SessionId session = SessionId{},
-                          RoundId round = RoundId{}, std::string detail = {}) {
-  JournalRecord rec;
-  rec.sim_time = t;
-  rec.wall_us = telemetry::WallMicros();
-  rec.source = source;
-  rec.event = event;
-  rec.device = device;
-  rec.session = session;
-  rec.round = round;
-  rec.detail = std::move(detail);
-  Journal::Global().Append(rec);
-}
 
 }  // namespace fl::analytics

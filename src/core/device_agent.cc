@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "src/analytics/flight_dump.h"
 #include "src/common/fixed_point.h"
 #include "src/fedavg/codec.h"
 #include "src/profiler/profiler.h"
@@ -90,26 +89,18 @@ void DeviceAgent::SetState(DeviceState s) {
   state_ = s;
 }
 
-void DeviceAgent::AddTrace(SessionEvent e) {
-  if (!session_) return;
-  session_->trace.events.push_back(e);
-  analytics::RecordFlight(services_.queue->now(),
-                          analytics::JournalSource::kDevice,
-                          analytics::JournalEventForSession(e), profile_.id,
-                          session_->id,
-                          session_->assigned ? session_->round : RoundId{});
-  if (analytics::JournalEnabled()) {
-    JournalEvent(analytics::JournalEventForSession(e));
-  }
+void DeviceAgent::EmitSession(analytics::LifecycleEvent e) {
+  e.t = services_.queue->now();
+  e.source = analytics::JournalSource::kDevice;
+  e.device = profile_.id;
+  e.session = session_->id;
+  e.round = session_->assigned ? session_->round : RoundId{};
+  analytics::Emit(services_.events, e);
 }
 
-void DeviceAgent::JournalEvent(analytics::JournalEventKind kind,
-                               std::string detail) {
-  if (!analytics::JournalEnabled() || !session_) return;
-  analytics::AppendJournal(
-      services_.queue->now(), analytics::JournalSource::kDevice, kind,
-      profile_.id, session_->id,
-      session_->assigned ? session_->round : RoundId{}, std::move(detail));
+void DeviceAgent::AddTrace(SessionEvent e) {
+  if (!session_) return;
+  EmitSession({.kind = analytics::JournalEventForSession(e)});
 }
 
 void DeviceAgent::ScheduleNextToggle() {
@@ -163,8 +154,6 @@ void DeviceAgent::BeginSession(const std::string& population) {
   s.generation = gen;
   s.checkin_at = services_.queue->now();
   s.population = population;
-  s.trace.session = s.id;
-  s.trace.device = profile_.id;
   s.ctx = telemetry::TraceContext{0, s.id.value, profile_.id.value, 0};
   session_ = std::move(s);
   scheduler_.OnSessionStarted(population, services_.queue->now());
@@ -354,8 +343,7 @@ void DeviceAgent::OnAssigned(std::uint64_t gen,
         return;
       }
       // Capped by the server (Fig. 8); abandon quietly.
-      services_.stats->OnDeviceDrop(services_.queue->now(), session_->round,
-                                    profile_.id);
+      EmitSession({.kind = analytics::JournalEventKind::kDeviceDrop});
       EndSession(false);
     });
   }
@@ -458,7 +446,8 @@ void DeviceAgent::BeginUpload(std::uint64_t gen) {
     services_.queue->After(t.duration, [this, gen, t] {
       if (!Active(gen)) return;
       // Wasted bytes still hit the server NIC.
-      services_.stats->OnTraffic(services_.queue->now(), 0, t.bytes_on_wire);
+      EmitSession({.kind = analytics::JournalEventKind::kTraffic,
+                   .b = t.bytes_on_wire});
       FailSession("upload failed");
     });
     return;
@@ -653,8 +642,7 @@ void DeviceAgent::Interrupt() {
   // are no longer met").
   if (session_->assigned) {
     AddTrace(SessionEvent::kInterrupted);
-    services_.stats->OnDeviceDrop(services_.queue->now(), session_->round,
-                                  profile_.id);
+    EmitSession({.kind = analytics::JournalEventKind::kDeviceDrop});
   }
   EndSession(false);
 }
@@ -664,8 +652,7 @@ void DeviceAgent::FailSession(const std::string& why) {
   if (!session_) return;
   AddTrace(SessionEvent::kError);
   if (session_->assigned) {
-    services_.stats->OnDeviceDrop(services_.queue->now(), session_->round,
-                                  profile_.id);
+    EmitSession({.kind = analytics::JournalEventKind::kDeviceDrop});
   }
   EndSession(false);
 }
@@ -673,28 +660,19 @@ void DeviceAgent::FailSession(const std::string& why) {
 void DeviceAgent::EndSession(bool completed) {
   if (!session_) return;
   if (completed) ++sessions_completed_;
-  analytics::RecordFlight(
-      services_.queue->now(), analytics::JournalSource::kDevice,
-      analytics::JournalEventKind::kSessionEnd, profile_.id, session_->id,
-      session_->assigned ? session_->round : RoundId{},
-      completed ? 1 : 0);
-  if (analytics::JournalEnabled()) {
-    JournalEvent(analytics::JournalEventKind::kSessionEnd,
-                 completed ? "completed=1" : "completed=0");
-  }
+  const SimTime now = services_.queue->now();
+  EmitSession({.kind = analytics::JournalEventKind::kSessionEnd,
+               .a = completed ? 1u : 0u,
+               .b = session_->assigned ? static_cast<std::uint64_t>(
+                                             (now - session_->checkin_at).millis)
+                                       : 0});
   // Close any spans the session still holds (abandon/interrupt paths).
   auto& tracer = telemetry::Tracer::Global();
-  const SimTime now = services_.queue->now();
   if (session_->train_span != 0) tracer.End(session_->train_span, now);
   if (session_->upload_span != 0) tracer.End(session_->upload_span, now);
   if (session_->session_span != 0) {
     tracer.AddAttr(session_->session_span, "completed", completed ? "1" : "0");
     tracer.End(session_->session_span, now);
-  }
-  services_.stats->OnSessionTrace(session_->trace);
-  if (session_->assigned) {
-    services_.stats->OnParticipationTime(services_.queue->now() -
-                                         session_->checkin_at);
   }
   session_.reset();
   ++generation_;

@@ -9,7 +9,7 @@
 #include <optional>
 
 #include "src/analytics/events.h"
-#include "src/analytics/journal.h"
+#include "src/analytics/lifecycle.h"
 #include "src/core/config.h"
 #include "src/core/fleet_stats.h"
 #include "src/device/attestation.h"
@@ -32,7 +32,10 @@ class DeviceAgent {
     const sim::DiurnalCurve* curve = nullptr;
     server::ServerFrontend* frontend = nullptr;
     const device::AttestationAuthority* attestation = nullptr;
-    FleetStats* stats = nullptr;
+    FleetStats* stats = nullptr;  // device-state occupancy (Fig. 6)
+    // Every session fact (Table 1 glyphs, drops, wasted upload bytes,
+    // session end) goes through analytics::Emit() into this sink.
+    analytics::LifecycleSink* events = nullptr;
     const FLSystemConfig* config = nullptr;
   };
 
@@ -60,7 +63,6 @@ class DeviceAgent {
     std::uint64_t generation = 0;
     SimTime checkin_at;
     std::string population;
-    analytics::SessionTrace trace;
     // Causal context: seeded at check-in (device + session), completed on
     // assignment (round + the server's config span as parent). Installed
     // around every frontend call so server-side spans/flight records link
@@ -124,11 +126,9 @@ class DeviceAgent {
 
   // --- bookkeeping ---
   void SetState(analytics::DeviceState s);
+  // Emits a device-sourced event for the live session (ids filled in).
+  void EmitSession(analytics::LifecycleEvent e);
   void AddTrace(analytics::SessionEvent e);
-  // Appends a device-sourced record for the live session to the global
-  // event journal (no-op when journaling is disabled or no session).
-  void JournalEvent(analytics::JournalEventKind kind,
-                    std::string detail = {});
   void Interrupt();                // eligibility lost mid-session
   void FailSession(const std::string& why);  // '*' error path
   void EndSession(bool completed);

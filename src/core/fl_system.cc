@@ -29,14 +29,7 @@ FLSystem::FLSystem(FLSystemConfig config)
       actors_.get(), &server_context_, &attestation_);
 
   server_context_.locks = &locks_;
-  // Server actors report through a tee chain: TelemetryStatsSink mirrors
-  // each event into the MetricsRegistry (when telemetry is enabled), the
-  // RoundLedger keeps the last-K round records for /rounds (when the ops
-  // plane is up), and every event still lands in FleetStats (Fig. 5–9
-  // analytics). Both tees are one branch each when disabled.
-  round_ledger_ = std::make_unique<ops::RoundLedger>(stats_.get());
-  telemetry_sink_ =
-      std::make_unique<server::TelemetryStatsSink>(round_ledger_.get());
+  round_ledger_ = std::make_unique<ops::RoundLedger>();
   // Diagnostic bundler: disabled (dir empty) unless configured, but always
   // constructed so triggers can be wired unconditionally. The abandoned-
   // round hook fires even with the ops plane off.
@@ -54,7 +47,7 @@ FLSystem::FLSystem(FLSystemConfig config)
                 " outcome=" + protocol::RoundOutcomeName(outcome),
             t);
       });
-  server_context_.stats = telemetry_sink_.get();
+  server_context_.stats = this;
   server_context_.pace = pace_.get();
   server_context_.rng = &rng_;
   server_context_.estimated_population = config_.population.device_count;
@@ -74,6 +67,15 @@ FLSystem::FLSystem(FLSystemConfig config)
 FLSystem::~FLSystem() {
   // Stop HTTP workers before the members their handlers read go away.
   if (ops_ != nullptr) ops_->Stop();
+}
+
+void FLSystem::On(const analytics::LifecycleEvent& e) {
+  // The registry (telemetry on), the Fig. 5–9 / Table 1 analytics, then the
+  // /rounds ledger (ops plane up), whose abandon hook may capture a bundle
+  // that reads the other two.
+  metrics_.On(e);
+  stats_->On(e);
+  round_ledger_->On(e);
 }
 
 void FLSystem::AddTrainingTask(const std::string& name,
@@ -275,6 +277,7 @@ void FLSystem::Start() {
     services.frontend = frontend_.get();
     services.attestation = &attestation_;
     services.stats = stats_.get();
+    services.events = this;
     services.config = &config_;
     auto agent = std::make_unique<DeviceAgent>(profile, services);
     agent->Configure(config_.population_name, store_name,

@@ -28,11 +28,12 @@
 #include "src/protocol/adaptive.h"
 #include "src/server/coordinator.h"
 #include "src/server/selector.h"
-#include "src/server/telemetry_sink.h"
 
 namespace fl::core {
 
-class FLSystem {
+// Reduces every lifecycle event (actors, frontend, device agents) into the
+// registry metrics, FleetStats and the RoundLedger, in that order.
+class FLSystem : private analytics::LifecycleSink {
  public:
   using DataProvisioner = std::function<void(
       const sim::DeviceProfile&, DeviceAgent&, Rng&, SimTime)>;
@@ -106,7 +107,7 @@ class FLSystem {
   // non-empty. Captures fire on abandoned rounds and unhealthy transitions.
   ops::DiagnosticBundler& bundler() { return *bundler_; }
   const ops::DiagnosticBundler& bundler() const { return *bundler_; }
-  // Always present in the sink chain (recording only while the ops plane
+  // Always fed every lifecycle event (recording only while the ops plane
   // is up); /rounds serves from it.
   ops::RoundLedger& round_ledger() { return *round_ledger_; }
   server::ModelStore& model_store() { return *model_store_; }
@@ -120,6 +121,7 @@ class FLSystem {
   const FLSystemConfig& config() const { return config_; }
 
  private:
+  void On(const analytics::LifecycleEvent& e) override;
   ActorId SpawnCoordinator();
   void ScheduleStatsSampler();
   void ScheduleDataRefresh();
@@ -138,7 +140,7 @@ class FLSystem {
   std::unique_ptr<FleetStats> stats_;
   std::unique_ptr<ops::RoundLedger> round_ledger_;
   std::unique_ptr<ops::DiagnosticBundler> bundler_;
-  std::unique_ptr<server::TelemetryStatsSink> telemetry_sink_;
+  analytics::ServerMetrics metrics_;
   std::unique_ptr<ops::OpsPlane> ops_;
   analytics::MonitorHub monitor_hub_;
   std::unique_ptr<protocol::PaceSteeringPolicy> pace_;

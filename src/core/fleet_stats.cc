@@ -25,28 +25,83 @@ FleetStats::FleetStats(SimTime start, Duration bucket)
       participation_(0.0, 30.0, 120),       // minutes
       drop_rate_monitor_("participant_drop_rate", {}) {}
 
-void FleetStats::OnRoundOutcome(SimTime t, RoundId round,
-                                protocol::RoundOutcome outcome,
-                                std::size_t contributors) {
-  if (outcome == protocol::RoundOutcome::kCommitted) {
+void FleetStats::On(const analytics::LifecycleEvent& e) {
+  using analytics::JournalEventKind;
+  analytics::SessionEvent glyph;
+  if (analytics::SessionEventForJournal(e.kind, &glyph)) {
+    open_shapes_[e.session.value] += analytics::SessionEventGlyph(glyph);
+    return;
+  }
+  if (const auto p = analytics::ParticipantOutcomeOf(e)) {
+    RecordParticipant(e.t, e.round, *p);
+  }
+  if (analytics::IsServerError(e)) {
+    ++errors_;
+    // Expected operational noise (drop-outs, aborted secagg groups) stays at
+    // INFO; the error *counter* is what monitors consume (Sec. 5).
+    FL_LOG(Info) << "[" << FormatSimTime(e.t) << "] server error: " << e.note;
+  }
+  switch (e.kind) {
+    case JournalEventKind::kSessionEnd:
+      if (const auto it = open_shapes_.find(e.session.value);
+          it != open_shapes_.end()) {
+        // Only sessions that progressed past check-in form "training round
+        // sessions" in the Table 1 sense.
+        if (it->second.size() >= 2) shapes_.RecordShape(it->second);
+        open_shapes_.erase(it);
+      }
+      if (e.round.value != 0) {
+        participation_.Add(
+            Duration{static_cast<std::int64_t>(e.b)}.Minutes());
+      }
+      break;
+    case JournalEventKind::kMasterAccept:
+      ++accepted_;
+      break;
+    case JournalEventKind::kCheckinRejected:
+      ++rejected_;
+      break;
+    case JournalEventKind::kTraffic:
+      if (e.a > 0) {
+        download_.Add(e.t, static_cast<double>(e.a));
+        total_download_ += e.a;
+      }
+      if (e.b > 0) {
+        upload_.Add(e.t, static_cast<double>(e.b));
+        total_upload_ += e.b;
+      }
+      break;
+    case JournalEventKind::kRoundOutcome:
+      RecordRound(e);
+      break;
+    default:
+      break;
+  }
+}
+
+void FleetStats::RecordRound(const analytics::LifecycleEvent& e) {
+  RoundSummary summary;
+  summary.round = e.round;
+  summary.at = e.t;
+  summary.outcome = e.outcome;
+  summary.contributors = e.a;
+  if (e.outcome == protocol::RoundOutcome::kCommitted) {
     ++rounds_committed_;
-    round_completions_.Add(t);
+    round_completions_.Add(e.t);
+    summary.selection_duration = Duration{static_cast<std::int64_t>(e.b)};
+    summary.round_duration = Duration{static_cast<std::int64_t>(e.c)};
+    summary.has_timing = true;
+    selection_duration_.Add(summary.selection_duration.Minutes());
+    round_duration_.Add(summary.round_duration.Minutes());
   } else {
     ++rounds_abandoned_;
-    round_failures_.Add(t);
+    round_failures_.Add(e.t);
   }
-  RoundSummary summary;
-  summary.round = round;
-  summary.at = t;
-  summary.outcome = outcome;
-  summary.contributors = contributors;
   round_log_.push_back(summary);
 }
 
-void FleetStats::OnParticipantOutcome(SimTime t, RoundId round,
-                                      DeviceId device,
-                                      protocol::ParticipantOutcome outcome) {
-  (void)device;
+void FleetStats::RecordParticipant(SimTime t, RoundId round,
+                                   protocol::ParticipantOutcome outcome) {
   RoundParticipantCounts& c = per_round_[round];
   switch (outcome) {
     case protocol::ParticipantOutcome::kCompleted:
@@ -66,72 +121,11 @@ void FleetStats::OnParticipantOutcome(SimTime t, RoundId round,
   }
 }
 
-void FleetStats::OnRoundTiming(SimTime t, RoundId round,
-                               Duration selection_duration,
-                               Duration round_duration) {
-  (void)t;
-  selection_duration_.Add(selection_duration.Minutes());
-  round_duration_.Add(round_duration.Minutes());
-  // Patch the matching log row (outcome is reported just before timing).
-  for (auto it = round_log_.rbegin(); it != round_log_.rend(); ++it) {
-    if (it->round == round) {
-      it->selection_duration = selection_duration;
-      it->round_duration = round_duration;
-      it->has_timing = true;
-      break;
-    }
-  }
-}
-
-void FleetStats::OnDeviceAccepted(SimTime t) {
-  (void)t;
-  ++accepted_;
-}
-
-void FleetStats::OnDeviceRejected(SimTime t) {
-  (void)t;
-  ++rejected_;
-}
-
-void FleetStats::OnTraffic(SimTime t, std::uint64_t download_bytes,
-                           std::uint64_t upload_bytes) {
-  if (download_bytes > 0) {
-    download_.Add(t, static_cast<double>(download_bytes));
-    total_download_ += download_bytes;
-  }
-  if (upload_bytes > 0) {
-    upload_.Add(t, static_cast<double>(upload_bytes));
-    total_upload_ += upload_bytes;
-  }
-}
-
-void FleetStats::OnError(SimTime t, const std::string& what) {
-  ++errors_;
-  // Expected operational noise (drop-outs, aborted secagg groups) stays at
-  // INFO; the error *counter* is what monitors consume (Sec. 5).
-  FL_LOG(Info) << "[" << FormatSimTime(t) << "] server error: " << what;
-}
-
 void FleetStats::OnDeviceStateChange(analytics::DeviceState from,
                                      analytics::DeviceState to) {
   auto& from_count = live_counts_[static_cast<std::size_t>(from)];
   if (from_count > 0) --from_count;
   ++live_counts_[static_cast<std::size_t>(to)];
-}
-
-void FleetStats::OnSessionTrace(const analytics::SessionTrace& trace) {
-  // Only sessions that progressed past check-in form "training round
-  // sessions" in the Table 1 sense.
-  if (trace.events.size() >= 2) shapes_.Record(trace);
-}
-
-void FleetStats::OnParticipationTime(Duration d) {
-  participation_.Add(d.Minutes());
-}
-
-void FleetStats::OnDeviceDrop(SimTime t, RoundId round, DeviceId device) {
-  OnParticipantOutcome(t, round, device,
-                       protocol::ParticipantOutcome::kDropped);
 }
 
 void FleetStats::SampleStates(SimTime t) {

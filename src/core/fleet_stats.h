@@ -1,16 +1,20 @@
 // FleetStats: the analytics layer of the deployment (Sec. 5), implemented
-// over src/analytics primitives. It is both the ServerStatsSink the server
-// actors report into and the recorder device agents use, and it owns every
-// series the Fig. 5-9 / Table 1 benches read.
+// over src/analytics primitives. It is a reducer over the lifecycle event
+// stream (src/analytics/lifecycle.h): every server actor and device agent
+// fact arrives through On(), and it owns every series the Fig. 5-9 /
+// Table 1 benches read. Device-state occupancy is the one direct feed
+// (OnDeviceStateChange): one reporter, no journal line, per-toggle hot path.
 #pragma once
 
 #include <array>
 #include <map>
+#include <string>
+#include <unordered_map>
 
 #include "src/analytics/events.h"
+#include "src/analytics/lifecycle.h"
 #include "src/analytics/monitor.h"
 #include "src/analytics/timeseries.h"
-#include "src/server/stats.h"
 
 namespace fl::core {
 
@@ -32,31 +36,18 @@ struct RoundSummary {
   bool has_timing = false;
 };
 
-class FleetStats final : public server::ServerStatsSink {
+class FleetStats {
  public:
   FleetStats(SimTime start, Duration bucket);
 
-  // --- ServerStatsSink ---
-  void OnRoundOutcome(SimTime t, RoundId round,
-                      protocol::RoundOutcome outcome,
-                      std::size_t contributors) override;
-  void OnParticipantOutcome(SimTime t, RoundId round, DeviceId device,
-                            protocol::ParticipantOutcome outcome) override;
-  void OnRoundTiming(SimTime t, RoundId round, Duration selection_duration,
-                     Duration round_duration) override;
-  void OnDeviceAccepted(SimTime t) override;
-  void OnDeviceRejected(SimTime t) override;
-  void OnTraffic(SimTime t, std::uint64_t download_bytes,
-                 std::uint64_t upload_bytes) override;
-  void OnError(SimTime t, const std::string& what) override;
+  // Reduces one lifecycle event. Table 1 shapes: device session events
+  // append a glyph to the session's buffer; session_end tallies sessions
+  // that progressed past check-in (>= 2 events) and records the
+  // participation time of assigned ones.
+  void On(const analytics::LifecycleEvent& e);
 
-  // --- Device-side recorders ---
   void OnDeviceStateChange(analytics::DeviceState from,
                            analytics::DeviceState to);
-  void OnSessionTrace(const analytics::SessionTrace& trace);
-  void OnParticipationTime(Duration d);
-  // Device-observed drop (interruption / network failure mid-round).
-  void OnDeviceDrop(SimTime t, RoundId round, DeviceId device);
 
   // Samples current device-state occupancy into the per-state series.
   void SampleStates(SimTime t);
@@ -104,6 +95,10 @@ class FleetStats final : public server::ServerStatsSink {
   }
 
  private:
+  void RecordRound(const analytics::LifecycleEvent& e);
+  void RecordParticipant(SimTime t, RoundId round,
+                         protocol::ParticipantOutcome outcome);
+
   std::array<std::size_t, 5> live_counts_{};
   std::array<analytics::TimeSeries, 5> state_series_;
   analytics::TimeSeries round_completions_;
@@ -116,6 +111,8 @@ class FleetStats final : public server::ServerStatsSink {
   analytics::Histogram selection_duration_;
   analytics::Histogram participation_;
   analytics::SessionShapeTally shapes_;
+  // Table 1 glyphs of each open session, keyed by session id.
+  std::unordered_map<std::uint64_t, std::string> open_shapes_;
   std::map<RoundId, RoundParticipantCounts> per_round_;
   std::vector<RoundSummary> round_log_;
   std::uint64_t total_download_ = 0;

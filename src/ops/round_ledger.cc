@@ -4,104 +4,72 @@
 
 namespace fl::ops {
 
-RoundLedger::RoundLedger(server::ServerStatsSink* inner, std::size_t capacity)
-    : inner_(inner), capacity_(capacity == 0 ? 1 : capacity) {}
+RoundLedger::RoundLedger(std::size_t capacity)
+    : capacity_(capacity == 0 ? 1 : capacity) {}
 
-void RoundLedger::OnRoundOutcome(SimTime t, RoundId round,
-                                 protocol::RoundOutcome outcome,
-                                 std::size_t contributors) {
-  if (inner_ != nullptr) inner_->OnRoundOutcome(t, round, outcome, contributors);
+void RoundLedger::On(const analytics::LifecycleEvent& e) {
+  using analytics::JournalEventKind;
+  // Device session events, most of the stream, carry nothing the ledger
+  // keeps: skip them before taking the lock.
+  if (e.kind <= JournalEventKind::kSessionEnd) return;
   if (enabled()) {
     std::lock_guard<std::mutex> lock(mu_);
-    RoundRecord rec;
-    if (auto it = open_.find(round.value); it != open_.end()) {
-      rec = it->second;
-      open_.erase(it);
+    if (const auto p = analytics::ParticipantOutcomeOf(e)) {
+      // Late rejections can land after the round closed; they update the
+      // finished record while it is still retained.
+      RoundRecord& rec = RecordForLocked(e.round);
+      switch (*p) {
+        case protocol::ParticipantOutcome::kCompleted: ++rec.completed; break;
+        case protocol::ParticipantOutcome::kAborted: ++rec.aborted; break;
+        case protocol::ParticipantOutcome::kDropped: ++rec.dropped; break;
+        case protocol::ParticipantOutcome::kRejectedLate:
+          ++rec.rejected_late;
+          break;
+      }
     }
-    rec.round = round;
-    rec.finished_at = t;
-    rec.outcome = outcome;
-    rec.contributors = contributors;
-    if (outcome == protocol::RoundOutcome::kCommitted) {
-      ++totals_.rounds_committed;
-    } else {
-      ++totals_.rounds_abandoned;
+    if (analytics::IsServerError(e)) ++totals_.errors;
+    switch (e.kind) {
+      case JournalEventKind::kMasterAccept:
+        ++totals_.checkins_accepted;
+        break;
+      case JournalEventKind::kCheckinRejected:
+        ++totals_.checkins_rejected;
+        break;
+      case JournalEventKind::kRoundOutcome:
+        FinishRoundLocked(e);
+        break;
+      default:
+        break;
     }
-    finished_.push_back(rec);
-    while (finished_.size() > capacity_) finished_.pop_front();
   }
   // After the ledger update (so a bundle capture sees this round) and
   // outside the lock (so the observer may read the ledger).
-  if (outcome != protocol::RoundOutcome::kCommitted && on_abandoned_) {
-    on_abandoned_(t, round, outcome);
+  if (e.kind == JournalEventKind::kRoundOutcome &&
+      e.outcome != protocol::RoundOutcome::kCommitted && on_abandoned_) {
+    on_abandoned_(e.t, e.round, e.outcome);
   }
 }
 
-void RoundLedger::OnParticipantOutcome(SimTime t, RoundId round,
-                                       DeviceId device,
-                                       protocol::ParticipantOutcome outcome) {
-  if (inner_ != nullptr) inner_->OnParticipantOutcome(t, round, device, outcome);
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  // Late rejections can land after the round closed; update the finished
-  // record if it is still retained, else the open (or freshly-staged) one.
-  RoundRecord* rec = FindFinishedLocked(round);
-  if (rec == nullptr) {
-    rec = &open_[round.value];
-    rec->round = round;
+void RoundLedger::FinishRoundLocked(const analytics::LifecycleEvent& e) {
+  RoundRecord rec;
+  if (auto it = open_.find(e.round.value); it != open_.end()) {
+    rec = it->second;
+    open_.erase(it);
   }
-  switch (outcome) {
-    case protocol::ParticipantOutcome::kCompleted: ++rec->completed; break;
-    case protocol::ParticipantOutcome::kAborted: ++rec->aborted; break;
-    case protocol::ParticipantOutcome::kDropped: ++rec->dropped; break;
-    case protocol::ParticipantOutcome::kRejectedLate:
-      ++rec->rejected_late;
-      break;
+  rec.round = e.round;
+  rec.finished_at = e.t;
+  rec.outcome = e.outcome;
+  rec.contributors = e.a;
+  if (e.outcome == protocol::RoundOutcome::kCommitted) {
+    rec.selection_duration = Duration{static_cast<std::int64_t>(e.b)};
+    rec.round_duration = Duration{static_cast<std::int64_t>(e.c)};
+    rec.has_timing = true;
+    ++totals_.rounds_committed;
+  } else {
+    ++totals_.rounds_abandoned;
   }
-}
-
-void RoundLedger::OnRoundTiming(SimTime t, RoundId round,
-                                Duration selection_duration,
-                                Duration round_duration) {
-  if (inner_ != nullptr) {
-    inner_->OnRoundTiming(t, round, selection_duration, round_duration);
-  }
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  RoundRecord* rec = FindFinishedLocked(round);
-  if (rec == nullptr) {
-    rec = &open_[round.value];
-    rec->round = round;
-  }
-  rec->selection_duration = selection_duration;
-  rec->round_duration = round_duration;
-  rec->has_timing = true;
-}
-
-void RoundLedger::OnDeviceAccepted(SimTime t) {
-  if (inner_ != nullptr) inner_->OnDeviceAccepted(t);
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  ++totals_.checkins_accepted;
-}
-
-void RoundLedger::OnDeviceRejected(SimTime t) {
-  if (inner_ != nullptr) inner_->OnDeviceRejected(t);
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  ++totals_.checkins_rejected;
-}
-
-void RoundLedger::OnTraffic(SimTime t, std::uint64_t download_bytes,
-                            std::uint64_t upload_bytes) {
-  if (inner_ != nullptr) inner_->OnTraffic(t, download_bytes, upload_bytes);
-}
-
-void RoundLedger::OnError(SimTime t, const std::string& what) {
-  if (inner_ != nullptr) inner_->OnError(t, what);
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  ++totals_.errors;
+  finished_.push_back(rec);
+  while (finished_.size() > capacity_) finished_.pop_front();
 }
 
 RoundLedger::Totals RoundLedger::totals() const {
@@ -154,11 +122,13 @@ std::string RoundLedger::RecentJson(std::size_t max) const {
   return w.str();
 }
 
-RoundRecord* RoundLedger::FindFinishedLocked(RoundId round) {
+RoundRecord& RoundLedger::RecordForLocked(RoundId round) {
   for (auto it = finished_.rbegin(); it != finished_.rend(); ++it) {
-    if (it->round == round) return &*it;
+    if (it->round == round) return *it;
   }
-  return nullptr;
+  RoundRecord& rec = open_[round.value];
+  rec.round = round;
+  return rec;
 }
 
 }  // namespace fl::ops

@@ -3,14 +3,14 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/analytics/flight_dump.h"
-#include "src/analytics/journal.h"
 #include "src/common/logging.h"
 #include "src/fedavg/codec.h"
 #include "src/telemetry/trace_context.h"
 
 namespace fl::server {
 namespace {
+
+using analytics::JournalEventKind;
 
 template <typename T>
 const T* Cast(const actor::Envelope& env) {
@@ -19,15 +19,9 @@ const T* Cast(const actor::Envelope& env) {
 
 }  // namespace
 
-void AggregatorActor::JournalReport(const DeviceLink& link,
-                                    analytics::JournalEventKind kind,
-                                    std::string detail) {
-  analytics::AppendJournal(Now(), analytics::JournalSource::kAggregator, kind,
-                           link.device, link.session, init_.round,
-                           std::move(detail));
-}
-
-AggregatorActor::AggregatorActor(Init init) : init_(std::move(init)) {
+AggregatorActor::AggregatorActor(Init init)
+    : init_(std::move(init)),
+      codec_name_(protocol::WireCodecName(init_.config.codec)) {
   FL_CHECK(init_.context != nullptr);
   FL_CHECK(init_.global_model != nullptr);
   accumulator_.emplace(init_.aggregation_op, *init_.global_model);
@@ -39,9 +33,29 @@ protocol::ReconnectWindow AggregatorActor::NextWindow() {
       *init_.context->rng);
 }
 
+void AggregatorActor::EmitEvent(analytics::LifecycleEvent e) {
+  e.t = Now();
+  e.source = analytics::JournalSource::kAggregator;
+  e.round = init_.round;
+  analytics::Emit(init_.context->stats, e);
+}
+
+void AggregatorActor::EmitTraffic(std::uint64_t download_bytes,
+                                  std::uint64_t upload_bytes) {
+  EmitEvent({.kind = JournalEventKind::kTraffic,
+             .a = download_bytes,
+             .b = upload_bytes});
+}
+
+void AggregatorActor::EmitError(std::string_view what) {
+  EmitEvent({.kind = JournalEventKind::kServerError, .note = what});
+}
+
 void AggregatorActor::RecordParticipant(DeviceId device,
                                         protocol::ParticipantOutcome o) {
-  init_.context->stats->OnParticipantOutcome(Now(), init_.round, device, o);
+  EmitEvent({.kind = JournalEventKind::kParticipantOutcome,
+             .device = device,
+             .a = static_cast<std::uint64_t>(o)});
 }
 
 void AggregatorActor::OnMessage(const actor::Envelope& env) {
@@ -139,17 +153,11 @@ void AggregatorActor::HandleConfigure(const MsgConfigureDevices& msg) {
     }();
     if (plan_it == init_.plan_bytes->end()) {
       // Device too old for every versioned plan: turn it away.
-      analytics::RecordFlight(
-          Now(), analytics::JournalSource::kAggregator,
-          analytics::JournalEventKind::kCheckinRejected, link.device,
-          link.session, init_.round, 0,
-          static_cast<std::uint16_t>(analytics::FlightReason::kRuntimeTooOld));
-      if (analytics::JournalEnabled()) {
-        JournalReport(link, analytics::JournalEventKind::kCheckinRejected,
-                      "reason=runtime_too_old");
-      }
+      EmitEvent({.kind = JournalEventKind::kCheckinRejected,
+                 .device = link.device,
+                 .session = link.session,
+                 .reason = analytics::FlightReason::kRuntimeTooOld});
       link.reject(RejectionNotice{NextWindow(), "runtime too old"});
-      init_.context->stats->OnDeviceRejected(Now());
       continue;
     }
 
@@ -185,31 +193,30 @@ void AggregatorActor::HandleConfigure(const MsgConfigureDevices& msg) {
       assignment.codec = init_.config.codec;
     }
     devices_.emplace(link.device, std::move(entry));
-    init_.context->stats->OnTraffic(
-        Now(), plan_it->second->size() + init_.model_bytes->size(), 0);
+    EmitTraffic(plan_it->second->size() + init_.model_bytes->size(), 0);
     link.assign(assignment);
   }
 }
 
 void AggregatorActor::HandleReport(const DeviceReport& report) {
   const auto it = devices_.find(report.device);
-  init_.context->stats->OnTraffic(Now(), 0, report.upload_wire_bytes);
+  EmitTraffic(0, report.upload_wire_bytes);
   if (it == devices_.end()) return;  // not ours
+  // Every outcome below is one report_accepted / report_rejected record;
+  // reducers derive the participant outcome (late → rejected late, corrupt
+  // or unaccumulable → error + dropped) from it.
+  const auto reject = [&](analytics::FlightReason reason,
+                          std::string_view what) {
+    EmitEvent({.kind = JournalEventKind::kReportRejected,
+               .device = report.device,
+               .session = it->second.link.session,
+               .reason = reason,
+               .note = what});
+  };
   if (flushed_ || it->second.state != DeviceStateTag::kAssigned) {
     // Reporting window closed — '#' in the session shape (Table 1).
-    analytics::RecordFlight(
-        Now(), analytics::JournalSource::kAggregator,
-        analytics::JournalEventKind::kReportRejected, report.device,
-        it->second.link.session, init_.round, 0,
-        static_cast<std::uint16_t>(analytics::FlightReason::kLate));
-    if (analytics::JournalEnabled()) {
-      JournalReport(it->second.link,
-                    analytics::JournalEventKind::kReportRejected,
-                    "reason=late");
-    }
+    reject(analytics::FlightReason::kLate, {});
     it->second.link.report_ack(ReportAck{false, NextWindow()});
-    RecordParticipant(report.device,
-                      protocol::ParticipantOutcome::kRejectedLate);
     return;
   }
 
@@ -228,40 +235,18 @@ void AggregatorActor::HandleReport(const DeviceReport& report) {
       return init_.global_model->Unflatten(*flat);
     }();
     if (!update.ok()) {
-      init_.context->stats->OnError(Now(), "corrupt update: " +
-                                               update.status().ToString());
-      analytics::RecordFlight(
-          Now(), analytics::JournalSource::kAggregator,
-          analytics::JournalEventKind::kReportRejected, report.device,
-          it->second.link.session, init_.round, 0,
-          static_cast<std::uint16_t>(analytics::FlightReason::kCorrupt));
-      if (analytics::JournalEnabled()) {
-        JournalReport(it->second.link,
-                      analytics::JournalEventKind::kReportRejected,
-                      "reason=corrupt");
-      }
+      reject(analytics::FlightReason::kCorrupt,
+             "corrupt update: " + update.status().ToString());
       it->second.state = DeviceStateTag::kClosed;
       it->second.link.report_ack(ReportAck{false, NextWindow()});
-      RecordParticipant(report.device, protocol::ParticipantOutcome::kDropped);
       return;
     }
     const Status s = accumulator_->Accumulate(std::move(update).value(),
                                               report.weight, metrics);
     if (!s.ok()) {
-      init_.context->stats->OnError(Now(), s.ToString());
-      analytics::RecordFlight(
-          Now(), analytics::JournalSource::kAggregator,
-          analytics::JournalEventKind::kReportRejected, report.device,
-          it->second.link.session, init_.round, 0,
-          static_cast<std::uint16_t>(analytics::FlightReason::kAccumulate));
-      if (analytics::JournalEnabled()) {
-        JournalReport(it->second.link,
-                      analytics::JournalEventKind::kReportRejected,
-                      "reason=accumulate");
-      }
+      reject(analytics::FlightReason::kAccumulate, s.ToString());
       it->second.state = DeviceStateTag::kClosed;
       it->second.link.report_ack(ReportAck{false, NextWindow()});
-      RecordParticipant(report.device, protocol::ParticipantOutcome::kDropped);
       return;
     }
   } else {
@@ -273,19 +258,13 @@ void AggregatorActor::HandleReport(const DeviceReport& report) {
   it->second.state = DeviceStateTag::kReported;
   ++accepted_;
   accepted_wire_bytes_ += report.upload_wire_bytes;
-  analytics::RecordFlight(Now(), analytics::JournalSource::kAggregator,
-                          analytics::JournalEventKind::kReportAccepted,
-                          report.device, it->second.link.session, init_.round);
-  if (analytics::JournalEnabled()) {
-    JournalReport(it->second.link,
-                  analytics::JournalEventKind::kReportAccepted,
-                  "weight=" + std::to_string(report.weight) +
-                      " wire_bytes=" +
-                      std::to_string(report.upload_wire_bytes) + " codec=" +
-                      protocol::WireCodecName(init_.config.codec));
-  }
+  EmitEvent({.kind = JournalEventKind::kReportAccepted,
+             .device = report.device,
+             .session = it->second.link.session,
+             .b = report.upload_wire_bytes,
+             .weight = report.weight,
+             .note = codec_name_});
   it->second.link.report_ack(ReportAck{true, NextWindow()});
-  RecordParticipant(report.device, protocol::ParticipantOutcome::kCompleted);
   Send(init_.master, MsgReportingProgress{id(), accepted_, accepted_wire_bytes_,
                                           metrics, true});
 }
@@ -347,12 +326,12 @@ void AggregatorActor::FinishAndReport(bool ok, const std::string& error) {
 
 void AggregatorActor::HandleSecAggAdvertise(const SecAggAdvertiseMsg& msg) {
   if (!secagg_ || secagg_phase_ != 0) return;
-  init_.context->stats->OnTraffic(Now(), 0, msg.upload_wire_bytes);
+  EmitTraffic(0, msg.upload_wire_bytes);
   const auto it = devices_.find(msg.device);
   if (it == devices_.end()) return;
   const Status s = secagg_->CollectAdvertisement(msg.advertisement);
   if (!s.ok()) {
-    init_.context->stats->OnError(Now(), s.ToString());
+    EmitError(s.ToString());
     return;
   }
   // Everyone answered: no need to wait out the timer window.
@@ -376,7 +355,7 @@ void AggregatorActor::AdvanceSecAggAfterAdvertising() {
   if (secagg_phase_ != 0) return;
   auto directory = secagg_->FinishAdvertising();
   if (!directory.ok()) {
-    init_.context->stats->OnError(Now(), directory.status().ToString());
+    EmitError(directory.status().ToString());
     CloseRemaining("secagg advertise failed",
                    protocol::ParticipantOutcome::kDropped);
     FinishAndReport(false, directory.status().ToString());
@@ -387,7 +366,7 @@ void AggregatorActor::AdvanceSecAggAfterAdvertising() {
     if (entry.state != DeviceStateTag::kAssigned) continue;
     if (directory->count(entry.secagg_index) == 0) continue;
     const std::size_t bytes = directory->size() * 24;
-    init_.context->stats->OnTraffic(Now(), bytes, 0);
+    EmitTraffic(bytes, 0);
     entry.link.secagg_directory(SecAggDirectoryMsg{*directory});
   }
   SendAfter(init_.config.reporting_deadline / 4, id(),
@@ -396,10 +375,10 @@ void AggregatorActor::AdvanceSecAggAfterAdvertising() {
 
 void AggregatorActor::HandleSecAggShares(const SecAggShareKeysMsg& msg) {
   if (!secagg_ || secagg_phase_ != 1) return;
-  init_.context->stats->OnTraffic(Now(), 0, msg.upload_wire_bytes);
+  EmitTraffic(0, msg.upload_wire_bytes);
   const Status s = secagg_->CollectShares(msg.message);
   if (!s.ok()) {
-    init_.context->stats->OnError(Now(), s.ToString());
+    EmitError(s.ToString());
     return;
   }
   if (++secagg_shared_ == secagg_advertised_) {
@@ -411,7 +390,7 @@ void AggregatorActor::AdvanceSecAggAfterSharing() {
   if (secagg_phase_ != 1) return;
   auto u1 = secagg_->FinishSharing();
   if (!u1.ok()) {
-    init_.context->stats->OnError(Now(), u1.status().ToString());
+    EmitError(u1.status().ToString());
     CloseRemaining("secagg sharing failed",
                    protocol::ParticipantOutcome::kDropped);
     FinishAndReport(false, u1.status().ToString());
@@ -429,7 +408,7 @@ void AggregatorActor::AdvanceSecAggAfterSharing() {
     out.u1 = *u1;
     std::size_t bytes = 16;
     for (const auto& sh : out.shares) bytes += sh.ciphertext.size() + 8;
-    init_.context->stats->OnTraffic(Now(), bytes, 0);
+    EmitTraffic(bytes, 0);
     entry.link.secagg_shares(out);
   }
   // Commit phase runs until the round's reporting deadline.
@@ -439,33 +418,27 @@ void AggregatorActor::AdvanceSecAggAfterSharing() {
 
 void AggregatorActor::HandleSecAggMasked(const SecAggMaskedInputMsg& msg) {
   if (!secagg_ || secagg_phase_ != 2) return;
-  init_.context->stats->OnTraffic(Now(), 0, msg.upload_wire_bytes);
+  EmitTraffic(0, msg.upload_wire_bytes);
   const auto it = devices_.find(msg.device);
   if (it == devices_.end()) return;
   const Status s = secagg_->CollectMaskedInput(msg.input);
   if (!s.ok()) {
-    init_.context->stats->OnError(Now(), s.ToString());
+    EmitError(s.ToString());
     return;
   }
   it->second.metrics = msg.metrics;  // plaintext metrics; sums stay masked
   it->second.state = DeviceStateTag::kReported;
   ++accepted_;
   accepted_wire_bytes_ += msg.upload_wire_bytes;
-  analytics::RecordFlight(Now(), analytics::JournalSource::kAggregator,
-                          analytics::JournalEventKind::kReportAccepted,
-                          msg.device, it->second.link.session, init_.round,
-                          /*aux_a=*/1);
-  if (analytics::JournalEnabled()) {
-    // Tagged mode=secagg: masked inputs may legally commit after the round's
-    // closing phase (HandleFlush lets phases 2/3 run to completion), so the
-    // analyzer's accept-after-close invariant exempts these records.
-    JournalReport(it->second.link,
-                  analytics::JournalEventKind::kReportAccepted,
-                  "mode=secagg wire_bytes=" +
-                      std::to_string(msg.upload_wire_bytes));
-  }
+  // Tagged mode=secagg: masked inputs may legally commit after the round's
+  // closing phase (HandleFlush lets phases 2/3 run to completion), so the
+  // analyzer's accept-after-close invariant exempts these records.
+  EmitEvent({.kind = JournalEventKind::kReportAccepted,
+             .device = msg.device,
+             .session = it->second.link.session,
+             .a = 1,
+             .b = msg.upload_wire_bytes});
   it->second.link.report_ack(ReportAck{true, NextWindow()});
-  RecordParticipant(msg.device, protocol::ParticipantOutcome::kCompleted);
   Send(init_.master,
        MsgReportingProgress{id(), accepted_, accepted_wire_bytes_,
                             it->second.metrics, true});
@@ -478,7 +451,7 @@ void AggregatorActor::AdvanceSecAggAfterCommit() {
   if (secagg_phase_ != 2) return;
   auto request = secagg_->FinishCommit();
   if (!request.ok()) {
-    init_.context->stats->OnError(Now(), request.status().ToString());
+    EmitError(request.status().ToString());
     CloseRemaining("secagg commit failed",
                    protocol::ParticipantOutcome::kDropped);
     FinishAndReport(false, request.status().ToString());
@@ -491,8 +464,7 @@ void AggregatorActor::AdvanceSecAggAfterCommit() {
         std::find(request->survivors.begin(), request->survivors.end(),
                   entry.secagg_index) != request->survivors.end();
     if (!survivor) continue;
-    init_.context->stats->OnTraffic(
-        Now(), 8 * (request->dropped.size() + request->survivors.size()), 0);
+    EmitTraffic(8 * (request->dropped.size() + request->survivors.size()), 0);
     entry.link.secagg_unmask(SecAggUnmaskMsg{*request});
   }
   SendAfter(init_.config.reporting_deadline / 4, id(),
@@ -501,10 +473,10 @@ void AggregatorActor::AdvanceSecAggAfterCommit() {
 
 void AggregatorActor::HandleSecAggUnmask(const SecAggUnmaskResponseMsg& msg) {
   if (!secagg_ || secagg_phase_ != 3) return;
-  init_.context->stats->OnTraffic(Now(), 0, msg.upload_wire_bytes);
+  EmitTraffic(0, msg.upload_wire_bytes);
   const Status s = secagg_->CollectUnmaskingResponse(msg.response);
   if (!s.ok()) {
-    init_.context->stats->OnError(Now(), s.ToString());
+    EmitError(s.ToString());
     return;
   }
   // Finalize as soon as every survivor answered; the timer handles the
@@ -519,7 +491,7 @@ void AggregatorActor::FinalizeSecAgg() {
   auto sum = secagg_->Finalize();
   CloseRemaining("secagg round over", protocol::ParticipantOutcome::kAborted);
   if (!sum.ok()) {
-    init_.context->stats->OnError(Now(), sum.status().ToString());
+    EmitError(sum.status().ToString());
     FinishAndReport(false, sum.status().ToString());
     return;
   }

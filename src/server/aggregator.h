@@ -10,7 +10,7 @@
 #include <optional>
 
 #include "src/actor/actor.h"
-#include "src/analytics/journal.h"
+#include "src/analytics/lifecycle.h"
 #include "src/common/fixed_point.h"
 #include "src/fedavg/server_aggregate.h"
 #include "src/secagg/server.h"
@@ -38,7 +38,6 @@ class AggregatorActor final : public actor::Actor {
   void OnMessage(const actor::Envelope& env) override;
 
   // Introspection for tests.
-  std::size_t accepted_reports() const { return accepted_; }
   std::size_t cohort_size() const { return devices_.size(); }
 
  private:
@@ -66,16 +65,18 @@ class AggregatorActor final : public actor::Actor {
   void AdvanceSecAggAfterCommit();
   void FinalizeSecAgg();
 
+  // Emits an aggregator-sourced lifecycle event for this round.
+  void EmitEvent(analytics::LifecycleEvent e);
+  void EmitTraffic(std::uint64_t download_bytes, std::uint64_t upload_bytes);
+  void EmitError(std::string_view what);
+  // A participant closed without a report of its own.
   void RecordParticipant(DeviceId device, protocol::ParticipantOutcome o);
-  // Journals an aggregator-sourced accept/reject for a device report.
-  // Callers pre-check JournalEnabled().
-  void JournalReport(const DeviceLink& link, analytics::JournalEventKind kind,
-                     std::string detail);
   protocol::ReconnectWindow NextWindow();
   void CloseRemaining(const std::string& reason,
                       protocol::ParticipantOutcome outcome);
 
   Init init_;
+  const std::string codec_name_;  // journaled with each plain-path accept
   std::map<DeviceId, DeviceEntry> devices_;
   std::optional<fedavg::FedAvgAccumulator> accumulator_;
   std::size_t accepted_ = 0;

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 
-#include "src/analytics/flight_dump.h"
-#include "src/analytics/journal.h"
+#include "src/analytics/lifecycle.h"
 #include "src/common/logging.h"
 #include "src/server/master_aggregator.h"
 
@@ -15,23 +14,23 @@ const T* Cast(const actor::Envelope& env) {
   return std::any_cast<T>(&env.payload);
 }
 
-void JournalOutcome(SimTime now, RoundId round, std::string detail) {
-  analytics::AppendJournal(now, analytics::JournalSource::kCoordinator,
-                           analytics::JournalEventKind::kRoundOutcome,
-                           DeviceId{}, SessionId{}, round, std::move(detail));
-}
-
-void FlightOutcome(SimTime now, RoundId round, protocol::RoundOutcome outcome,
-                   analytics::FlightReason reason,
-                   std::size_t contributors = 0) {
-  analytics::RecordFlight(now, analytics::JournalSource::kCoordinator,
-                          analytics::JournalEventKind::kRoundOutcome,
-                          DeviceId{}, SessionId{}, round,
-                          static_cast<std::uint32_t>(contributors),
-                          analytics::PackOutcomeReason(outcome, reason));
-}
-
 }  // namespace
+
+void CoordinatorActor::EmitOutcome(analytics::LifecycleEvent e) {
+  e.t = Now();
+  e.source = analytics::JournalSource::kCoordinator;
+  e.kind = analytics::JournalEventKind::kRoundOutcome;
+  analytics::Emit(init_.context->stats, e);
+}
+
+void CoordinatorActor::EmitError(RoundId round, std::string_view what) {
+  analytics::Emit(init_.context->stats,
+                  {.t = Now(),
+                   .source = analytics::JournalSource::kCoordinator,
+                   .kind = analytics::JournalEventKind::kServerError,
+                   .round = round,
+                   .note = what});
+}
 
 CoordinatorActor::CoordinatorActor(Init init) : init_(std::move(init)) {
   FL_CHECK(init_.context != nullptr);
@@ -92,18 +91,12 @@ void CoordinatorActor::OnMessage(const actor::Envelope& env) {
       // "If the Master Aggregator fails, the current round of the FL task it
       // manages will fail, but will then be restarted by the Coordinator"
       // (Sec. 4.4).
-      init_.context->stats->OnError(Now(), "master aggregator lost; round " +
-                                               std::to_string(
-                                                   active_->round.value) +
-                                               " failed");
-      init_.context->stats->OnRoundOutcome(Now(), active_->round,
-                                           protocol::RoundOutcome::kFailed, 0);
-      FlightOutcome(Now(), active_->round, protocol::RoundOutcome::kFailed,
-                    analytics::FlightReason::kMasterLost);
-      if (analytics::JournalEnabled()) {
-        JournalOutcome(Now(), active_->round,
-                       "outcome=failed reason=master_lost");
-      }
+      EmitError(active_->round,
+                "master aggregator lost; round " +
+                    std::to_string(active_->round.value) + " failed");
+      EmitOutcome({.round = active_->round,
+                   .reason = analytics::FlightReason::kMasterLost,
+                   .outcome = protocol::RoundOutcome::kFailed});
       tasks_[active_->task_index].next_due = Now();
       active_.reset();
       BroadcastQuota();
@@ -225,33 +218,21 @@ void CoordinatorActor::HandleComplete(const MsgRoundComplete& msg) {
       init_.context->model_store->Commit(std::move(next_model).value(),
                                          std::move(record));
       RefreshModelBytes();
-      ++rounds_committed_;
-      init_.context->stats->OnRoundOutcome(
-          Now(), msg.round, protocol::RoundOutcome::kCommitted,
-          msg.contributors);
-      init_.context->stats->OnRoundTiming(Now(), msg.round,
-                                          msg.selection_duration,
-                                          msg.round_duration);
-      FlightOutcome(Now(), msg.round, protocol::RoundOutcome::kCommitted,
-                    analytics::FlightReason::kNone, msg.contributors);
-      if (analytics::JournalEnabled()) {
-        JournalOutcome(Now(), msg.round,
-                       "outcome=committed contributors=" +
-                           std::to_string(msg.contributors));
-      }
+      EmitOutcome({.round = msg.round,
+                   .a = msg.contributors,
+                   .b = static_cast<std::uint64_t>(
+                       msg.selection_duration.millis),
+                   .c = static_cast<std::uint64_t>(msg.round_duration.millis),
+                   .outcome = protocol::RoundOutcome::kCommitted});
     } else {
       s = next_model.status();
     }
   }
   if (!s.ok()) {
-    init_.context->stats->OnError(Now(), "commit failed: " + s.ToString());
-    init_.context->stats->OnRoundOutcome(Now(), msg.round,
-                                         protocol::RoundOutcome::kFailed, 0);
-    FlightOutcome(Now(), msg.round, protocol::RoundOutcome::kFailed,
-                  analytics::FlightReason::kCommitFailed);
-    if (analytics::JournalEnabled()) {
-      JournalOutcome(Now(), msg.round, "outcome=failed reason=commit");
-    }
+    EmitError(msg.round, "commit failed: " + s.ToString());
+    EmitOutcome({.round = msg.round,
+                 .reason = analytics::FlightReason::kCommitFailed,
+                 .outcome = protocol::RoundOutcome::kFailed});
   }
   // Master self-reaps at end of life (it lingers to reject stragglers).
   task.next_due = Now() + task.descriptor.round_cadence;
@@ -261,15 +242,10 @@ void CoordinatorActor::HandleComplete(const MsgRoundComplete& msg) {
 
 void CoordinatorActor::HandleAbandoned(const MsgRoundAbandoned& msg) {
   if (!active_ || msg.round != active_->round) return;
-  init_.context->stats->OnRoundOutcome(Now(), msg.round, msg.outcome, 0);
-  FlightOutcome(Now(), msg.round, msg.outcome, msg.flight_reason);
-  if (analytics::JournalEnabled()) {
-    JournalOutcome(
-        Now(), msg.round,
-        "outcome=" + std::string(protocol::RoundOutcomeName(msg.outcome)) +
-            " reason=" + msg.reason);
-  }
-  ++rounds_abandoned_;
+  EmitOutcome({.round = msg.round,
+               .reason = msg.flight_reason,
+               .outcome = msg.outcome,
+               .note = msg.reason});
   TaskState& task = tasks_[active_->task_index];
   // Back off a little before retrying an abandoned round.
   task.next_due = Now() + task.descriptor.round_cadence;

@@ -49,8 +49,6 @@ class CoordinatorActor final : public actor::Actor {
   void OnStop() override;
   void OnMessage(const actor::Envelope& env) override;
 
-  std::uint64_t rounds_committed() const { return rounds_committed_; }
-  std::uint64_t rounds_abandoned() const { return rounds_abandoned_; }
   bool round_active() const { return active_.has_value(); }
   std::optional<ActorId> active_master() const {
     return active_.has_value() ? std::optional<ActorId>(active_->master)
@@ -80,6 +78,9 @@ class CoordinatorActor final : public actor::Actor {
   void StartRound(std::size_t task_index);
   void HandleComplete(const MsgRoundComplete& msg);
   void HandleAbandoned(const MsgRoundAbandoned& msg);
+  // The coordinator's final verdict for a round (kind round_outcome).
+  void EmitOutcome(analytics::LifecycleEvent e);
+  void EmitError(RoundId round, std::string_view what);
   void BroadcastQuota();
   void RefreshModelBytes();
   std::optional<std::size_t> NextDueTask() const;
@@ -91,8 +92,6 @@ class CoordinatorActor final : public actor::Actor {
   std::shared_ptr<const Checkpoint> model_;
   std::map<ActorId, std::size_t> selector_waiting_;
   std::uint64_t round_counter_ = 0;
-  std::uint64_t rounds_committed_ = 0;
-  std::uint64_t rounds_abandoned_ = 0;
   std::size_t rotation_cursor_ = 0;
 };
 

@@ -17,9 +17,15 @@ bool ServerFrontend::CheckIn(const CheckInRequest& request, DeviceLink link) {
   // Attestation gate (Sec. 3): only genuine devices may participate.
   if (!attestation_->Verify(request.attestation)) {
     ++attestation_failures_;
-    context_->stats->OnError(system_->now(),
-                             "attestation failure from device " +
-                                 std::to_string(request.device.value));
+    const std::string what = "attestation failure from device " +
+                             std::to_string(request.device.value);
+    analytics::Emit(context_->stats,
+                    {.t = system_->now(),
+                     .source = analytics::JournalSource::kFrontend,
+                     .kind = analytics::JournalEventKind::kServerError,
+                     .device = request.device,
+                     .session = request.session,
+                     .note = what});
     return false;
   }
   if (selectors_.empty()) return false;

@@ -2,22 +2,17 @@
 
 #include <algorithm>
 
-#include "src/analytics/journal.h"
 #include "src/server/aggregator.h"
 #include "src/telemetry/trace.h"
 
 namespace fl::server {
 namespace {
 
+using analytics::JournalEventKind;
+
 template <typename T>
 const T* Cast(const actor::Envelope& env) {
   return std::any_cast<T>(&env.payload);
-}
-
-void JournalRound(SimTime now, RoundId round,
-                  analytics::JournalEventKind kind, std::string detail) {
-  analytics::AppendJournal(now, analytics::JournalSource::kMaster, kind,
-                           DeviceId{}, SessionId{}, round, std::move(detail));
 }
 
 }  // namespace
@@ -28,30 +23,37 @@ MasterAggregatorActor::MasterAggregatorActor(Init init)
   combined_.emplace(init_.aggregation_op, *init_.global_model);
 }
 
+void MasterAggregatorActor::EmitRound(analytics::LifecycleEvent e) {
+  e.t = Now();
+  e.source = analytics::JournalSource::kMaster;
+  e.round = init_.round;
+  analytics::Emit(init_.context->stats, e);
+}
+
+void MasterAggregatorActor::RejectLink(DeviceLink& link,
+                                       analytics::FlightReason reason,
+                                       const char* why) {
+  EmitRound({.kind = JournalEventKind::kCheckinRejected,
+             .device = link.device,
+             .session = link.session,
+             .reason = reason});
+  link.reject(RejectionNotice{
+      init_.context->pace->SuggestWindow(
+          Now(), init_.context->estimated_population, Duration{},
+          *init_.context->rng),
+      why});
+}
+
 void MasterAggregatorActor::OnStart() {
   started_at_ = Now();
   OpenRoundSpans();
   const telemetry::ScopedTraceContext scope(RoundCtx());
-  analytics::RecordFlight(
-      Now(), analytics::JournalSource::kMaster,
-      analytics::JournalEventKind::kRoundOpen, DeviceId{}, SessionId{},
-      init_.round, static_cast<std::uint32_t>(init_.config.goal_count),
-      static_cast<std::uint16_t>(
-          std::min<std::size_t>(init_.config.MinReportCount(), 0xffff)));
-  analytics::RecordFlight(Now(), analytics::JournalSource::kMaster,
-                          analytics::JournalEventKind::kPhase, DeviceId{},
-                          SessionId{}, init_.round, 0);
-  if (analytics::JournalEnabled()) {
-    JournalRound(Now(), init_.round, analytics::JournalEventKind::kRoundOpen,
-                 "task=" + std::to_string(init_.task.value) +
-                     " goal=" + std::to_string(init_.config.goal_count) +
-                     " target=" +
-                     std::to_string(init_.config.SelectionTarget()) +
-                     " min_report=" +
-                     std::to_string(init_.config.MinReportCount()));
-    JournalRound(Now(), init_.round, analytics::JournalEventKind::kPhase,
-                 "phase=selection");
-  }
+  EmitRound({.kind = JournalEventKind::kRoundOpen,
+             .a = init_.config.goal_count,
+             .b = init_.config.MinReportCount(),
+             .c = init_.task.value,
+             .d = init_.config.SelectionTarget()});
+  EmitRound({.kind = JournalEventKind::kPhase, .a = 0});
   SendAfter(init_.config.selection_timeout, id(),
             MsgSelectionTimeout{init_.round});
   // Ephemeral end of life: outlive the reporting window (plus straggler
@@ -112,27 +114,12 @@ void MasterAggregatorActor::HandleForwarded(std::vector<DeviceLink> links) {
     if (phase_ != Phase::kSelection ||
         pending_links_.size() >= init_.config.SelectionTarget()) {
       // Over-selection target met; turn extras away with a retry window.
-      analytics::RecordFlight(
-          Now(), analytics::JournalSource::kMaster,
-          analytics::JournalEventKind::kCheckinRejected, link.device,
-          link.session, init_.round, 0,
-          static_cast<std::uint16_t>(analytics::FlightReason::kRoundFull));
-      if (analytics::JournalEnabled()) {
-        analytics::AppendJournal(
-            Now(), analytics::JournalSource::kMaster,
-            analytics::JournalEventKind::kCheckinRejected, link.device,
-            link.session, init_.round, "reason=round_full");
-      }
-      link.reject(RejectionNotice{
-          init_.context->pace->SuggestWindow(
-              Now(), init_.context->estimated_population, Duration{},
-              *init_.context->rng),
-          "round full"});
-      init_.context->stats->OnDeviceRejected(Now());
+      RejectLink(link, analytics::FlightReason::kRoundFull, "round full");
       continue;
     }
-    init_.context->stats->OnDeviceAccepted(Now());
-    ++devices_received_;
+    EmitRound({.kind = JournalEventKind::kMasterAccept,
+               .device = link.device,
+               .session = link.session});
     pending_links_.push_back(std::move(link));
   }
   if (phase_ == Phase::kSelection &&
@@ -174,14 +161,9 @@ void MasterAggregatorActor::BeginReporting() {
   // Aggregator spawns, configure messages, and the reporting-deadline timer
   // below all inherit this round's context.
   const telemetry::ScopedTraceContext scope(RoundCtx());
-  analytics::RecordFlight(Now(), analytics::JournalSource::kMaster,
-                          analytics::JournalEventKind::kPhase, DeviceId{},
-                          SessionId{}, init_.round, 1);
-  if (analytics::JournalEnabled()) {
-    JournalRound(Now(), init_.round, analytics::JournalEventKind::kPhase,
-                 "phase=configuration devices=" +
-                     std::to_string(pending_links_.size()));
-  }
+  EmitRound({.kind = JournalEventKind::kPhase,
+             .a = 1,
+             .b = pending_links_.size()});
   // The configuration phase (plan/model push to the cohort) is a single
   // simulated instant here: the span pair still marks the boundary between
   // the Sec. 2.2 windows in the trace.
@@ -231,14 +213,9 @@ void MasterAggregatorActor::BeginReporting() {
     tracer.End(config_span, Now());
     reporting_span_ = tracer.Begin("phase:reporting", Now(), round_span_);
   }
-  analytics::RecordFlight(Now(), analytics::JournalSource::kMaster,
-                          analytics::JournalEventKind::kPhase, DeviceId{},
-                          SessionId{}, init_.round, 2);
-  if (analytics::JournalEnabled()) {
-    JournalRound(Now(), init_.round, analytics::JournalEventKind::kPhase,
-                 "phase=reporting aggregators=" +
-                     std::to_string(aggregators_.size()));
-  }
+  EmitRound({.kind = JournalEventKind::kPhase,
+             .a = 2,
+             .b = aggregators_.size()});
   SendAfter(init_.config.reporting_deadline, id(),
             MsgReportingDeadline{init_.round});
 }
@@ -264,13 +241,7 @@ void MasterAggregatorActor::FlushAll() {
   flushed_ = true;
   phase_ = Phase::kClosing;
   const telemetry::ScopedTraceContext scope(RoundCtx());
-  analytics::RecordFlight(Now(), analytics::JournalSource::kMaster,
-                          analytics::JournalEventKind::kPhase, DeviceId{},
-                          SessionId{}, init_.round, 3);
-  if (analytics::JournalEnabled()) {
-    JournalRound(Now(), init_.round, analytics::JournalEventKind::kPhase,
-                 "phase=closing accepted=" + std::to_string(total_accepted_));
-  }
+  EmitRound({.kind = JournalEventKind::kPhase, .a = 3, .b = total_accepted_});
   for (const auto& [agg, st] : aggregators_) {
     if (!st.done) Send(agg, MsgFlush{});
   }
@@ -291,10 +262,12 @@ void MasterAggregatorActor::HandleAggregatorResult(
                                               msg.weight_sum,
                                               msg.contributors);
     if (!s.ok()) {
-      init_.context->stats->OnError(Now(), s.ToString());
+      const std::string what = s.ToString();
+      EmitRound({.kind = JournalEventKind::kServerError, .note = what});
     }
   } else if (!msg.error.empty()) {
-    init_.context->stats->OnError(Now(), "aggregator failed: " + msg.error);
+    const std::string what = "aggregator failed: " + msg.error;
+    EmitRound({.kind = JournalEventKind::kServerError, .note = what});
   }
   // The aggregator stays alive to '#'-reject its stragglers; it reaps
   // itself at end of life (MsgSelfStop).
@@ -313,7 +286,8 @@ void MasterAggregatorActor::HandleAggregatorDeath(ActorId who) {
     if (a != who) total_accepted_ += st.accepted;
   }
   it->second.accepted = 0;
-  init_.context->stats->OnError(Now(), "aggregator crashed; cohort lost");
+  EmitRound({.kind = JournalEventKind::kServerError,
+             .note = "aggregator crashed; cohort lost"});
   MaybeFinishRound();
 }
 
@@ -333,26 +307,17 @@ void MasterAggregatorActor::MaybeFinishRound() {
     done.selection_duration = configured_at_ - started_at_;
     done.round_duration = Now() - started_at_;
     CloseRoundSpans("committed", contributors);
-    analytics::RecordFlight(
-        Now(), analytics::JournalSource::kMaster,
-        analytics::JournalEventKind::kRoundCommit, DeviceId{}, SessionId{},
-        init_.round, static_cast<std::uint32_t>(contributors),
-        static_cast<std::uint16_t>(
-            std::min<std::size_t>(init_.config.MinReportCount(), 0xffff)));
-    if (analytics::JournalEnabled()) {
-      // wire_bytes sums the per-aggregator cumulative accepted upload bytes
-      // (crashed cohorts included), so it equals the sum of the journaled
-      // per-accept wire_bytes — fl_analyze checks that as an invariant.
-      std::uint64_t wire_bytes = 0;
-      for (const auto& [a, st] : aggregators_) wire_bytes += st.wire_bytes;
-      JournalRound(Now(), init_.round,
-                   analytics::JournalEventKind::kRoundCommit,
-                   "contributors=" + std::to_string(contributors) +
-                       " min_report=" +
-                       std::to_string(init_.config.MinReportCount()) +
-                       " wire_bytes=" + std::to_string(wire_bytes) +
-                       " codec=" + protocol::RoundCodecName(init_.config));
-    }
+    // wire_bytes sums the per-aggregator cumulative accepted upload bytes
+    // (crashed cohorts included), so it equals the sum of the journaled
+    // per-accept wire_bytes — fl_analyze checks that as an invariant.
+    std::uint64_t wire_bytes = 0;
+    for (const auto& [a, st] : aggregators_) wire_bytes += st.wire_bytes;
+    const std::string codec = protocol::RoundCodecName(init_.config);
+    EmitRound({.kind = JournalEventKind::kRoundCommit,
+               .a = contributors,
+               .b = init_.config.MinReportCount(),
+               .c = wire_bytes,
+               .note = codec});
     Send(init_.coordinator, std::move(done));
   } else {
     Abandon(protocol::RoundOutcome::kAbandonedReporting,
@@ -369,37 +334,15 @@ void MasterAggregatorActor::Abandon(protocol::RoundOutcome outcome,
   const telemetry::ScopedTraceContext scope(RoundCtx());
   CloseRoundSpans(protocol::RoundOutcomeName(outcome),
                   combined_->contributions());
-  analytics::RecordFlight(
-      Now(), analytics::JournalSource::kMaster,
-      analytics::JournalEventKind::kRoundAbandoned, DeviceId{}, SessionId{},
-      init_.round, static_cast<std::uint32_t>(combined_->contributions()),
-      analytics::PackOutcomeReason(outcome, flight_reason));
-  if (analytics::JournalEnabled()) {
-    JournalRound(Now(), init_.round,
-                 analytics::JournalEventKind::kRoundAbandoned,
-                 "outcome=" + std::string(protocol::RoundOutcomeName(outcome)) +
-                     " reason=" + reason);
-  }
+  EmitRound({.kind = JournalEventKind::kRoundAbandoned,
+             .a = combined_->contributions(),
+             .reason = flight_reason,
+             .outcome = outcome,
+             .note = reason});
   // Turn away anything still buffered from selection.
   for (DeviceLink& link : pending_links_) {
-    analytics::RecordFlight(
-        Now(), analytics::JournalSource::kMaster,
-        analytics::JournalEventKind::kCheckinRejected, link.device,
-        link.session, init_.round, 0,
-        static_cast<std::uint16_t>(
-            analytics::FlightReason::kRoundAbandonedReject));
-    if (analytics::JournalEnabled()) {
-      analytics::AppendJournal(
-          Now(), analytics::JournalSource::kMaster,
-          analytics::JournalEventKind::kCheckinRejected, link.device,
-          link.session, init_.round, "reason=round_abandoned");
-    }
-    link.reject(RejectionNotice{
-        init_.context->pace->SuggestWindow(
-            Now(), init_.context->estimated_population, Duration{},
-            *init_.context->rng),
-        "round abandoned"});
-    init_.context->stats->OnDeviceRejected(Now());
+    RejectLink(link, analytics::FlightReason::kRoundAbandonedReject,
+               "round abandoned");
   }
   pending_links_.clear();
   for (const auto& [agg, st] : aggregators_) {

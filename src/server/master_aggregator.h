@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "src/actor/actor.h"
-#include "src/analytics/flight_dump.h"
+#include "src/analytics/lifecycle.h"
 #include "src/fedavg/server_aggregate.h"
 #include "src/server/messages.h"
 #include "src/server/task.h"
@@ -41,7 +41,6 @@ class MasterAggregatorActor final : public actor::Actor {
   void OnStart() override;
   void OnMessage(const actor::Envelope& env) override;
 
-  std::size_t devices_received() const { return devices_received_; }
   std::size_t aggregator_count() const { return aggregators_.size(); }
 
  private:
@@ -60,6 +59,11 @@ class MasterAggregatorActor final : public actor::Actor {
   void MaybeFinishRound();
   void Abandon(protocol::RoundOutcome outcome, const std::string& reason,
                analytics::FlightReason flight_reason);
+  // Emits a master-sourced lifecycle event for this round.
+  void EmitRound(analytics::LifecycleEvent e);
+  // Turns a forwarded device away with a pace-steered retry window.
+  void RejectLink(DeviceLink& link, analytics::FlightReason reason,
+                  const char* why);
   // This round's causal context, installed around every send so timers,
   // aggregator spawns, and coordinator messages carry the round + its span.
   telemetry::TraceContext RoundCtx() const {
@@ -71,7 +75,6 @@ class MasterAggregatorActor final : public actor::Actor {
   SimTime started_at_;
   SimTime configured_at_;
   std::vector<DeviceLink> pending_links_;  // buffered during selection
-  std::size_t devices_received_ = 0;
 
   struct AggState {
     bool done = false;

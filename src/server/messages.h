@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "src/analytics/flight_dump.h"
+#include "src/analytics/lifecycle.h"
 #include "src/common/bytes.h"
 #include "src/common/id.h"
 #include "src/device/attestation.h"
@@ -190,8 +190,6 @@ struct MsgForwardDevices {
 struct MsgSelectorStatus {
   ActorId selector;
   std::size_t waiting = 0;
-  std::uint64_t total_accepted = 0;
-  std::uint64_t total_rejected = 0;
 };
 
 // Selector -> Master Aggregator.

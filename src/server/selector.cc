@@ -1,8 +1,5 @@
 #include "src/server/selector.h"
 
-#include "src/analytics/flight_dump.h"
-#include "src/analytics/journal.h"
-
 namespace fl::server {
 namespace {
 
@@ -51,43 +48,36 @@ void SelectorActor::OnMessage(const actor::Envelope& env) {
   }
 }
 
+void SelectorActor::EmitCheckin(analytics::JournalEventKind kind,
+                                const DeviceLink& link,
+                                analytics::FlightReason reason) {
+  analytics::Emit(init_.context->stats,
+                  {.t = Now(),
+                   .source = analytics::JournalSource::kSelector,
+                   .kind = kind,
+                   .device = link.device,
+                   .session = link.session,
+                   .reason = reason});
+}
+
 void SelectorActor::RejectLink(const DeviceLink& link,
-                               const std::string& reason) {
-  ++total_rejected_;
-  init_.context->stats->OnDeviceRejected(Now());
-  analytics::RecordFlight(
-      Now(), analytics::JournalSource::kSelector,
-      analytics::JournalEventKind::kCheckinRejected, link.device, link.session,
-      RoundId{}, 0,
-      static_cast<std::uint16_t>(analytics::FlightReasonForDetail(reason)));
-  if (analytics::JournalEnabled()) {
-    analytics::AppendJournal(Now(), analytics::JournalSource::kSelector,
-                             analytics::JournalEventKind::kCheckinRejected,
-                             link.device, link.session, RoundId{},
-                             "reason=" + reason);
-  }
+                               analytics::FlightReason reason) {
+  EmitCheckin(analytics::JournalEventKind::kCheckinRejected, link, reason);
   link.reject(RejectionNotice{
       init_.context->pace->SuggestWindow(Now(),
                                          init_.context->estimated_population,
                                          Duration{}, *init_.context->rng),
-      reason});
+      analytics::FlightReasonName(reason)});
 }
 
 void SelectorActor::HandleArrival(const MsgDeviceArrived& msg) {
   // Local accept/reject decision based on the Coordinator's quota.
   if (!accepting_ || waiting_.size() >= quota_max_waiting_) {
-    RejectLink(msg.link, accepting_ ? "waiting pool full" : "not accepting");
+    RejectLink(msg.link, accepting_ ? analytics::FlightReason::kWaitingPoolFull
+                                    : analytics::FlightReason::kNotAccepting);
     return;
   }
-  ++total_accepted_;
-  analytics::RecordFlight(Now(), analytics::JournalSource::kSelector,
-                          analytics::JournalEventKind::kCheckinAccepted,
-                          msg.link.device, msg.link.session);
-  if (analytics::JournalEnabled()) {
-    analytics::AppendJournal(Now(), analytics::JournalSource::kSelector,
-                             analytics::JournalEventKind::kCheckinAccepted,
-                             msg.link.device, msg.link.session);
-  }
+  EmitCheckin(analytics::JournalEventKind::kCheckinAccepted, msg.link);
   waiting_.push_back(msg.link);
 }
 
@@ -96,7 +86,7 @@ void SelectorActor::HandleQuota(const MsgSelectorQuota& msg) {
   quota_max_waiting_ = msg.max_waiting;
   // Shed over-quota waiters with retry windows.
   while (waiting_.size() > quota_max_waiting_) {
-    RejectLink(waiting_.front(), "quota reduced");
+    RejectLink(waiting_.front(), analytics::FlightReason::kQuotaReduced);
     waiting_.pop_front();
   }
 }
@@ -119,12 +109,10 @@ void SelectorActor::HandleTick() {
   // open stream past any useful round).
   const SimTime cutoff = Now() - init_.max_hold;
   while (!waiting_.empty() && waiting_.front().connected_at < cutoff) {
-    RejectLink(waiting_.front(), "held too long");
+    RejectLink(waiting_.front(), analytics::FlightReason::kHeldTooLong);
     waiting_.pop_front();
   }
-  Send(init_.coordinator,
-       MsgSelectorStatus{id(), waiting_.size(), total_accepted_,
-                         total_rejected_});
+  Send(init_.coordinator, MsgSelectorStatus{id(), waiting_.size()});
   SendAfter(init_.tick_period, id(), MsgSelectorTick{});
 }
 

@@ -43,8 +43,6 @@ class SelectorActor final : public actor::Actor {
   void OnMessage(const actor::Envelope& env) override;
 
   std::size_t waiting() const { return waiting_.size(); }
-  std::uint64_t total_accepted() const { return total_accepted_; }
-  std::uint64_t total_rejected() const { return total_rejected_; }
 
  private:
   void HandleArrival(const MsgDeviceArrived& msg);
@@ -52,14 +50,14 @@ class SelectorActor final : public actor::Actor {
   void HandleForward(const MsgForwardDevices& msg);
   void HandleTick();
   void HandleCoordinatorDeath(bool crashed);
-  void RejectLink(const DeviceLink& link, const std::string& reason);
+  void EmitCheckin(analytics::JournalEventKind kind, const DeviceLink& link,
+                   analytics::FlightReason reason = {});
+  void RejectLink(const DeviceLink& link, analytics::FlightReason reason);
 
   Init init_;
   std::deque<DeviceLink> waiting_;
   bool accepting_ = true;
   std::size_t quota_max_waiting_;
-  std::uint64_t total_accepted_ = 0;
-  std::uint64_t total_rejected_ = 0;
 };
 
 }  // namespace fl::server

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "src/analytics/lifecycle.h"
 #include "src/common/id.h"
 #include "src/common/rng.h"
 #include "src/plan/versioning.h"
@@ -13,7 +14,6 @@
 #include "src/protocol/round_config.h"
 #include "src/server/lock_service.h"
 #include "src/server/model_store.h"
-#include "src/server/stats.h"
 
 namespace fl::server {
 
@@ -41,7 +41,9 @@ PlanBytesByVersion SerializePlanSet(const plan::VersionedPlanSet& plans);
 struct ServerContext {
   LockService* locks = nullptr;
   ModelStore* model_store = nullptr;
-  ServerStatsSink* stats = nullptr;
+  // Every actor reports its lifecycle facts through analytics::Emit() into
+  // this sink (null: ring + journal only).
+  analytics::LifecycleSink* stats = nullptr;
   const protocol::PaceSteeringPolicy* pace = nullptr;
   Rng* rng = nullptr;  // server-side randomness (single-threaded sim use)
   std::size_t estimated_population = 0;  // updated by the embedder

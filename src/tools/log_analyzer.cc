@@ -150,8 +150,8 @@ class Analyzer {
         SessionState& st = sessions_[rec.session];
         st.closed = true;
         ++report_.sessions_closed;
-        // The tally mirrors FleetStats::OnSessionTrace: only sessions with
-        // at least two events enter the Table 1 distribution.
+        // The tally mirrors FleetStats' session_end rule: only sessions
+        // with at least two events enter the Table 1 distribution.
         if (st.events.size() >= 2) {
           analytics::SessionTrace trace;
           trace.session = rec.session;

@@ -73,7 +73,7 @@ struct AnalysisReport {
   std::size_t sessions_closed = 0;  // session_end seen
   std::size_t sessions_open = 0;    // trailing sessions without session_end
   // Table 1 distribution over closed sessions with >= 2 events — the same
-  // rule FleetStats::OnSessionTrace applies, so a journal replay of a run
+  // rule FleetStats applies at session_end, so a journal replay of a run
   // reproduces the in-process tally exactly.
   analytics::SessionShapeTally tally;
   std::vector<RoundTimeline> rounds;

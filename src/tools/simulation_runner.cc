@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/analytics/journal.h"
+#include "src/analytics/lifecycle.h"
 #include "src/common/thread_pool.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/trace.h"
@@ -184,12 +184,10 @@ Result<SimulationResult> RunFedAvgSimulation(
     if (round_span.id() != 0) {
       round_span.AddAttr("round", std::to_string(round));
     }
-    if (analytics::JournalEnabled()) {
-      analytics::AppendJournal(
-          SimTime{}, analytics::JournalSource::kSim,
-          analytics::JournalEventKind::kSimRoundStart, DeviceId{}, SessionId{},
-          RoundId{round}, "want=" + std::to_string(config.clients_per_round));
-    }
+    analytics::Emit(nullptr, {.source = analytics::JournalSource::kSim,
+                              .kind = analytics::JournalEventKind::kSimRoundStart,
+                              .round = RoundId{round},
+                              .a = config.clients_per_round});
     acc.Reset();
     const std::vector<PlannedClient> planned =
         PlanRound(rng, client_data, config);
@@ -203,12 +201,11 @@ Result<SimulationResult> RunFedAvgSimulation(
                           ": no client produced an update");
     }
     FL_RETURN_IF_ERROR(acc.FinalizeInPlace(global));
-    if (analytics::JournalEnabled()) {
-      analytics::AppendJournal(
-          SimTime{}, analytics::JournalSource::kSim,
-          analytics::JournalEventKind::kSimRoundComplete, DeviceId{},
-          SessionId{}, RoundId{round}, "got=" + std::to_string(got));
-    }
+    analytics::Emit(nullptr,
+                    {.source = analytics::JournalSource::kSim,
+                     .kind = analytics::JournalEventKind::kSimRoundComplete,
+                     .round = RoundId{round},
+                     .a = got});
 
     RoundPoint point;
     point.round = round;

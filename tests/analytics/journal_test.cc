@@ -1,5 +1,7 @@
 #include "src/analytics/journal.h"
 
+#include "src/analytics/lifecycle.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -122,11 +124,21 @@ TEST(JournalSinkTest, WritesHeaderAndRecordsAndGatesEnabled) {
   EXPECT_TRUE(journal.is_open());
   EXPECT_FALSE(journal.Open(path).ok());  // double-open refused
 
-  AppendJournal(SimTime{5}, JournalSource::kDevice,
-                JournalEventKind::kCheckin, DeviceId{1}, SessionId{100});
-  AppendJournal(SimTime{9}, JournalSource::kSelector,
-                JournalEventKind::kCheckinAccepted, DeviceId{1},
-                SessionId{100});
+  Emit(nullptr, {.t = SimTime{5},
+                 .source = JournalSource::kDevice,
+                 .kind = JournalEventKind::kCheckin,
+                 .device = DeviceId{1},
+                 .session = SessionId{100}});
+  Emit(nullptr, {.t = SimTime{9},
+                 .source = JournalSource::kSelector,
+                 .kind = JournalEventKind::kCheckinAccepted,
+                 .device = DeviceId{1},
+                 .session = SessionId{100}});
+  // Reducer-only kinds never reach the journal.
+  Emit(nullptr, {.t = SimTime{9},
+                 .source = JournalSource::kAggregator,
+                 .kind = JournalEventKind::kTraffic,
+                 .a = 100});
   EXPECT_EQ(journal.events_written(), 2u);
   journal.Close();
   EXPECT_FALSE(JournalEnabled());

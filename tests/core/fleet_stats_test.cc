@@ -6,15 +6,49 @@ namespace fl::core {
 namespace {
 
 using analytics::DeviceState;
+using analytics::JournalEventKind;
+using analytics::LifecycleEvent;
 using protocol::ParticipantOutcome;
 using protocol::RoundOutcome;
 
+// The coordinator's verdict; committed rounds carry their phase timings.
+LifecycleEvent Outcome(SimTime t, RoundId round, RoundOutcome outcome,
+                       std::size_t contributors, Duration selection = {},
+                       Duration total = {}) {
+  return {.t = t,
+          .source = analytics::JournalSource::kCoordinator,
+          .kind = JournalEventKind::kRoundOutcome,
+          .round = round,
+          .a = contributors,
+          .b = static_cast<std::uint64_t>(selection.millis),
+          .c = static_cast<std::uint64_t>(total.millis),
+          .outcome = outcome};
+}
+
+LifecycleEvent Participant(SimTime t, RoundId round, DeviceId device,
+                           ParticipantOutcome outcome) {
+  return {.t = t,
+          .source = analytics::JournalSource::kAggregator,
+          .kind = JournalEventKind::kParticipantOutcome,
+          .device = device,
+          .round = round,
+          .a = static_cast<std::uint64_t>(outcome)};
+}
+
+LifecycleEvent Traffic(SimTime t, std::uint64_t down, std::uint64_t up) {
+  return {.t = t, .kind = JournalEventKind::kTraffic, .a = down, .b = up};
+}
+
+LifecycleEvent SessionFact(JournalEventKind kind, std::uint64_t session) {
+  return {.kind = kind, .session = SessionId{session}};
+}
+
 TEST(FleetStatsTest, RoundOutcomeCountsAndSeries) {
   FleetStats stats(SimTime{0}, Minutes(10));
-  stats.OnRoundOutcome(SimTime{Minutes(5).millis}, RoundId{1},
-                       RoundOutcome::kCommitted, 20);
-  stats.OnRoundOutcome(SimTime{Minutes(15).millis}, RoundId{2},
-                       RoundOutcome::kAbandonedReporting, 0);
+  stats.On(Outcome(SimTime{Minutes(5).millis}, RoundId{1},
+                   RoundOutcome::kCommitted, 20));
+  stats.On(Outcome(SimTime{Minutes(15).millis}, RoundId{2},
+                   RoundOutcome::kAbandonedReporting, 0));
   EXPECT_EQ(stats.rounds_committed(), 1u);
   EXPECT_EQ(stats.rounds_abandoned(), 1u);
   EXPECT_DOUBLE_EQ(stats.round_completions().Sum(0), 1.0);
@@ -26,8 +60,8 @@ TEST(FleetStatsTest, RoundOutcomeCountsAndSeries) {
 
 TEST(FleetStatsTest, TimingPatchesTheMatchingLogRow) {
   FleetStats stats(SimTime{0}, Minutes(10));
-  stats.OnRoundOutcome(SimTime{1}, RoundId{7}, RoundOutcome::kCommitted, 5);
-  stats.OnRoundTiming(SimTime{1}, RoundId{7}, Minutes(2), Minutes(6));
+  stats.On(Outcome(SimTime{1}, RoundId{7}, RoundOutcome::kCommitted, 5,
+                   Minutes(2), Minutes(6)));
   ASSERT_TRUE(stats.round_log()[0].has_timing);
   EXPECT_EQ(stats.round_log()[0].selection_duration, Minutes(2));
   EXPECT_EQ(stats.round_log()[0].round_duration, Minutes(6));
@@ -37,13 +71,16 @@ TEST(FleetStatsTest, TimingPatchesTheMatchingLogRow) {
 TEST(FleetStatsTest, ParticipantOutcomesBucketPerRound) {
   FleetStats stats(SimTime{0}, Minutes(10));
   const RoundId r{3};
-  stats.OnParticipantOutcome(SimTime{1}, r, DeviceId{1},
-                             ParticipantOutcome::kCompleted);
-  stats.OnParticipantOutcome(SimTime{1}, r, DeviceId{2},
-                             ParticipantOutcome::kRejectedLate);
-  stats.OnParticipantOutcome(SimTime{1}, r, DeviceId{3},
-                             ParticipantOutcome::kAborted);
-  stats.OnDeviceDrop(SimTime{1}, r, DeviceId{4});
+  stats.On(Participant(SimTime{1}, r, DeviceId{1},
+                       ParticipantOutcome::kCompleted));
+  stats.On(Participant(SimTime{1}, r, DeviceId{2},
+                       ParticipantOutcome::kRejectedLate));
+  stats.On(Participant(SimTime{1}, r, DeviceId{3},
+                       ParticipantOutcome::kAborted));
+  stats.On({.t = SimTime{1},
+            .kind = JournalEventKind::kDeviceDrop,
+            .device = DeviceId{4},
+            .round = r});
   const auto& counts = stats.per_round().at(r);
   EXPECT_EQ(counts.completed, 1u);
   EXPECT_EQ(counts.aborted, 2u);  // late + aborted fold together (Fig. 7)
@@ -65,31 +102,41 @@ TEST(FleetStatsTest, StateTransitionsDriveSampledSeries) {
 
 TEST(FleetStatsTest, TrafficTotalsAccumulate) {
   FleetStats stats(SimTime{0}, Minutes(10));
-  stats.OnTraffic(SimTime{1}, 1000, 0);
-  stats.OnTraffic(SimTime{2}, 0, 300);
-  stats.OnTraffic(SimTime{3}, 500, 200);
+  stats.On(Traffic(SimTime{1}, 1000, 0));
+  stats.On(Traffic(SimTime{2}, 0, 300));
+  stats.On(Traffic(SimTime{3}, 500, 200));
   EXPECT_EQ(stats.total_download_bytes(), 1500u);
   EXPECT_EQ(stats.total_upload_bytes(), 500u);
 }
 
 TEST(FleetStatsTest, ShortTracesExcludedFromTableOne) {
   FleetStats stats(SimTime{0}, Minutes(10));
-  analytics::SessionTrace rejected_only;
-  rejected_only.events = {analytics::SessionEvent::kCheckin};
-  stats.OnSessionTrace(rejected_only);  // a bare rejection, not a session
+  // A bare rejection, not a session.
+  stats.On(SessionFact(JournalEventKind::kCheckin, 1));
+  stats.On(SessionFact(JournalEventKind::kSessionEnd, 1));
   EXPECT_EQ(stats.shapes().total(), 0u);
-  analytics::SessionTrace real;
-  real.events = {analytics::SessionEvent::kCheckin,
-                 analytics::SessionEvent::kDownloadedPlan};
-  stats.OnSessionTrace(real);
+  stats.On(SessionFact(JournalEventKind::kCheckin, 2));
+  stats.On(SessionFact(JournalEventKind::kPlanDownloaded, 2));
+  stats.On(SessionFact(JournalEventKind::kSessionEnd, 2));
   EXPECT_EQ(stats.shapes().total(), 1u);
+  EXPECT_NEAR(stats.shapes().Fraction("-v"), 1.0, 1e-9);
 }
 
 TEST(FleetStatsTest, ErrorsCounted) {
   FleetStats stats(SimTime{0}, Minutes(10));
-  stats.OnError(SimTime{1}, "boom");
-  stats.OnError(SimTime{2}, "bang");
-  EXPECT_EQ(stats.errors(), 2u);
+  stats.On({.t = SimTime{1},
+            .kind = JournalEventKind::kServerError,
+            .note = "boom"});
+  stats.On({.t = SimTime{2},
+            .kind = JournalEventKind::kServerError,
+            .note = "bang"});
+  // A corrupt report is an error (and a drop) without a separate record.
+  stats.On({.t = SimTime{3},
+            .kind = JournalEventKind::kReportRejected,
+            .round = RoundId{1},
+            .reason = analytics::FlightReason::kCorrupt});
+  EXPECT_EQ(stats.errors(), 3u);
+  EXPECT_EQ(stats.per_round().at(RoundId{1}).dropped, 1u);
 }
 
 }  // namespace

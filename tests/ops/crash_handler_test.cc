@@ -15,8 +15,8 @@
 #include <fstream>
 #include <string>
 
-#include "src/analytics/flight_dump.h"
 #include "src/analytics/journal.h"
+#include "src/analytics/lifecycle.h"
 #include "src/telemetry/flight_recorder.h"
 
 namespace fl::ops {
@@ -33,9 +33,11 @@ std::string ReadFileOrEmpty(const std::string& path) {
 TEST(CrashHandlerTest, WriteCrashDumpEmitsFlightRecords) {
   telemetry::FlightRecorder::Global().Clear();
   telemetry::SetFlightRecorderEnabled(true);
-  analytics::RecordFlight(SimTime{42}, analytics::JournalSource::kDevice,
-                          analytics::JournalEventKind::kTrainStart,
-                          DeviceId{5}, SessionId{6}, RoundId{7});
+  analytics::Emit(nullptr, {.t = SimTime{42},
+                            .kind = analytics::JournalEventKind::kTrainStart,
+                            .device = DeviceId{5},
+                            .session = SessionId{6},
+                            .round = RoundId{7}});
   const std::string path = ::testing::TempDir() + "crash-direct.log";
   EXPECT_EQ(WriteCrashDump(path.c_str()), 1u);
   const std::string text = ReadFileOrEmpty(path);
@@ -58,20 +60,26 @@ TEST(CrashHandlerTest, FatalSignalDumpsFlightRecorderAndFlushesJournal) {
   const pid_t pid = ::fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    // Child. Journal a couple of events (well under the 64 KiB flush
-    // threshold, so only the crash-path flush can persist them), record
-    // flight events, install the handler, die.
+    // Child. Emit a few events (well under the 64 KiB journal flush
+    // threshold, so only the crash-path flush can persist them), install
+    // the handler, die.
     if (!analytics::Journal::Global().Open(journal_path).ok()) _exit(10);
-    analytics::AppendJournal(SimTime{1}, analytics::JournalSource::kDevice,
-                             analytics::JournalEventKind::kCheckin,
-                             DeviceId{9}, SessionId{90});
-    analytics::AppendJournal(SimTime{2}, analytics::JournalSource::kDevice,
-                             analytics::JournalEventKind::kPlanDownloaded,
-                             DeviceId{9}, SessionId{90}, RoundId{3});
     telemetry::SetFlightRecorderEnabled(true);
-    analytics::RecordFlight(SimTime{3}, analytics::JournalSource::kDevice,
-                            analytics::JournalEventKind::kTrainStart,
-                            DeviceId{9}, SessionId{90}, RoundId{3});
+    analytics::Emit(nullptr, {.t = SimTime{1},
+                              .kind = analytics::JournalEventKind::kCheckin,
+                              .device = DeviceId{9},
+                              .session = SessionId{90}});
+    analytics::Emit(nullptr,
+                    {.t = SimTime{2},
+                     .kind = analytics::JournalEventKind::kPlanDownloaded,
+                     .device = DeviceId{9},
+                     .session = SessionId{90},
+                     .round = RoundId{3}});
+    analytics::Emit(nullptr, {.t = SimTime{3},
+                              .kind = analytics::JournalEventKind::kTrainStart,
+                              .device = DeviceId{9},
+                              .session = SessionId{90},
+                              .round = RoundId{3}});
     CrashHandlerOptions opts;
     opts.flight_dump_path = dump_path;
     if (!InstallCrashHandler(opts)) _exit(11);

@@ -10,7 +10,7 @@
 #include <fstream>
 #include <string>
 
-#include "src/analytics/flight_dump.h"
+#include "src/analytics/lifecycle.h"
 #include "src/ops/status_server.h"
 #include "src/telemetry/flight_recorder.h"
 
@@ -48,10 +48,12 @@ TEST(DebugBundleTest, CaptureWritesTheForensicFileSet) {
   const std::string dir = ::testing::TempDir() + "bundles_capture";
   telemetry::FlightRecorder::Global().Clear();
   telemetry::SetFlightRecorderEnabled(true);
-  analytics::RecordFlight(SimTime{100}, analytics::JournalSource::kMaster,
-                          analytics::JournalEventKind::kRoundOpen,
-                          DeviceId{}, SessionId{}, RoundId{1},
-                          /*aux_a=*/10, /*aux_b=*/6);
+  analytics::Emit(nullptr, {.t = SimTime{100},
+                            .source = analytics::JournalSource::kMaster,
+                            .kind = analytics::JournalEventKind::kRoundOpen,
+                            .round = RoundId{1},
+                            .a = 10,
+                            .b = 6});
 
   DiagnosticBundler bundler(TestOptions(dir), {});
   ASSERT_TRUE(bundler.enabled());

@@ -5,7 +5,9 @@
 #include <string>
 #include <vector>
 
+#include "src/analytics/flight_dump.h"
 #include "src/ops/json.h"
+#include "src/telemetry/flight_recorder.h"
 
 namespace fl::ops {
 namespace {
@@ -13,93 +15,57 @@ namespace {
 using protocol::ParticipantOutcome;
 using protocol::RoundOutcome;
 
-// Records every callback so the tee contract is checkable.
-class RecordingSink final : public server::ServerStatsSink {
- public:
-  void OnRoundOutcome(SimTime, RoundId, RoundOutcome, std::size_t) override {
-    ++round_outcomes;
-  }
-  void OnParticipantOutcome(SimTime, RoundId, DeviceId,
-                            ParticipantOutcome) override {
-    ++participant_outcomes;
-  }
-  void OnRoundTiming(SimTime, RoundId, Duration, Duration) override {
-    ++timings;
-  }
-  void OnDeviceAccepted(SimTime) override { ++accepted; }
-  void OnDeviceRejected(SimTime) override { ++rejected; }
-  void OnTraffic(SimTime, std::uint64_t down, std::uint64_t up) override {
-    download += down;
-    upload += up;
-  }
-  void OnError(SimTime, const std::string&) override { ++errors; }
-
-  int round_outcomes = 0;
-  int participant_outcomes = 0;
-  int timings = 0;
-  int accepted = 0;
-  int rejected = 0;
-  int errors = 0;
-  std::uint64_t download = 0;
-  std::uint64_t upload = 0;
-};
+using analytics::JournalEventKind;
+using analytics::LifecycleEvent;
 
 SimTime At(std::int64_t ms) { return SimTime{ms}; }
 
-TEST(RoundLedgerTest, ForwardsEverythingEvenWhenDisabled) {
-  RecordingSink inner;
-  RoundLedger ledger(&inner);
-  ASSERT_FALSE(ledger.enabled());
-
-  ledger.OnDeviceAccepted(At(1));
-  ledger.OnDeviceRejected(At(2));
-  ledger.OnParticipantOutcome(At(3), RoundId{1}, DeviceId{9},
-                              ParticipantOutcome::kCompleted);
-  ledger.OnRoundTiming(At(4), RoundId{1}, Millis(100), Millis(500));
-  ledger.OnRoundOutcome(At(5), RoundId{1}, RoundOutcome::kCommitted, 3);
-  ledger.OnTraffic(At(6), 10, 20);
-  ledger.OnError(At(7), "boom");
-
-  EXPECT_EQ(inner.round_outcomes, 1);
-  EXPECT_EQ(inner.participant_outcomes, 1);
-  EXPECT_EQ(inner.timings, 1);
-  EXPECT_EQ(inner.accepted, 1);
-  EXPECT_EQ(inner.rejected, 1);
-  EXPECT_EQ(inner.errors, 1);
-  EXPECT_EQ(inner.download, 10u);
-  EXPECT_EQ(inner.upload, 20u);
-
-  // Disabled: nothing recorded.
-  EXPECT_TRUE(ledger.Recent().empty());
-  EXPECT_EQ(ledger.totals().rounds_committed, 0u);
+LifecycleEvent Outcome(SimTime t, RoundId round, RoundOutcome outcome,
+                       std::size_t contributors, Duration selection = {},
+                       Duration total = {}) {
+  return {.t = t,
+          .source = analytics::JournalSource::kCoordinator,
+          .kind = JournalEventKind::kRoundOutcome,
+          .round = round,
+          .a = contributors,
+          .b = static_cast<std::uint64_t>(selection.millis),
+          .c = static_cast<std::uint64_t>(total.millis),
+          .outcome = outcome};
 }
 
-TEST(RoundLedgerTest, NullInnerIsFine) {
-  RoundLedger ledger;
-  ledger.set_enabled(true);
-  ledger.OnRoundOutcome(At(1), RoundId{1}, RoundOutcome::kCommitted, 2);
-  EXPECT_EQ(ledger.Recent().size(), 1u);
+LifecycleEvent Participant(SimTime t, RoundId round, DeviceId device,
+                           ParticipantOutcome outcome) {
+  return {.t = t,
+          .source = analytics::JournalSource::kAggregator,
+          .kind = JournalEventKind::kParticipantOutcome,
+          .device = device,
+          .round = round,
+          .a = static_cast<std::uint64_t>(outcome)};
+}
+
+LifecycleEvent Fact(SimTime t, JournalEventKind kind) {
+  return {.t = t, .kind = kind};
 }
 
 TEST(RoundLedgerTest, StagesParticipantsAndTimingUntilOutcome) {
   RoundLedger ledger;
   ledger.set_enabled(true);
 
-  // Everything about round 7 arrives before its outcome.
-  ledger.OnParticipantOutcome(At(1), RoundId{7}, DeviceId{1},
-                              ParticipantOutcome::kCompleted);
-  ledger.OnParticipantOutcome(At(2), RoundId{7}, DeviceId{2},
-                              ParticipantOutcome::kCompleted);
-  ledger.OnParticipantOutcome(At(3), RoundId{7}, DeviceId{3},
-                              ParticipantOutcome::kDropped);
-  ledger.OnParticipantOutcome(At(4), RoundId{7}, DeviceId{4},
-                              ParticipantOutcome::kAborted);
-  ledger.OnParticipantOutcome(At(5), RoundId{7}, DeviceId{5},
-                              ParticipantOutcome::kRejectedLate);
-  ledger.OnRoundTiming(At(6), RoundId{7}, Millis(250), Millis(1500));
+  // Every participant of round 7 arrives before its outcome.
+  ledger.On(Participant(At(1), RoundId{7}, DeviceId{1},
+                        ParticipantOutcome::kCompleted));
+  ledger.On(Participant(At(2), RoundId{7}, DeviceId{2},
+                        ParticipantOutcome::kCompleted));
+  ledger.On(Participant(At(3), RoundId{7}, DeviceId{3},
+                        ParticipantOutcome::kDropped));
+  ledger.On(Participant(At(4), RoundId{7}, DeviceId{4},
+                        ParticipantOutcome::kAborted));
+  ledger.On(Participant(At(5), RoundId{7}, DeviceId{5},
+                        ParticipantOutcome::kRejectedLate));
   EXPECT_TRUE(ledger.Recent().empty());  // not finished yet
 
-  ledger.OnRoundOutcome(At(7), RoundId{7}, RoundOutcome::kCommitted, 2);
+  ledger.On(Outcome(At(7), RoundId{7}, RoundOutcome::kCommitted, 2,
+                    Millis(250), Millis(1500)));
   const auto recent = ledger.Recent();
   ASSERT_EQ(recent.size(), 1u);
   const RoundRecord& r = recent[0];
@@ -119,21 +85,25 @@ TEST(RoundLedgerTest, StagesParticipantsAndTimingUntilOutcome) {
 TEST(RoundLedgerTest, LateParticipantOutcomeUpdatesFinishedRecord) {
   RoundLedger ledger;
   ledger.set_enabled(true);
-  ledger.OnRoundOutcome(At(1), RoundId{3}, RoundOutcome::kCommitted, 1);
+  ledger.On(Outcome(At(1), RoundId{3}, RoundOutcome::kCommitted, 1));
   // A straggler reports after the round already closed.
-  ledger.OnParticipantOutcome(At(2), RoundId{3}, DeviceId{8},
-                              ParticipantOutcome::kRejectedLate);
+  ledger.On({.t = At(2),
+             .source = analytics::JournalSource::kAggregator,
+             .kind = JournalEventKind::kReportRejected,
+             .device = DeviceId{8},
+             .round = RoundId{3},
+             .reason = analytics::FlightReason::kLate});
   const auto recent = ledger.Recent();
   ASSERT_EQ(recent.size(), 1u);
   EXPECT_EQ(recent[0].rejected_late, 1u);
 }
 
 TEST(RoundLedgerTest, CapacityEvictsOldestAndRecentIsNewestFirst) {
-  RoundLedger ledger(nullptr, /*capacity=*/3);
+  RoundLedger ledger(/*capacity=*/3);
   ledger.set_enabled(true);
   for (std::uint64_t i = 1; i <= 5; ++i) {
-    ledger.OnRoundOutcome(At(static_cast<std::int64_t>(i)), RoundId{i},
-                          RoundOutcome::kCommitted, i);
+    ledger.On(Outcome(At(static_cast<std::int64_t>(i)), RoundId{i},
+                      RoundOutcome::kCommitted, i));
   }
   const auto recent = ledger.Recent();
   ASSERT_EQ(recent.size(), 3u);
@@ -150,16 +120,14 @@ TEST(RoundLedgerTest, CapacityEvictsOldestAndRecentIsNewestFirst) {
 TEST(RoundLedgerTest, TotalsTallyOutcomesAndCheckins) {
   RoundLedger ledger;
   ledger.set_enabled(true);
-  ledger.OnRoundOutcome(At(1), RoundId{1}, RoundOutcome::kCommitted, 2);
-  ledger.OnRoundOutcome(At(2), RoundId{2}, RoundOutcome::kAbandonedSelection,
-                        0);
-  ledger.OnRoundOutcome(At(3), RoundId{3}, RoundOutcome::kAbandonedReporting,
-                        1);
-  ledger.OnRoundOutcome(At(4), RoundId{4}, RoundOutcome::kFailed, 0);
-  ledger.OnDeviceAccepted(At(5));
-  ledger.OnDeviceAccepted(At(6));
-  ledger.OnDeviceRejected(At(7));
-  ledger.OnError(At(8), "x");
+  ledger.On(Outcome(At(1), RoundId{1}, RoundOutcome::kCommitted, 2));
+  ledger.On(Outcome(At(2), RoundId{2}, RoundOutcome::kAbandonedSelection, 0));
+  ledger.On(Outcome(At(3), RoundId{3}, RoundOutcome::kAbandonedReporting, 1));
+  ledger.On(Outcome(At(4), RoundId{4}, RoundOutcome::kFailed, 0));
+  ledger.On(Fact(At(5), JournalEventKind::kMasterAccept));
+  ledger.On(Fact(At(6), JournalEventKind::kMasterAccept));
+  ledger.On(Fact(At(7), JournalEventKind::kCheckinRejected));
+  ledger.On(Fact(At(8), JournalEventKind::kServerError));
 
   const RoundLedger::Totals totals = ledger.totals();
   EXPECT_EQ(totals.rounds_committed, 1u);
@@ -172,10 +140,9 @@ TEST(RoundLedgerTest, TotalsTallyOutcomesAndCheckins) {
 TEST(RoundLedgerTest, RecentJsonIsValidAndNewestFirst) {
   RoundLedger ledger;
   ledger.set_enabled(true);
-  ledger.OnRoundTiming(At(1), RoundId{1}, Millis(100), Millis(2000));
-  ledger.OnRoundOutcome(At(2), RoundId{1}, RoundOutcome::kCommitted, 4);
-  ledger.OnRoundOutcome(At(3), RoundId{2}, RoundOutcome::kAbandonedSelection,
-                        0);
+  ledger.On(Outcome(At(2), RoundId{1}, RoundOutcome::kCommitted, 4,
+                    Millis(100), Millis(2000)));
+  ledger.On(Outcome(At(3), RoundId{2}, RoundOutcome::kAbandonedSelection, 0));
 
   const auto parsed = JsonValue::Parse(ledger.RecentJson(10));
   ASSERT_TRUE(parsed.ok()) << parsed.status().message();
@@ -207,11 +174,37 @@ TEST(RoundLedgerTest, RecentJsonIsValidAndNewestFirst) {
 TEST(RoundLedgerTest, DisableStopsRecordingButKeepsHistory) {
   RoundLedger ledger;
   ledger.set_enabled(true);
-  ledger.OnRoundOutcome(At(1), RoundId{1}, RoundOutcome::kCommitted, 1);
+  ledger.On(Outcome(At(1), RoundId{1}, RoundOutcome::kCommitted, 1));
   ledger.set_enabled(false);
-  ledger.OnRoundOutcome(At(2), RoundId{2}, RoundOutcome::kCommitted, 1);
+  ledger.On(Outcome(At(2), RoundId{2}, RoundOutcome::kCommitted, 1));
   EXPECT_EQ(ledger.Recent().size(), 1u);
   EXPECT_EQ(ledger.totals().rounds_committed, 1u);
+}
+
+// Emit() writes the ring before any reducer runs, so a diagnostic bundle
+// captured from the abandon hook already holds the triggering record.
+TEST(RoundLedgerTest, AbandonHookSeesTheTriggeringRecordInTheRing) {
+  struct Forward final : analytics::LifecycleSink {
+    RoundLedger* ledger;
+    void On(const LifecycleEvent& e) override { ledger->On(e); }
+  };
+  RoundLedger ledger;
+  Forward sink;
+  sink.ledger = &ledger;
+  std::string dump;
+  ledger.set_on_abandoned([&](SimTime, RoundId, RoundOutcome) {
+    dump = analytics::FlightDumpText();
+  });
+  telemetry::FlightRecorder::Global().Clear();
+  telemetry::SetFlightRecorderEnabled(true);
+  LifecycleEvent e = Outcome(At(5), RoundId{9}, RoundOutcome::kFailed, 0);
+  e.reason = analytics::FlightReason::kMasterLost;
+  analytics::Emit(&sink, e);
+  EXPECT_NE(dump.find("coordinator round_outcome 0 0 9 outcome=failed "
+                      "reason=master_lost"),
+            std::string::npos)
+      << dump;
+  telemetry::FlightRecorder::Global().Clear();
 }
 
 }  // namespace

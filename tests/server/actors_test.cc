@@ -52,25 +52,23 @@ class ProbeActor final : public actor::Actor {
   std::vector<MsgRoundAbandoned> abandons;
 };
 
-class CountingStats final : public ServerStatsSink {
+// Tallies the lifecycle facts the actors emit, through the same fact →
+// counter mapping the production reducers use.
+class CountingStats final : public analytics::LifecycleSink {
  public:
-  void OnRoundOutcome(SimTime, RoundId, protocol::RoundOutcome o,
-                      std::size_t) override {
-    ++outcomes[o];
-  }
-  void OnParticipantOutcome(SimTime, RoundId, DeviceId,
-                            protocol::ParticipantOutcome o) override {
-    ++participants[o];
-  }
-  void OnRoundTiming(SimTime, RoundId, Duration, Duration) override {}
-  void OnDeviceAccepted(SimTime) override { ++accepted; }
-  void OnDeviceRejected(SimTime) override { ++rejected; }
-  void OnTraffic(SimTime, std::uint64_t down, std::uint64_t up) override {
-    download += down;
-    upload += up;
-  }
-  void OnError(SimTime, const std::string& what) override {
-    errors.push_back(what);
+  void On(const analytics::LifecycleEvent& e) override {
+    if (const auto p = analytics::ParticipantOutcomeOf(e)) ++participants[*p];
+    if (analytics::IsServerError(e)) errors.emplace_back(e.note);
+    switch (e.kind) {
+      case analytics::JournalEventKind::kRoundOutcome: ++outcomes[e.outcome]; break;
+      case analytics::JournalEventKind::kMasterAccept: ++accepted; break;
+      case analytics::JournalEventKind::kCheckinRejected: ++rejected; break;
+      case analytics::JournalEventKind::kTraffic:
+        download += e.a;
+        upload += e.b;
+        break;
+      default: break;
+    }
   }
 
   std::map<protocol::RoundOutcome, int> outcomes;

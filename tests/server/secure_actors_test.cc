@@ -139,7 +139,7 @@ struct SecureHarness : public ::testing::Test {
         rng(17),
         model(graph::BuildLogisticRegression(3, 2, rng)) {
     server_context.locks = &locks;
-    server_context.stats = &stats;
+    server_context.stats = nullptr;  // ring + journal only
     server_context.pace = &pace;
     server_context.rng = &rng;
 
@@ -204,7 +204,6 @@ struct SecureHarness : public ::testing::Test {
   actor::SimContext context_obj;
   actor::ActorSystem system;
   LockService locks;
-  NullStatsSink stats;
   protocol::PaceSteeringPolicy pace;
   Rng rng;
   ServerContext server_context;

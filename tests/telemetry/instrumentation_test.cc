@@ -104,7 +104,7 @@ TEST_F(InstrumentationTest, FleetSimEmitsRoundPhaseSpansAndServerMetrics) {
   EXPECT_NE(json.find("\"name\":\"round\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"phase:selection\""), std::string::npos);
 
-  // Metrics: the TelemetryStatsSink mirrored every ServerStatsSink event.
+  // Metrics: the ServerMetrics reducer saw every lifecycle event.
   const auto snap = telemetry::MetricsRegistry::Global().Snapshot();
   EXPECT_EQ(CounterValue(snap, "fl_server_rounds_committed_total"),
             system.stats().rounds_committed());
@@ -130,7 +130,7 @@ TEST_F(InstrumentationTest, FleetSimEmitsRoundPhaseSpansAndServerMetrics) {
   ASSERT_NE(dispatch, nullptr);
   EXPECT_GT(dispatch->count, 0u);
 
-  // FleetStats still sees everything (the sink forwards).
+  // FleetStats reduces the same events.
   EXPECT_GT(system.stats().total_upload_bytes(), 0u);
 }
 
