@@ -146,6 +146,8 @@ void DeviceAgent::TryCheckin() {
 }
 
 void DeviceAgent::BeginSession(const std::string& population) {
+  // Attestation is the device's first step of check-in.
+  const profiler::ScopedPhase profile_scope(profiler::Phase::kCheckin);
   ++sessions_started_;
   ++session_counter_;
   const std::uint64_t gen = ++generation_;
@@ -274,6 +276,9 @@ void DeviceAgent::OnRejected(std::uint64_t gen,
 
 void DeviceAgent::OnAssigned(std::uint64_t gen,
                              const server::TaskAssignment& assignment) {
+  // The device half of Configuration: decoding the plan and the model.
+  const profiler::ScopedPhase profile_scope(profiler::Phase::kConfiguration,
+                                            assignment.round.value);
   Session& s = *session_;
   SetState(DeviceState::kParticipating);
   s.assigned = true;
@@ -387,6 +392,8 @@ void DeviceAgent::StartTraining(std::uint64_t gen) {
 
 void DeviceAgent::FinishTraining(std::uint64_t gen) {
   Session& s = *session_;
+  const profiler::ScopedPhase profile_scope(profiler::Phase::kTraining,
+                                            s.round.value);
   s.training = false;
   s.trained = true;
   AddTrace(SessionEvent::kTrainingCompleted);
@@ -470,6 +477,7 @@ void DeviceAgent::BeginUpload(std::uint64_t gen) {
 }
 
 void DeviceAgent::OnReportAck(std::uint64_t gen, const server::ReportAck& ack) {
+  const profiler::ScopedPhase profile_scope(profiler::Phase::kReporting);
   if (!Active(gen)) return;
   Session& s = *session_;
   s.uploading = false;

@@ -5,25 +5,38 @@
 
 namespace fl::fedavg {
 
-graph::Feeds BuildFeeds(const plan::DevicePlan& device_plan,
-                        std::span<const data::Example> batch) {
-  FL_CHECK(!batch.empty());
-  const std::size_t b = batch.size();
-  const std::size_t d = batch[0].features.size();
+namespace {
+
+// Feed tensors for the `b` examples row(0) .. row(b - 1), read in place.
+template <typename RowFn>
+graph::Feeds GatherFeeds(const plan::DevicePlan& device_plan, std::size_t b,
+                         RowFn row) {
+  FL_CHECK(b > 0);
+  const std::size_t d = row(0).features.size();
   Tensor features({b, d});
   Tensor labels({b, 1});
-  for (std::size_t i = 0; i < b; ++i) {
-    FL_CHECK_MSG(batch[i].features.size() == d,
-                 "ragged feature vectors in batch");
-    for (std::size_t j = 0; j < d; ++j) {
-      features.at(i, j) = batch[i].features[j];
-    }
-    labels.at(i, 0) = batch[i].label;
+  float* pf = features.mutable_data().data();
+  float* pl = labels.mutable_data().data();
+  for (std::size_t i = 0; i < b; ++i, pf += d) {
+    const data::Example& e = row(i);
+    FL_CHECK_MSG(e.features.size() == d, "ragged feature vectors in batch");
+    std::copy(e.features.begin(), e.features.end(), pf);
+    pl[i] = e.label;
   }
   graph::Feeds feeds;
   feeds.emplace(device_plan.feature_input, std::move(features));
   feeds.emplace(device_plan.label_input, std::move(labels));
   return feeds;
+}
+
+}  // namespace
+
+graph::Feeds BuildFeeds(const plan::DevicePlan& device_plan,
+                        std::span<const data::Example> batch) {
+  return GatherFeeds(device_plan, batch.size(),
+                     [&](std::size_t i) -> const data::Example& {
+                       return batch[i];
+                     });
 }
 
 Result<ClientUpdateResult> RunClientUpdate(
@@ -44,19 +57,17 @@ Result<ClientUpdateResult> RunClientUpdate(
   std::size_t batches = 0;
 
   const std::size_t batch_size = std::max<std::size_t>(1, device_plan.batch_size);
-  std::vector<data::Example> batch_buf;
-  batch_buf.reserve(batch_size);
 
   for (std::size_t epoch = 0; epoch < std::max<std::size_t>(1, device_plan.epochs);
        ++epoch) {
     shuffle_rng.Shuffle(order);
     for (std::size_t start = 0; start < order.size(); start += batch_size) {
       const std::size_t end = std::min(order.size(), start + batch_size);
-      batch_buf.clear();
-      for (std::size_t i = start; i < end; ++i) {
-        batch_buf.push_back(examples[order[i]]);
-      }
-      const graph::Feeds feeds = BuildFeeds(device_plan, batch_buf);
+      const graph::Feeds feeds = GatherFeeds(
+          device_plan, end - start,
+          [&](std::size_t i) -> const data::Example& {
+            return examples[order[start + i]];
+          });
       graph::ForwardResult fwd;
       FL_ASSIGN_OR_RETURN(
           graph::Gradients grads,
@@ -96,12 +107,10 @@ Result<ClientMetrics> RunClientEvaluation(
   double loss_sum = 0, acc_sum = 0;
   const std::size_t batch_size =
       std::max<std::size_t>(1, device_plan.batch_size);
-  std::vector<data::Example> batch_buf;
   for (std::size_t start = 0; start < examples.size(); start += batch_size) {
     const std::size_t end = std::min(examples.size(), start + batch_size);
-    batch_buf.assign(examples.begin() + static_cast<std::ptrdiff_t>(start),
-                     examples.begin() + static_cast<std::ptrdiff_t>(end));
-    const graph::Feeds feeds = BuildFeeds(device_plan, batch_buf);
+    const graph::Feeds feeds =
+        BuildFeeds(device_plan, examples.subspan(start, end - start));
     FL_ASSIGN_OR_RETURN(graph::ForwardResult fwd,
                         exec.Forward(device_plan.graph, global, feeds));
     // Weight batch metrics by batch size for an exact dataset mean.

@@ -21,17 +21,19 @@ float FastTanhApprox(float x) {
 Tensor RowSoftmax(const Tensor& logits) {
   const std::size_t b = logits.shape()[0], n = logits.shape()[1];
   Tensor probs({b, n});
-  for (std::size_t i = 0; i < b; ++i) {
+  const float* in = logits.data().data();
+  float* out = probs.mutable_data().data();
+  for (std::size_t i = 0; i < b; ++i, in += n, out += n) {
     float mx = -1e30f;
-    for (std::size_t j = 0; j < n; ++j) mx = std::max(mx, logits.at(i, j));
+    for (std::size_t j = 0; j < n; ++j) mx = std::max(mx, in[j]);
     double denom = 0;
     for (std::size_t j = 0; j < n; ++j) {
-      const float e = std::exp(logits.at(i, j) - mx);
-      probs.at(i, j) = e;
+      const float e = std::exp(in[j] - mx);
+      out[j] = e;
       denom += e;
     }
     const float inv = static_cast<float>(1.0 / denom);
-    for (std::size_t j = 0; j < n; ++j) probs.at(i, j) *= inv;
+    for (std::size_t j = 0; j < n; ++j) out[j] *= inv;
   }
   return probs;
 }
@@ -59,14 +61,24 @@ Status Executor::ValidateVersion(const Graph& g) const {
 Result<ForwardResult> Executor::Forward(const Graph& g,
                                         const Checkpoint& params,
                                         const Feeds& feeds) const {
-  FL_RETURN_IF_ERROR(ValidateVersion(g));
   ForwardResult result;
+  std::vector<const Tensor*> value;
+  FL_RETURN_IF_ERROR(Evaluate(g, params, feeds, result, value));
+  return result;
+}
+
+Status Executor::Evaluate(const Graph& g, const Checkpoint& params,
+                          const Feeds& feeds, ForwardResult& result,
+                          std::vector<const Tensor*>& value) const {
+  FL_RETURN_IF_ERROR(ValidateVersion(g));
   result.values.resize(g.size());
+  value.assign(g.size(), nullptr);
 
   for (const Node& n : g.nodes()) {
     auto in = [&](std::size_t i) -> const Tensor& {
-      return result.values[n.inputs[i]];
+      return *value[n.inputs[i]];
     };
+    value[n.id] = &result.values[n.id];
     switch (n.op) {
       case OpType::kInput: {
         const auto it = feeds.find(n.name);
@@ -83,7 +95,7 @@ Result<ForwardResult> Executor::Forward(const Graph& g,
             return ShapeError(n, "feed dim mismatch for '" + n.name + "'");
           }
         }
-        result.values[n.id] = t;
+        value[n.id] = &t;
         break;
       }
       case OpType::kParam: {
@@ -93,7 +105,7 @@ Result<ForwardResult> Executor::Forward(const Graph& g,
                                    "': " + ShapeToString(p->shape()) +
                                    " vs declared " + ShapeToString(n.shape));
         }
-        result.values[n.id] = *p;
+        value[n.id] = p;
         break;
       }
       case OpType::kMatMul:
@@ -112,10 +124,11 @@ Result<ForwardResult> Executor::Forward(const Graph& g,
           return ShapeError(n, "incompatible fused matmul operands");
         }
         Tensor y = Tensor::MatMul(x, w);
-        for (std::size_t i = 0; i < y.shape()[0]; ++i) {
-          for (std::size_t j = 0; j < y.shape()[1]; ++j) {
-            y.at(i, j) += b.at(j);
-          }
+        const std::size_t cols = y.shape()[1];
+        float* py = y.mutable_data().data();
+        const float* pb = b.data().data();
+        for (std::size_t i = 0; i < y.shape()[0]; ++i, py += cols) {
+          for (std::size_t j = 0; j < cols; ++j) py[j] += pb[j];
         }
         result.values[n.id] = std::move(y);
         break;
@@ -168,14 +181,11 @@ Result<ForwardResult> Executor::Forward(const Graph& g,
         const std::size_t b = ids.shape()[0], c = ids.shape()[1];
         const std::size_t v = table.shape()[0], d = table.shape()[1];
         Tensor y({b, c * d});
-        for (std::size_t i = 0; i < b; ++i) {
-          for (std::size_t j = 0; j < c; ++j) {
-            const auto id = static_cast<std::size_t>(ids.at(i, j));
-            if (id >= v) return ShapeError(n, "embedding id out of range");
-            for (std::size_t k = 0; k < d; ++k) {
-              y.at(i, j * d + k) = table.at(id, k);
-            }
-          }
+        float* py = y.mutable_data().data();
+        for (std::size_t i = 0; i < b * c; ++i, py += d) {
+          const auto id = static_cast<std::size_t>(ids.at(i));
+          if (id >= v) return ShapeError(n, "embedding id out of range");
+          std::copy_n(&table.data()[id * d], d, py);
         }
         result.values[n.id] = std::move(y);
         break;
@@ -188,16 +198,17 @@ Result<ForwardResult> Executor::Forward(const Graph& g,
           return ShapeError(n, "wants logits[b,n], labels[b,1]");
         }
         const std::size_t b = logits.shape()[0], cls = logits.shape()[1];
-        const Tensor probs = RowSoftmax(logits);
+        Tensor probs = RowSoftmax(logits);
         double loss = 0;
         std::size_t correct = 0;
-        for (std::size_t i = 0; i < b; ++i) {
+        const float* row = probs.data().data();
+        for (std::size_t i = 0; i < b; ++i, row += cls) {
           const auto y = static_cast<std::size_t>(labels.at(i, 0));
           if (y >= cls) return ShapeError(n, "label out of range");
-          loss += -std::log(std::max(1e-12f, probs.at(i, y)));
+          loss += -std::log(std::max(1e-12f, row[y]));
           std::size_t argmax = 0;
           for (std::size_t j = 1; j < cls; ++j) {
-            if (probs.at(i, j) > probs.at(i, argmax)) argmax = j;
+            if (row[j] > row[argmax]) argmax = j;
           }
           if (argmax == y) ++correct;
         }
@@ -205,7 +216,7 @@ Result<ForwardResult> Executor::Forward(const Graph& g,
         result.accuracy = static_cast<double>(correct) / static_cast<double>(b);
         result.has_accuracy = true;
         // Node value holds the probabilities (useful for inference/eval).
-        result.values[n.id] = probs;
+        result.values[n.id] = std::move(probs);
         break;
       }
       case OpType::kMeanSquaredError: {
@@ -248,21 +259,43 @@ Result<ForwardResult> Executor::Forward(const Graph& g,
       }
     }
   }
-  return result;
+  return Status::Ok();
 }
 
 Result<Gradients> Executor::Backward(const Graph& g, const Checkpoint& params,
                                      const Feeds& feeds,
                                      ForwardResult* forward_out) const {
-  FL_ASSIGN_OR_RETURN(ForwardResult fwd, Forward(g, params, feeds));
+  ForwardResult fwd;
+  std::vector<const Tensor*> value;
+  FL_RETURN_IF_ERROR(Evaluate(g, params, feeds, fwd, value));
+
+  // Only nodes downstream of a parameter carry a gradient that can reach
+  // one; the rest (inputs, and ops over inputs alone) get none.
+  std::vector<char> needs_grad(g.size(), 0);
+  for (const Node& n : g.nodes()) {
+    needs_grad[n.id] =
+        n.op == OpType::kParam ||
+        std::any_of(n.inputs.begin(), n.inputs.end(),
+                    [&](NodeId in) { return needs_grad[in] != 0; });
+  }
 
   // d(loss)/d(node value) for each node; lazily initialized to zeros.
   std::vector<Tensor> grads(g.size());
   auto grad_of = [&](NodeId id) -> Tensor& {
-    if (grads[id].size() == 0 && fwd.values[id].size() != 0) {
-      grads[id] = Tensor::Zeros(fwd.values[id].shape());
+    if (grads[id].size() == 0 && value[id]->size() != 0) {
+      grads[id] = Tensor::Zeros(value[id]->shape());
     }
     return grads[id];
+  };
+  // Adds a matmul product into a node's gradient. The first contribution
+  // is moved in rather than added to a zero-filled tensor: the kernels never
+  // return -0, so 0 + v == v bit for bit.
+  auto add_product = [&](NodeId id, Tensor product) {
+    if (grads[id].size() == 0) {
+      grads[id] = std::move(product);
+    } else {
+      grads[id].AddInPlace(product);
+    }
   };
 
   FL_CHECK_MSG(g.size() > 0, "cannot backprop an empty graph");
@@ -272,7 +305,7 @@ Result<Gradients> Executor::Backward(const Graph& g, const Checkpoint& params,
   switch (last.op) {
     case OpType::kSoftmaxXent: {
       const Tensor& probs = fwd.values[last.id];
-      const Tensor& labels = fwd.values[last.inputs[1]];
+      const Tensor& labels = *value[last.inputs[1]];
       const std::size_t b = probs.shape()[0], cls = probs.shape()[1];
       Tensor dlogits = probs;
       const float inv_b = 1.0f / static_cast<float>(b);
@@ -286,8 +319,8 @@ Result<Gradients> Executor::Backward(const Graph& g, const Checkpoint& params,
       break;
     }
     case OpType::kMeanSquaredError: {
-      const Tensor& pred = fwd.values[last.inputs[0]];
-      const Tensor& target = fwd.values[last.inputs[1]];
+      const Tensor& pred = *value[last.inputs[0]];
+      const Tensor& target = *value[last.inputs[1]];
       Tensor d = pred;
       d.AddInPlace(target, -1.0f);
       d.Scale(2.0f / static_cast<float>(pred.size()));
@@ -295,8 +328,8 @@ Result<Gradients> Executor::Backward(const Graph& g, const Checkpoint& params,
       break;
     }
     case OpType::kBinaryXent: {
-      const Tensor& prob = fwd.values[last.inputs[0]];
-      const Tensor& label = fwd.values[last.inputs[1]];
+      const Tensor& prob = *value[last.inputs[0]];
+      const Tensor& label = *value[last.inputs[1]];
       Tensor d = Tensor::Zeros(prob.shape());
       const float inv_n = 1.0f / static_cast<float>(prob.size());
       for (std::size_t i = 0; i < prob.size(); ++i) {
@@ -321,22 +354,22 @@ Result<Gradients> Executor::Backward(const Graph& g, const Checkpoint& params,
       case OpType::kInput:
       case OpType::kParam:
         break;  // leaves
-      case OpType::kMatMul: {
-        const Tensor& a = fwd.values[n.inputs[0]];
-        const Tensor& b = fwd.values[n.inputs[1]];
-        grad_of(n.inputs[0]).AddInPlace(Tensor::MatMulTransB(dy, b));
-        grad_of(n.inputs[1]).AddInPlace(Tensor::MatMulTransA(a, dy));
-        break;
-      }
+      case OpType::kMatMul:
       case OpType::kFusedMatMulBias: {
-        const Tensor& x = fwd.values[n.inputs[0]];
-        const Tensor& w = fwd.values[n.inputs[1]];
-        grad_of(n.inputs[0]).AddInPlace(Tensor::MatMulTransB(dy, w));
-        grad_of(n.inputs[1]).AddInPlace(Tensor::MatMulTransA(x, dy));
-        Tensor& db = grad_of(n.inputs[2]);
-        for (std::size_t i = 0; i < dy.shape()[0]; ++i) {
-          for (std::size_t j = 0; j < dy.shape()[1]; ++j) {
-            db.at(j) += dy.at(i, j);
+        const Tensor& x = *value[n.inputs[0]];
+        const Tensor& w = *value[n.inputs[1]];
+        if (needs_grad[n.inputs[0]]) {
+          add_product(n.inputs[0], Tensor::MatMulTransB(dy, w));
+        }
+        if (needs_grad[n.inputs[1]]) {
+          add_product(n.inputs[1], Tensor::MatMulTransA(x, dy));
+        }
+        if (n.op == OpType::kFusedMatMulBias && needs_grad[n.inputs[2]]) {
+          const std::size_t cols = dy.shape()[1];
+          float* db = grad_of(n.inputs[2]).mutable_data().data();
+          const float* pdy = dy.data().data();
+          for (std::size_t i = 0; i < dy.shape()[0]; ++i, pdy += cols) {
+            for (std::size_t j = 0; j < cols; ++j) db[j] += pdy[j];
           }
         }
         break;
@@ -352,7 +385,7 @@ Result<Gradients> Executor::Backward(const Graph& g, const Checkpoint& params,
         break;
       }
       case OpType::kRelu: {
-        const Tensor& x = fwd.values[n.inputs[0]];
+        const Tensor& x = *value[n.inputs[0]];
         Tensor& dx = grad_of(n.inputs[0]);
         for (std::size_t i = 0; i < x.size(); ++i) {
           if (x.at(i) > 0.0f) dx.at(i) += dy.at(i);
@@ -361,15 +394,16 @@ Result<Gradients> Executor::Backward(const Graph& g, const Checkpoint& params,
       }
       case OpType::kTanh:
       case OpType::kFastTanh: {
-        const Tensor& y = fwd.values[n.id];
-        Tensor& dx = grad_of(n.inputs[0]);
-        for (std::size_t i = 0; i < y.size(); ++i) {
-          dx.at(i) += dy.at(i) * (1.0f - y.at(i) * y.at(i));
+        const float* y = value[n.id]->data().data();
+        const float* pdy = dy.data().data();
+        float* dx = grad_of(n.inputs[0]).mutable_data().data();
+        for (std::size_t i = 0; i < dy.size(); ++i) {
+          dx[i] += pdy[i] * (1.0f - y[i] * y[i]);
         }
         break;
       }
       case OpType::kSigmoid: {
-        const Tensor& y = fwd.values[n.id];
+        const Tensor& y = *value[n.id];
         Tensor& dx = grad_of(n.inputs[0]);
         for (std::size_t i = 0; i < y.size(); ++i) {
           dx.at(i) += dy.at(i) * y.at(i) * (1.0f - y.at(i));
@@ -377,18 +411,14 @@ Result<Gradients> Executor::Backward(const Graph& g, const Checkpoint& params,
         break;
       }
       case OpType::kEmbedLookup: {
-        const Tensor& ids = fwd.values[n.inputs[0]];
-        const Tensor& table = fwd.values[n.inputs[1]];
-        Tensor& dtable = grad_of(n.inputs[1]);
-        const std::size_t b = ids.shape()[0], c = ids.shape()[1];
-        const std::size_t d = table.shape()[1];
-        for (std::size_t i = 0; i < b; ++i) {
-          for (std::size_t j = 0; j < c; ++j) {
-            const auto id = static_cast<std::size_t>(ids.at(i, j));
-            for (std::size_t k = 0; k < d; ++k) {
-              dtable.at(id, k) += dy.at(i, j * d + k);
-            }
-          }
+        if (!needs_grad[n.inputs[1]]) break;
+        const Tensor& ids = *value[n.inputs[0]];
+        const std::size_t d = value[n.inputs[1]]->shape()[1];
+        float* dtable = grad_of(n.inputs[1]).mutable_data().data();
+        const float* pdy = dy.data().data();
+        for (std::size_t i = 0; i < ids.size(); ++i, pdy += d) {
+          float* row = dtable + static_cast<std::size_t>(ids.at(i)) * d;
+          for (std::size_t k = 0; k < d; ++k) row[k] += pdy[k];
         }
         break;
       }

@@ -10,6 +10,7 @@
 #include <map>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "src/graph/graph.h"
 #include "src/tensor/checkpoint.h"
@@ -22,7 +23,9 @@ using Feeds = std::map<std::string, Tensor>;
 using Gradients = std::map<std::string, Tensor>;
 
 struct ForwardResult {
-  // Value of every node, indexed by NodeId.
+  // Value of every computed node, indexed by NodeId. kInput and kParam
+  // slots stay empty: their values are the feeds and checkpoint tensors the
+  // pass read, which it does not copy.
   std::vector<Tensor> values;
   // Mean loss if the graph's final node is a loss op.
   double loss = 0.0;
@@ -50,6 +53,12 @@ class Executor {
 
  private:
   Status ValidateVersion(const Graph& g) const;
+  // The forward pass behind Forward and Backward. On success value[id]
+  // points at node id's value: the feed or checkpoint tensor for kInput and
+  // kParam nodes, result.values[id] otherwise.
+  Status Evaluate(const Graph& g, const Checkpoint& params, const Feeds& feeds,
+                  ForwardResult& result,
+                  std::vector<const Tensor*>& value) const;
   std::uint32_t runtime_version_;
 };
 

@@ -60,6 +60,8 @@ void AggregatorActor::RecordParticipant(DeviceId device,
 
 void AggregatorActor::OnMessage(const actor::Envelope& env) {
   if (const auto* m = Cast<MsgConfigureDevices>(env)) {
+    const profiler::ScopedPhase profile_scope(
+        profiler::Phase::kConfiguration, init_.round.value);
     HandleConfigure(*m);
   } else if (const auto* m = Cast<DeviceReport>(env)) {
     const profiler::ScopedPhase profile_scope(

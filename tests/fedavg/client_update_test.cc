@@ -4,7 +4,9 @@
 
 #include <numeric>
 
+#include "src/common/crc32.h"
 #include "src/data/blobs.h"
+#include "src/data/text.h"
 #include "src/graph/model_zoo.h"
 #include "src/graph/registry.h"
 
@@ -139,6 +141,36 @@ TEST_F(Fixture, TrainingReducesLossOverEpochs) {
     return RunClientEvaluation(dp, w, examples, 1)->mean_loss;
   };
   EXPECT_LT(apply(*longer), apply(*quick));
+}
+
+// Pins the next-word LM training path bit for bit on the shapes the
+// fedavg_sim and fleet_secagg_codec benchmarks train (batch 32, 3x16
+// embedding, 64 hidden, 64 vocab): EmbedLookup, FusedMatMulBias, FastTanh
+// and MatMulTransB's double accumulation, under whichever matmul kernel the
+// CPU selects. The golden fleet digest covers only the 8->4 logistic
+// regression. Builds that fuse multiply-adds (no -ffp-contract=off under
+// -march=native) change this value.
+TEST(LmClientUpdateTest, NextWordDeltaCrcIsPinned) {
+  const data::TextWorkload corpus(data::TextWorkloadParams{}, 6);
+  Rng model_rng(7);
+  const graph::Model model =
+      graph::BuildNextWordModel(64, 3, 16, 64, model_rng);
+  const plan::DevicePlan dp =
+      plan::MakeTrainingPlan(model, "lm", {32, 2, 0.4f}, {}).device;
+  std::uint32_t crc = 0;
+  for (std::uint64_t user = 0; user < 4; ++user) {
+    const auto examples = corpus.UserExamples(user, 25, SimTime{0});
+    Rng shuffle(100 + user);
+    const auto result =
+        RunClientUpdate(dp, model.init_params, examples, 3, shuffle);
+    ASSERT_TRUE(result.ok()) << result.status();
+    // Without the blob's trailing CRC32: CRC32 over a message followed by
+    // its own CRC is a constant (0x2144df1c) whatever the message.
+    const Bytes blob = result->weighted_delta.Serialize();
+    crc = Crc32(std::span<const std::uint8_t>(blob).first(blob.size() - 4),
+                crc);
+  }
+  EXPECT_EQ(crc, 0xd7ce76cfu) << std::hex << crc;
 }
 
 }  // namespace
