@@ -46,9 +46,7 @@ double AccuracyWithCodec(
                               update->metrics)
                    .ok());
     }
-    auto next = acc.Finalize(global);
-    FL_CHECK(next.ok());
-    global = std::move(next).value();
+    FL_CHECK(acc.FinalizeInPlace(global).ok());
   }
   const auto metrics =
       fedavg::RunClientEvaluation(plan.device, global, eval, 1);

@@ -83,9 +83,7 @@ CodecRunResult RunNextWord(const protocol::WireCodecConfig& codec,
                               update->metrics)
                    .ok());
     }
-    auto next = acc.Finalize(global);
-    FL_CHECK(next.ok());
-    global = std::move(next).value();
+    FL_CHECK(acc.FinalizeInPlace(global).ok());
   }
   auto metrics = fedavg::RunClientEvaluation(plan.device, global, eval, 3);
   FL_CHECK(metrics.ok());

@@ -47,10 +47,12 @@ class JsonWriter {
     Prefix(key);
     out_ += '{';
     need_comma_.push_back(false);
+    in_object_.push_back(true);
     return *this;
   }
   JsonWriter& EndObject() {
     need_comma_.pop_back();
+    in_object_.pop_back();
     out_ += '}';
     return *this;
   }
@@ -58,10 +60,12 @@ class JsonWriter {
     Prefix(key);
     out_ += '[';
     need_comma_.push_back(false);
+    in_object_.push_back(false);
     return *this;
   }
   JsonWriter& EndArray() {
     need_comma_.pop_back();
+    in_object_.pop_back();
     out_ += ']';
     return *this;
   }
@@ -134,7 +138,8 @@ class JsonWriter {
       if (need_comma_.back()) out_ += ',';
       need_comma_.back() = true;
     }
-    if (!key.empty()) {
+    // Inside an object every value has a key, "" included.
+    if (!key.empty() || (!in_object_.empty() && in_object_.back())) {
       AppendString(key);
       out_ += ':';
     }
@@ -168,6 +173,7 @@ class JsonWriter {
 
   std::string out_;
   std::vector<bool> need_comma_;
+  std::vector<bool> in_object_;  // per open container: object (vs array)
 };
 
 }  // namespace fl

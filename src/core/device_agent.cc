@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "src/common/fixed_point.h"
 #include "src/fedavg/codec.h"
 #include "src/profiler/profiler.h"
 #include "src/telemetry/trace.h"
@@ -314,16 +313,11 @@ void DeviceAgent::OnAssigned(std::uint64_t gen,
   s.global = std::move(global).value();
 
   s.codec = assignment.codec;
-  if (assignment.secagg_enabled) {
-    s.secagg = true;
-    s.secagg_clip = assignment.secagg_clip;
-    s.secagg_max_summands = assignment.secagg_max_summands;
-    s.secagg_ring_bits = assignment.secagg_ring_bits;
-    s.secagg_index_seed = assignment.secagg_index_seed;
-    s.secagg_vector_length = assignment.secagg_vector_length;
+  s.secagg = assignment.secagg_spec;
+  if (s.secagg) {
     s.sa_client.emplace(assignment.secagg_index, assignment.secagg_threshold,
-                        assignment.secagg_vector_length, RandomKey(rng_),
-                        assignment.secagg_ring_bits);
+                        s.secagg->vector_length(), RandomKey(rng_),
+                        s.secagg->ring_bits);
     // Round 0: advertise keys right away, overlapping with training.
     const secagg::KeyAdvertisement adv = s.sa_client->AdvertiseKeys();
     SendSecAggUpload(gen, AdvertiseBytes(), [this, adv] {
@@ -572,35 +566,18 @@ void DeviceAgent::MaybeSendMaskedInput(std::uint64_t gen) {
   const profiler::ScopedPhase profile_scope(profiler::Phase::kSecAgg,
                                             s.round.value);
 
-  // Quantize update + trailing weight word. Codec parameters (clip,
-  // max_summands, ring_bits, index seed) arrive with the assignment, so
+  // Quantize update + trailing weight word with the assignment's spec, so
   // device and Aggregator use identical fixed-point scales and — when the
   // cohort sparsifies — the identical agreed coordinate subset.
-  const std::vector<float> flat = s.update->weighted_delta.Flatten();
-  const std::size_t keep = s.secagg_vector_length - 1;
-  FixedPointCodec codec(s.secagg_clip, s.secagg_max_summands,
-                        s.secagg_ring_bits);
-  std::vector<std::uint32_t> words(keep + 1);
-  if (keep < flat.size()) {
-    const std::vector<std::uint32_t> agreed =
-        fedavg::AgreedIndexSet(s.secagg_index_seed, flat.size(), keep);
-    for (std::size_t i = 0; i < keep; ++i) {
-      words[i] = codec.Encode(flat[agreed[i]]);
-    }
-  } else {
-    for (std::size_t i = 0; i < flat.size(); ++i) {
-      words[i] = codec.Encode(flat[i]);
-    }
-  }
-  words[keep] = static_cast<std::uint32_t>(std::lround(s.update->weight)) &
-                codec.ring_mask();
-
-  auto masked = s.sa_client->MaskInput(words, *s.sa_u1);
+  const auto words = fedavg::EncodeSecAggInput(
+      *s.secagg, s.update->weighted_delta.Flatten(), s.update->weight);
+  if (!words.ok()) return;
+  auto masked = s.sa_client->MaskInput(*words, *s.sa_u1);
   if (!masked.ok()) return;
 
   AddTrace(SessionEvent::kUploadStarted);
   s.uploading = true;
-  const std::uint64_t bytes = MaskedBytes(*masked, s.secagg_ring_bits);
+  const std::uint64_t bytes = MaskedBytes(*masked, s.secagg->ring_bits);
   SendSecAggUpload(gen, bytes, [this, input = std::move(masked).value(),
                                 bytes]() mutable {
     server::SecAggMaskedInputMsg out;

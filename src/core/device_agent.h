@@ -88,12 +88,7 @@ class DeviceAgent {
     // Plain-path update codec for this round (from the assignment).
     protocol::WireCodecConfig codec;
     // Secure aggregation.
-    bool secagg = false;
-    double secagg_clip = 4.0;
-    std::uint32_t secagg_max_summands = 2;
-    std::uint8_t secagg_ring_bits = 32;
-    std::uint64_t secagg_index_seed = 0;
-    std::size_t secagg_vector_length = 0;
+    std::optional<fedavg::SecAggVectorSpec> secagg;  // set iff secure round
     std::optional<secagg::SecAggClient> sa_client;
     std::optional<std::vector<secagg::ParticipantIndex>> sa_u1;
     bool sa_masked_sent = false;

@@ -86,8 +86,8 @@ class FLSystem : private analytics::LifecycleSink {
   // --- failure injection (Sec. 4.4 experiments) ---
   void CrashCoordinator();
   void CrashRandomSelector();
-  // Crashes the master aggregator / an aggregator of the active round, if
-  // any. Returns false when no such actor is live.
+  // Crashes the active round's master aggregator. Returns false when there
+  // is no live coordinator or no active round.
   bool CrashActiveMaster();
 
   // --- introspection ---

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <string>
 
+#include "src/common/fixed_point.h"
 #include "src/common/rng.h"
 
 namespace fl::fedavg {
@@ -336,6 +337,48 @@ std::vector<std::uint32_t> AgreedIndexSet(std::uint64_t seed,
   all.resize(keep);
   std::sort(all.begin(), all.end());
   return all;
+}
+
+Result<std::vector<std::uint32_t>> EncodeSecAggInput(
+    const SecAggVectorSpec& spec, std::span<const float> weighted_delta,
+    float weight) {
+  if (weighted_delta.size() != spec.total) {
+    return InvalidArgumentError("update does not match the secagg vector");
+  }
+  const FixedPointCodec codec(spec.clip, spec.max_summands, spec.ring_bits);
+  const std::vector<std::uint32_t> agreed =
+      AgreedIndexSet(spec.index_seed, spec.total, spec.keep);
+  std::vector<std::uint32_t> words(spec.vector_length());
+  for (std::size_t i = 0; i < spec.keep; ++i) {
+    words[i] = codec.Encode(weighted_delta[agreed[i]]);
+  }
+  words[spec.keep] =
+      static_cast<std::uint32_t>(std::lround(weight)) & codec.ring_mask();
+  return words;
+}
+
+Result<PartialAggregate> DecodeSecAggSum(const SecAggVectorSpec& spec,
+                                         std::span<const std::uint32_t> sum,
+                                         std::size_t contributors,
+                                         const Checkpoint& schema) {
+  if (sum.size() != spec.vector_length()) {
+    return InvalidArgumentError("sum does not match the secagg vector");
+  }
+  const FixedPointCodec codec(spec.clip, spec.max_summands, spec.ring_bits);
+  // Dense (keep == total) is the identity subset with a rescale of exactly 1.
+  const std::vector<std::uint32_t> agreed =
+      AgreedIndexSet(spec.index_seed, spec.total, spec.keep);
+  const float rescale =
+      static_cast<float>(spec.total) / static_cast<float>(spec.keep);
+  std::vector<float> flat(spec.total, 0.0f);
+  for (std::size_t i = 0; i < spec.keep; ++i) {
+    flat[agreed[i]] = codec.DecodeSum(sum[i]) * rescale;
+  }
+  PartialAggregate out;
+  FL_ASSIGN_OR_RETURN(out.delta_sum, schema.Unflatten(flat));
+  out.weight_sum = static_cast<float>(sum[spec.keep]);
+  out.contributors = contributors;
+  return out;
 }
 
 }  // namespace fl::fedavg

@@ -6,11 +6,13 @@
 // decodes and accumulates; the payload is self-describing except for the
 // optional delta reference, which both ends must already hold.
 //
-// The SecAgg helpers at the bottom implement the masked-sum composition:
-// sparsification under Secure Aggregation cannot be per-device (masked
-// sums only cancel when every participant masks the same coordinates), so
-// the cohort agrees on a pseudorandom index subset derived from a seed the
-// server ships with the task assignment.
+// The SecAgg section at the bottom owns the Secure Aggregation input-vector
+// format: which coordinates are masked, their fixed-point scale, the
+// trailing weight word and the rescale. Sparsification under Secure
+// Aggregation cannot be per-device (masked sums only cancel when every
+// participant masks the same coordinates), so the cohort agrees on a
+// pseudorandom index subset derived from a seed the server ships with the
+// task assignment.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +22,7 @@
 
 #include "src/common/bytes.h"
 #include "src/common/status.h"
+#include "src/fedavg/server_aggregate.h"
 #include "src/protocol/round_config.h"
 
 namespace fl::fedavg {
@@ -66,7 +69,7 @@ Result<std::vector<float>> DecodeUpdate(
     std::optional<std::size_t> expected_count = std::nullopt);
 
 // ---------------------------------------------------------------------------
-// SecAgg composition helpers (cohort-agreed sparsification).
+// SecAgg input-vector format (cohort-agreed sparsification).
 // ---------------------------------------------------------------------------
 
 // Number of coordinates kept from `total` under `keep_fraction`: at least
@@ -80,5 +83,39 @@ std::size_t KeepCount(std::size_t total, double keep_fraction);
 std::vector<std::uint32_t> AgreedIndexSet(std::uint64_t seed,
                                           std::size_t total,
                                           std::size_t keep);
+
+// Everything device and Aggregator must agree on for masked sums to decode:
+// the Aggregator fixes one spec per round and ships it with every task
+// assignment. The masked vector is `keep` fixed-point coordinates (all of
+// them when keep == total, else the AgreedIndexSet(index_seed, total, keep)
+// subset) followed by one integer weight word.
+struct SecAggVectorSpec {
+  std::size_t total = 0;  // flat update length
+  std::size_t keep = 0;   // masked coordinates, <= total
+  double clip = 4.0;      // fixed-point clip (FixedPointCodec)
+  // Cohort cap the fixed-point scale is sized for (no overflow up to this
+  // many summands).
+  std::uint32_t max_summands = 2;
+  std::uint8_t ring_bits = 32;  // masked words are r-bit ring elements
+  std::uint64_t index_seed = 0;
+
+  std::size_t vector_length() const { return keep + 1; }
+};
+
+// Device side: quantizes the flat weighted delta (length spec.total) and
+// its weight into the spec.vector_length() words SecAgg masks.
+Result<std::vector<std::uint32_t>> EncodeSecAggInput(
+    const SecAggVectorSpec& spec, std::span<const float> weighted_delta,
+    float weight);
+
+// Aggregator side: turns the unmasked sum of `contributors` encodings into
+// a partial aggregate shaped like `schema`. A sparse sum is rescaled by
+// total/keep so it is an unbiased estimate of the dense one. The weight
+// word decodes as a raw reduced value (weights are non-negative), which
+// bounds legal weight sums to the ring width.
+Result<PartialAggregate> DecodeSecAggSum(const SecAggVectorSpec& spec,
+                                         std::span<const std::uint32_t> sum,
+                                         std::size_t contributors,
+                                         const Checkpoint& schema);
 
 }  // namespace fl::fedavg

@@ -4,12 +4,26 @@
 
 namespace fl::fedavg {
 
+Status PartialAggregate::ApplyTo(plan::AggregationOp op,
+                                 Checkpoint& global) const {
+  if (op == plan::AggregationOp::kMetricsOnly) {
+    return Status::Ok();  // evaluation rounds do not move the model
+  }
+  if (contributors == 0 || weight_sum <= 0) {
+    return FailedPreconditionError("no updates accumulated");
+  }
+  // w_{t+1} = w_t + (sum_k Delta_k) / (sum_k n_k). The scaled add folds the
+  // division into AddInPlace's alpha — no copy-then-Scale round trip over
+  // the full parameter vector.
+  return global.AddInPlace(delta_sum, 1.0f / weight_sum);
+}
+
 FedAvgAccumulator::FedAvgAccumulator(plan::AggregationOp op,
                                      const Checkpoint& schema)
     : op_(op) {
   if (op_ != plan::AggregationOp::kMetricsOnly) {
     // Zero-initialized running sum with the model's schema.
-    sum_ = Checkpoint::ZerosLike(schema);
+    partial_.delta_sum = Checkpoint::ZerosLike(schema);
   }
 }
 
@@ -17,7 +31,7 @@ Status FedAvgAccumulator::Accumulate(Checkpoint&& weighted_delta, float weight,
                                      const ClientMetrics& metrics) {
   metrics_.AddClientMetrics(metrics);
   if (op_ == plan::AggregationOp::kMetricsOnly) {
-    ++contributions_;
+    ++partial_.contributors;
     return Status::Ok();
   }
   if (weight <= 0) {
@@ -28,83 +42,34 @@ Status FedAvgAccumulator::Accumulate(Checkpoint&& weighted_delta, float weight,
     weighted_delta.Scale(1.0f / weight);
     weight = 1.0f;
   }
-  FL_RETURN_IF_ERROR(sum_.AddInPlace(weighted_delta));
-  total_weight_ += weight;
-  ++contributions_;
+  FL_RETURN_IF_ERROR(partial_.delta_sum.AddInPlace(weighted_delta));
+  partial_.weight_sum += weight;
+  ++partial_.contributors;
   return Status::Ok();
-}
-
-Status FedAvgAccumulator::AccumulateSum(Checkpoint&& delta_sum,
-                                        float weight_sum,
-                                        std::size_t contributors) {
-  return AccumulateSum(delta_sum, weight_sum, contributors);
 }
 
 Status FedAvgAccumulator::AccumulateSum(const Checkpoint& delta_sum,
                                         float weight_sum,
                                         std::size_t contributors) {
   if (op_ == plan::AggregationOp::kMetricsOnly) {
-    contributions_ += contributors;
+    partial_.contributors += contributors;
     return Status::Ok();
   }
   if (contributors == 0) return Status::Ok();
-  FL_RETURN_IF_ERROR(sum_.AddInPlace(delta_sum));
-  total_weight_ += weight_sum;
-  contributions_ += contributors;
+  FL_RETURN_IF_ERROR(partial_.delta_sum.AddInPlace(delta_sum));
+  partial_.weight_sum += weight_sum;
+  partial_.contributors += contributors;
   return Status::Ok();
-}
-
-Status FedAvgAccumulator::MergeFrom(FedAvgAccumulator&& shard) {
-  if (shard.op_ != op_) {
-    return InvalidArgumentError("cannot merge accumulators with different "
-                                "aggregation ops");
-  }
-  if (op_ == plan::AggregationOp::kMetricsOnly) {
-    contributions_ += shard.contributions_;
-    return Status::Ok();
-  }
-  if (shard.contributions_ == 0) return Status::Ok();
-  // Metric summaries are NOT merged here: per-report metrics reach the
-  // master separately (AddMetrics), matching the paper's progress-message
-  // flow; P² quantile states cannot be combined exactly anyway.
-  return AccumulateSum(std::move(shard.sum_), shard.total_weight_,
-                       shard.contributions_);
 }
 
 void FedAvgAccumulator::AddMetrics(const ClientMetrics& m) {
   metrics_.AddClientMetrics(m);
 }
 
-Result<Checkpoint> FedAvgAccumulator::Finalize(
-    const Checkpoint& current_global) const {
-  if (op_ == plan::AggregationOp::kMetricsOnly) {
-    return current_global;  // evaluation rounds do not move the model
-  }
-  if (contributions_ == 0 || total_weight_ <= 0) {
-    return FailedPreconditionError("no updates accumulated");
-  }
-  // w_{t+1} = w_t + (sum_k Delta_k) / (sum_k n_k). The scaled add folds the
-  // division into AddInPlace's alpha — no copy-then-Scale round trip over
-  // the full parameter vector.
-  Checkpoint next = current_global;
-  FL_RETURN_IF_ERROR(next.AddInPlace(sum_, 1.0f / total_weight_));
-  return next;
-}
-
-Status FedAvgAccumulator::FinalizeInPlace(Checkpoint& global) const {
-  if (op_ == plan::AggregationOp::kMetricsOnly) {
-    return Status::Ok();  // evaluation rounds do not move the model
-  }
-  if (contributions_ == 0 || total_weight_ <= 0) {
-    return FailedPreconditionError("no updates accumulated");
-  }
-  return global.AddInPlace(sum_, 1.0f / total_weight_);
-}
-
 void FedAvgAccumulator::Reset() {
-  sum_.ZeroFill();
-  total_weight_ = 0;
-  contributions_ = 0;
+  partial_.delta_sum.ZeroFill();
+  partial_.weight_sum = 0;
+  partial_.contributors = 0;
   metrics_ = MetricsAccumulator{};
 }
 

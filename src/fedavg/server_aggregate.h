@@ -10,12 +10,31 @@
 // the ephemeral-actor memory story of Sec. 4.2 work.
 #pragma once
 
+#include <utility>
+
 #include "src/common/status.h"
 #include "src/fedavg/metrics.h"
 #include "src/plan/plan.h"
 #include "src/tensor/checkpoint.h"
 
 namespace fl::fedavg {
+
+// An intermediate sum (Sec. 4.2 / Sec. 6): the one thing that crosses the
+// Aggregator -> Master Aggregator -> Coordinator boundary. Each Aggregator
+// folds its cohort into one; the master merges them (AccumulateSum) into the
+// final partial; the Coordinator applies that to the global model. Metric
+// summaries never ride here: they reach the master per report (P² states do
+// not merge exactly).
+struct PartialAggregate {
+  Checkpoint delta_sum;  // sum of weighted deltas (empty for metrics-only)
+  float weight_sum = 0;
+  std::size_t contributors = 0;
+
+  // global += delta_sum / weight_sum. Fails, leaving `global` untouched, if
+  // nothing was accumulated (for weight-aggregating ops); evaluation rounds
+  // (kMetricsOnly) never move the model.
+  Status ApplyTo(plan::AggregationOp op, Checkpoint& global) const;
+};
 
 class FedAvgAccumulator {
  public:
@@ -26,41 +45,30 @@ class FedAvgAccumulator {
   Status Accumulate(Checkpoint&& weighted_delta, float weight,
                     const ClientMetrics& metrics);
 
-  // Folds in an already-summed contribution (used by the Master Aggregator
-  // to combine intermediate Aggregator sums, Sec. 6).
-  Status AccumulateSum(Checkpoint&& delta_sum, float weight_sum,
-                       std::size_t contributors);
-
-  // Non-consuming variant: the caller keeps `delta_sum`. This is the
-  // pooled-shard path of the parallel round engine — shard accumulators are
-  // reused across rounds, so the master must read their sums in place
-  // rather than stealing the buffers.
+  // The one merge: folds in an already-summed contribution (an Aggregator's
+  // partial at the master, a pooled shard's sum in the simulation round
+  // engine). The caller keeps `delta_sum`.
   Status AccumulateSum(const Checkpoint& delta_sum, float weight_sum,
                        std::size_t contributors);
-
-  // Absorbs a whole per-shard accumulator — the Aggregator → Master
-  // Aggregator reduction of Sec. 4.2 in one call. Delta sums go through the
-  // AccumulateSum path; metric summaries are merged too. `shard` is
-  // consumed. Both accumulators must share the aggregation op.
-  Status MergeFrom(FedAvgAccumulator&& shard);
 
   // Folds in metrics alone (the Master Aggregator receives metrics with
   // per-report progress messages, separately from the delta sums).
   void AddMetrics(const ClientMetrics& m);
 
-  std::size_t contributions() const { return contributions_; }
-  float total_weight() const { return total_weight_; }
+  std::size_t contributions() const { return partial_.contributors; }
   const MetricsAccumulator& metrics() const { return metrics_; }
-  const Checkpoint& delta_sum() const { return sum_; }
-  float weight_sum() const { return total_weight_; }
+  const Checkpoint& delta_sum() const { return partial_.delta_sum; }
+  float weight_sum() const { return partial_.weight_sum; }
 
-  // Produces w_{t+1} from w_t. Fails if nothing was accumulated (for
-  // weight-aggregating ops).
-  Result<Checkpoint> Finalize(const Checkpoint& current_global) const;
+  // Moves the running sums out (leaving an empty partial behind): how an
+  // Aggregator reports its cohort and the master its final aggregate.
+  PartialAggregate TakePartial() { return std::exchange(partial_, {}); }
 
-  // Applies the aggregate to `global` directly (global += sum / weight) —
-  // the allocation-free form of Finalize for long simulation loops.
-  Status FinalizeInPlace(Checkpoint& global) const;
+  // Applies the aggregate to `global` (global += sum / weight); see
+  // PartialAggregate::ApplyTo.
+  Status FinalizeInPlace(Checkpoint& global) const {
+    return partial_.ApplyTo(op_, global);
+  }
 
   // Rearms the accumulator for the next round, zero-filling the running
   // sum in place: the tensor buffers (one full model's worth per shard)
@@ -69,9 +77,7 @@ class FedAvgAccumulator {
 
  private:
   plan::AggregationOp op_;
-  Checkpoint sum_;        // running sum of weighted deltas
-  float total_weight_ = 0;
-  std::size_t contributions_ = 0;
+  PartialAggregate partial_;
   MetricsAccumulator metrics_;
 };
 

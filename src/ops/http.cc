@@ -121,6 +121,13 @@ HttpParse ParseHttpRequest(std::string_view buffer, HttpRequest* req,
   const std::vector<std::string_view> lines =
       SplitLines(buffer.substr(0, head_end));
   if (lines.empty() || lines[0].empty()) return HttpParse::kBadRequest;
+  // A bare CR (one not ending a line) is invalid (RFC 9112 Sec. 2.2): read
+  // as data, it moves where a CRLF-only parser would end the head.
+  for (const std::string_view line : lines) {
+    if (line.find('\r') != std::string_view::npos) {
+      return HttpParse::kBadRequest;
+    }
+  }
 
   // Request line: METHOD SP request-target SP HTTP-version.
   const std::string_view request_line = lines[0];

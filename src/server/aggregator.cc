@@ -115,29 +115,27 @@ void AggregatorActor::HandleConfigure(const MsgConfigureDevices& msg) {
   const bool secure =
       init_.config.aggregation == protocol::AggregationMode::kSecure;
   if (secure && !secagg_.has_value()) {
-    // Vector = quantized update coordinates + one trailing weight word.
     // Under cohort-agreed sparsification only the agreed subset is masked,
-    // so the vector (and every PRG expansion) shrinks proportionally.
-    secagg_total_coords_ = init_.global_model->TotalParameters();
-    secagg_vector_length_ =
-        fedavg::KeepCount(secagg_total_coords_,
-                          init_.config.secagg.keep_fraction) +
-        1;
-    secagg_index_seed_ =
-        0x5eca66ull ^ (init_.round.value * 0x9E3779B97F4A7C15ull);
+    // so the vector (and every PRG expansion) shrinks proportionally. The
+    // fixed-point scale is sized for the round's configured cohort cap so
+    // every participant derives the identical scale.
+    const std::size_t total = init_.global_model->TotalParameters();
+    secagg_spec_ = {
+        .total = total,
+        .keep = fedavg::KeepCount(total, init_.config.secagg.keep_fraction),
+        .clip = init_.config.secagg.clip,
+        .max_summands = static_cast<std::uint32_t>(
+            std::max<std::size_t>(init_.config.devices_per_aggregator, 2)),
+        .ring_bits = init_.config.secagg.ring_bits,
+        .index_seed =
+            0x5eca66ull ^ (init_.round.value * 0x9E3779B97F4A7C15ull)};
     const std::size_t m = msg.links.size();
     secagg_threshold_ = std::max<std::size_t>(
         2, static_cast<std::size_t>(
                std::ceil(init_.config.secagg.threshold_fraction *
                          static_cast<double>(m))));
-    secagg_.emplace(secagg_threshold_, secagg_vector_length_,
-                    init_.config.secagg.ring_bits);
-    // Codec width is the round's configured cohort cap so every participant
-    // derives the identical fixed-point scale.
-    codec_.emplace(init_.config.secagg.clip,
-                   static_cast<std::uint32_t>(std::max<std::size_t>(
-                       init_.config.devices_per_aggregator, 2)),
-                   init_.config.secagg.ring_bits);
+    secagg_.emplace(secagg_threshold_, secagg_spec_.vector_length(),
+                    secagg_spec_.ring_bits);
     // Arm the advertise-phase timer.
     SendAfter(init_.config.reporting_deadline / 4, id(),
               MsgSecAggPhaseTimeout{init_.round, 0});
@@ -180,15 +178,9 @@ void AggregatorActor::HandleConfigure(const MsgConfigureDevices& msg) {
     if (secure) {
       entry.secagg_index = ++next_index;
       by_index_[entry.secagg_index] = link.device;
-      assignment.secagg_enabled = true;
       assignment.secagg_index = entry.secagg_index;
       assignment.secagg_threshold = secagg_threshold_;
-      assignment.secagg_vector_length = secagg_vector_length_;
-      assignment.secagg_clip = init_.config.secagg.clip;
-      assignment.secagg_max_summands = static_cast<std::uint32_t>(
-          std::max<std::size_t>(init_.config.devices_per_aggregator, 2));
-      assignment.secagg_ring_bits = init_.config.secagg.ring_bits;
-      assignment.secagg_index_seed = secagg_index_seed_;
+      assignment.secagg_spec = secagg_spec_;
     } else {
       // Plain-path update codec: every cohort member encodes with the same
       // per-round stages so the Aggregator can decode uniformly.
@@ -268,7 +260,7 @@ void AggregatorActor::HandleReport(const DeviceReport& report) {
              .note = codec_name_});
   it->second.link.report_ack(ReportAck{true, NextWindow()});
   Send(init_.master, MsgReportingProgress{id(), accepted_, accepted_wire_bytes_,
-                                          metrics, true});
+                                          metrics});
 }
 
 void AggregatorActor::CloseRemaining(const std::string& reason,
@@ -291,7 +283,7 @@ void AggregatorActor::HandleFlush() {
       // Nothing committed yet; the secure aggregate is unrecoverable.
       CloseRemaining("round flushed before secagg commit",
                      protocol::ParticipantOutcome::kAborted);
-      FinishAndReport(false, "flushed before commit");
+      FinishAndReport(std::nullopt, "flushed before commit");
     }
     // Phases 2/3 continue to completion via their own timers.
     return;
@@ -299,26 +291,15 @@ void AggregatorActor::HandleFlush() {
   // In-flight devices are left to finish; their late uploads are rejected
   // with '#'. This mirrors the production behaviour behind Table 1 and the
   // "aborted" series of Fig. 7.
-  FinishAndReport(true, "");
+  FinishAndReport(accumulator_->TakePartial());
 }
 
-void AggregatorActor::FinishAndReport(bool ok, const std::string& error) {
+void AggregatorActor::FinishAndReport(
+    std::optional<fedavg::PartialAggregate> partial, std::string error) {
   if (reported_to_master_) return;
   reported_to_master_ = true;
-  MsgAggregatorResult result;
-  result.aggregator = id();
-  result.ok = ok;
-  if (ok) {
-    if (init_.aggregation_op != plan::AggregationOp::kMetricsOnly &&
-        init_.config.aggregation != protocol::AggregationMode::kSecure) {
-      result.delta_sum = accumulator_->delta_sum();
-      result.weight_sum = accumulator_->weight_sum();
-    }
-    result.contributors = accepted_;
-  } else {
-    result.error = error;
-  }
-  Send(init_.master, std::move(result));
+  Send(init_.master,
+       MsgAggregatorResult{id(), std::move(partial), std::move(error)});
 }
 
 // --------------------------------------------------------------------------
@@ -360,7 +341,7 @@ void AggregatorActor::AdvanceSecAggAfterAdvertising() {
     EmitError(directory.status().ToString());
     CloseRemaining("secagg advertise failed",
                    protocol::ParticipantOutcome::kDropped);
-    FinishAndReport(false, directory.status().ToString());
+    FinishAndReport(std::nullopt, directory.status().ToString());
     return;
   }
   secagg_phase_ = 1;
@@ -395,7 +376,7 @@ void AggregatorActor::AdvanceSecAggAfterSharing() {
     EmitError(u1.status().ToString());
     CloseRemaining("secagg sharing failed",
                    protocol::ParticipantOutcome::kDropped);
-    FinishAndReport(false, u1.status().ToString());
+    FinishAndReport(std::nullopt, u1.status().ToString());
     return;
   }
   secagg_phase_ = 2;
@@ -443,7 +424,7 @@ void AggregatorActor::HandleSecAggMasked(const SecAggMaskedInputMsg& msg) {
   it->second.link.report_ack(ReportAck{true, NextWindow()});
   Send(init_.master,
        MsgReportingProgress{id(), accepted_, accepted_wire_bytes_,
-                            it->second.metrics, true});
+                            it->second.metrics});
   if (accepted_ == secagg_u1_size_) {
     AdvanceSecAggAfterCommit();  // every key-holder committed: no stragglers
   }
@@ -456,7 +437,7 @@ void AggregatorActor::AdvanceSecAggAfterCommit() {
     EmitError(request.status().ToString());
     CloseRemaining("secagg commit failed",
                    protocol::ParticipantOutcome::kDropped);
-    FinishAndReport(false, request.status().ToString());
+    FinishAndReport(std::nullopt, request.status().ToString());
     return;
   }
   secagg_phase_ = 3;
@@ -494,47 +475,16 @@ void AggregatorActor::FinalizeSecAgg() {
   CloseRemaining("secagg round over", protocol::ParticipantOutcome::kAborted);
   if (!sum.ok()) {
     EmitError(sum.status().ToString());
-    FinishAndReport(false, sum.status().ToString());
+    FinishAndReport(std::nullopt, sum.status().ToString());
     return;
   }
-  // Decode: leading words are fixed-point update coordinates, the last word
-  // is the integer weight sum. The weight word is decoded as a raw reduced
-  // value (weights are non-negative, so no sign extension), which bounds
-  // legal weight sums to the ring width.
-  const std::size_t keep = secagg_vector_length_ - 1;
-  std::vector<float> flat(secagg_total_coords_, 0.0f);
-  if (keep == secagg_total_coords_) {
-    for (std::size_t i = 0; i < keep; ++i) {
-      flat[i] = codec_->DecodeSum((*sum)[i]);
-    }
-  } else {
-    // Cohort-agreed sparsification: the masked vector carried only the
-    // agreed coordinate subset; rescale by total/keep so the sparse sum is
-    // an unbiased estimate of the dense one.
-    const auto agreed = fedavg::AgreedIndexSet(
-        secagg_index_seed_, secagg_total_coords_, keep);
-    const float rescale = static_cast<float>(secagg_total_coords_) /
-                          static_cast<float>(keep);
-    for (std::size_t i = 0; i < keep; ++i) {
-      flat[agreed[i]] = codec_->DecodeSum((*sum)[i]) * rescale;
-    }
-  }
-  const float weight_sum = static_cast<float>((*sum)[keep]);
-
-  auto delta = init_.global_model->Unflatten(flat);
-  if (!delta.ok()) {
-    FinishAndReport(false, delta.status().ToString());
+  auto partial = fedavg::DecodeSecAggSum(
+      secagg_spec_, *sum, secagg_->committed().size(), *init_.global_model);
+  if (!partial.ok()) {
+    FinishAndReport(std::nullopt, partial.status().ToString());
     return;
   }
-
-  reported_to_master_ = true;
-  MsgAggregatorResult result;
-  result.aggregator = id();
-  result.ok = true;
-  result.delta_sum = std::move(delta).value();
-  result.weight_sum = weight_sum;
-  result.contributors = secagg_->committed().size();
-  Send(init_.master, std::move(result));
+  FinishAndReport(std::move(partial).value());
 }
 
 }  // namespace fl::server

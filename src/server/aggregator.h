@@ -11,7 +11,7 @@
 
 #include "src/actor/actor.h"
 #include "src/analytics/lifecycle.h"
-#include "src/common/fixed_point.h"
+#include "src/fedavg/codec.h"
 #include "src/fedavg/server_aggregate.h"
 #include "src/secagg/server.h"
 #include "src/server/messages.h"
@@ -52,7 +52,10 @@ class AggregatorActor final : public actor::Actor {
   void HandleConfigure(const MsgConfigureDevices& msg);
   void HandleReport(const DeviceReport& report);
   void HandleFlush();
-  void FinishAndReport(bool ok, const std::string& error);
+  // The one send of this Aggregator's MsgAggregatorResult: its cohort's
+  // partial aggregate, or (no partial) the `error` that lost it.
+  void FinishAndReport(std::optional<fedavg::PartialAggregate> partial,
+                       std::string error = {});
 
   // --- Secure aggregation path ---
   void HandleSecAggAdvertise(const SecAggAdvertiseMsg& msg);
@@ -88,11 +91,8 @@ class AggregatorActor final : public actor::Actor {
 
   // Secure mode state.
   std::optional<secagg::SecAggServer> secagg_;
-  std::optional<FixedPointCodec> codec_;
+  fedavg::SecAggVectorSpec secagg_spec_;  // shipped with every assignment
   std::map<secagg::ParticipantIndex, DeviceId> by_index_;
-  std::size_t secagg_vector_length_ = 0;  // kept coordinates + weight word
-  std::size_t secagg_total_coords_ = 0;   // full flat update length
-  std::uint64_t secagg_index_seed_ = 0;   // cohort-agreed sparsity subset
   std::size_t secagg_threshold_ = 0;
   int secagg_phase_ = 0;  // 0=advertise 1=share 2=commit 3=unmask
   // Early phase advancement: when every live participant has answered the

@@ -198,37 +198,31 @@ void CoordinatorActor::HandleComplete(const MsgRoundComplete& msg) {
   if (!active_ || msg.round != active_->round) return;
   TaskState& task = tasks_[active_->task_index];
 
-  fedavg::FedAvgAccumulator acc(
+  // The master's fold already produced the final aggregate: apply it to one
+  // copy of the model.
+  Checkpoint next_model = *model_;
+  const Status s = msg.partial.ApplyTo(
       task.descriptor.plans.plans().begin()->second.server.aggregation,
-      *model_);
-  Checkpoint delta = msg.delta_sum;
-  Status s = acc.AccumulateSum(std::move(delta), msg.weight_sum,
-                               msg.contributors);
+      next_model);
   if (s.ok()) {
-    auto next_model = acc.Finalize(*model_);
-    if (next_model.ok()) {
-      RoundRecord record;
-      record.task = task.descriptor.id;
-      record.task_name = task.descriptor.name;
-      record.round_number = ++task.rounds_run;
-      record.committed_at = Now();
-      record.contributors = msg.contributors;
-      record.metrics = msg.metrics.All();
-      // Fig. 1 step 6: only now does anything touch persistent storage.
-      init_.context->model_store->Commit(std::move(next_model).value(),
-                                         std::move(record));
-      RefreshModelBytes();
-      EmitOutcome({.round = msg.round,
-                   .a = msg.contributors,
-                   .b = static_cast<std::uint64_t>(
-                       msg.selection_duration.millis),
-                   .c = static_cast<std::uint64_t>(msg.round_duration.millis),
-                   .outcome = protocol::RoundOutcome::kCommitted});
-    } else {
-      s = next_model.status();
-    }
-  }
-  if (!s.ok()) {
+    RoundRecord record;
+    record.task = task.descriptor.id;
+    record.task_name = task.descriptor.name;
+    record.round_number = ++task.rounds_run;
+    record.committed_at = Now();
+    record.contributors = msg.partial.contributors;
+    record.metrics = msg.metrics.All();
+    // Fig. 1 step 6: only now does anything touch persistent storage.
+    init_.context->model_store->Commit(std::move(next_model),
+                                       std::move(record));
+    RefreshModelBytes();
+    EmitOutcome({.round = msg.round,
+                 .a = msg.partial.contributors,
+                 .b = static_cast<std::uint64_t>(
+                     msg.selection_duration.millis),
+                 .c = static_cast<std::uint64_t>(msg.round_duration.millis),
+                 .outcome = protocol::RoundOutcome::kCommitted});
+  } else {
     EmitError(msg.round, "commit failed: " + s.ToString());
     EmitOutcome({.round = msg.round,
                  .reason = analytics::FlightReason::kCommitFailed,

@@ -223,7 +223,7 @@ void MasterAggregatorActor::BeginReporting() {
 void MasterAggregatorActor::HandleProgress(const MsgReportingProgress& msg) {
   const auto it = aggregators_.find(msg.aggregator);
   if (it == aggregators_.end()) return;
-  if (msg.has_metrics) combined_->AddMetrics(msg.metrics);
+  combined_->AddMetrics(msg.metrics);
   it->second.accepted = msg.accepted;
   it->second.wire_bytes = msg.wire_bytes;
   total_accepted_ = 0;
@@ -254,18 +254,17 @@ void MasterAggregatorActor::HandleAggregatorResult(
   if (it == aggregators_.end() || it->second.done) return;
   it->second.done = true;
   --results_outstanding_;
-  if (msg.ok) {
+  if (msg.partial) {
     // "The Master Aggregator then further aggregates the intermediate
     // aggregators' results into a final aggregate" (Sec. 6).
-    Checkpoint delta = msg.delta_sum;
-    const Status s = combined_->AccumulateSum(std::move(delta),
-                                              msg.weight_sum,
-                                              msg.contributors);
+    const Status s = combined_->AccumulateSum(msg.partial->delta_sum,
+                                              msg.partial->weight_sum,
+                                              msg.partial->contributors);
     if (!s.ok()) {
       const std::string what = s.ToString();
       EmitRound({.kind = JournalEventKind::kServerError, .note = what});
     }
-  } else if (!msg.error.empty()) {
+  } else {
     const std::string what = "aggregator failed: " + msg.error;
     EmitRound({.kind = JournalEventKind::kServerError, .note = what});
   }
@@ -300,9 +299,7 @@ void MasterAggregatorActor::MaybeFinishRound() {
     MsgRoundComplete done;
     done.round = init_.round;
     done.task = init_.task;
-    done.delta_sum = combined_->delta_sum();
-    done.weight_sum = combined_->weight_sum();
-    done.contributors = contributors;
+    done.partial = combined_->TakePartial();
     done.metrics = combined_->metrics();
     done.selection_duration = configured_at_ - started_at_;
     done.round_duration = Now() - started_at_;

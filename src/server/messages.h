@@ -10,6 +10,7 @@
 #include <any>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "src/common/id.h"
 #include "src/device/attestation.h"
 #include "src/fedavg/client_update.h"
+#include "src/fedavg/codec.h"
 #include "src/fedavg/metrics.h"
 #include "src/plan/plan.h"
 #include "src/protocol/pace_steering.h"
@@ -41,20 +43,12 @@ struct TaskAssignment {
   std::shared_ptr<const Bytes> model_bytes;  // serialized global checkpoint
   SimTime participation_deadline;  // device-side cap (Fig. 8)
   // Secure Aggregation parameters (when enabled for this round).
-  bool secagg_enabled = false;
   secagg::ParticipantIndex secagg_index = 0;
   std::size_t secagg_threshold = 0;
-  std::size_t secagg_vector_length = 0;
-  double secagg_clip = 4.0;
-  // Fixed-point codec width: device and Aggregator must quantize with the
-  // same scale for the masked sums to decode exactly.
-  std::uint32_t secagg_max_summands = 2;
-  // Fixed-point ring width (8..32): masked words travel as r-bit values.
-  std::uint8_t secagg_ring_bits = 32;
-  // Cohort-agreed sparsification: when secagg_vector_length - 1 is smaller
-  // than the flat update, the device masks only the coordinates of
-  // fedavg::AgreedIndexSet(secagg_index_seed, total, vector_length - 1).
-  std::uint64_t secagg_index_seed = 0;
+  // The masked-vector format, set iff the round aggregates securely: device
+  // and Aggregator must quantize the same coordinates with the same scale
+  // for the masked sums to decode exactly.
+  std::optional<fedavg::SecAggVectorSpec> secagg_spec;
   // Plain-path update codec for this round (all stages default OFF).
   protocol::WireCodecConfig codec;
   // Causal context of the configuring server side (round + config span):
@@ -208,7 +202,9 @@ struct MsgFlush {};     // stop accepting reports; return sums
 struct MsgSelfStop {};  // ephemeral actor end-of-life timer
 
 // Aggregator -> Master. Sent once per accepted report so the master tracks
-// the global goal count and folds in the report's metrics exactly.
+// the global goal count and folds in the report's metrics exactly. Metrics
+// ride here rather than on the partial aggregate: they are already in the
+// master's summary when an Aggregator crashes before reporting its sums.
 struct MsgReportingProgress {
   ActorId aggregator;
   std::size_t accepted = 0;  // cumulative for this aggregator
@@ -218,14 +214,12 @@ struct MsgReportingProgress {
   // aggregator later crashes.
   std::uint64_t wire_bytes = 0;
   fedavg::ClientMetrics metrics;
-  bool has_metrics = false;
 };
 struct MsgAggregatorResult {
   ActorId aggregator;
-  bool ok = false;                 // false: secagg failed / nothing usable
-  Checkpoint delta_sum;
-  float weight_sum = 0;
-  std::size_t contributors = 0;
+  // The cohort's intermediate sum; empty when secagg failed or nothing was
+  // usable, and then `error` says why.
+  std::optional<fedavg::PartialAggregate> partial;
   std::string error;
 };
 
@@ -233,9 +227,7 @@ struct MsgAggregatorResult {
 struct MsgRoundComplete {
   RoundId round;
   TaskId task;
-  Checkpoint delta_sum;
-  float weight_sum = 0;
-  std::size_t contributors = 0;
+  fedavg::PartialAggregate partial;  // the final aggregate
   fedavg::MetricsAccumulator metrics;
   // Timing for Fig. 8.
   Duration selection_duration;

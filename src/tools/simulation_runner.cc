@@ -131,8 +131,8 @@ Result<std::pair<double, std::size_t>> RunRoundOnPool(
     FL_RETURN_IF_ERROR(shard.status);
     train_loss += shard.train_loss;
     got += shard.got;
-    // Fold the shard's sum in by reference — unlike MergeFrom, the shard
-    // keeps its buffers for the next round's Rearm.
+    // Fold the shard's sum in by reference: the shard keeps its buffers for
+    // the next round's Rearm.
     FL_RETURN_IF_ERROR(master.AccumulateSum(shard.acc.delta_sum(),
                                             shard.acc.weight_sum(),
                                             shard.acc.contributions()));

@@ -1,8 +1,11 @@
 // Integration test for adaptive round-window tuning (Sec. 11) over the full
 // simulator: a deliberately under-provisioned configuration self-corrects.
+// Every run is journaled and replayed through the offline analyzer
+// (ReplayedJournal).
 #include <gtest/gtest.h>
 
 #include "src/core/fl_system.h"
+#include "tests/core/journal_replay.h"
 #include "src/data/blobs.h"
 #include "src/graph/model_zoo.h"
 
@@ -44,6 +47,7 @@ std::unique_ptr<FLSystem> Deploy(bool adaptive, std::uint64_t seed) {
 }
 
 TEST(AdaptiveIntegrationTest, ControllerPushesConfigIntoCoordinator) {
+  const ReplayedJournal journal;
   auto system = Deploy(true, 91);
   system->RunFor(Hours(6));
   auto* coord = system->actor_system().Get<server::CoordinatorActor>(
@@ -61,22 +65,26 @@ TEST(AdaptiveIntegrationTest, ControllerPushesConfigIntoCoordinator) {
 }
 
 TEST(AdaptiveIntegrationTest, AdaptiveOutperformsStaticUnderStress) {
-  auto static_sys = Deploy(false, 93);
-  auto adaptive_sys = Deploy(true, 93);
-  static_sys->RunFor(Hours(8));
-  adaptive_sys->RunFor(Hours(8));
-
-  const auto rate = [](const FLSystem& s) {
-    const double total = static_cast<double>(s.stats().rounds_committed() +
-                                             s.stats().rounds_abandoned());
-    return total == 0 ? 0.0 : s.stats().rounds_committed() / total;
+  // One journal per fleet: both run the same seed, so their records would
+  // collide in a shared one. Returns (commit rate, rounds committed).
+  const auto run = [](bool adaptive) {
+    const ReplayedJournal journal;
+    auto system = Deploy(adaptive, 93);
+    system->RunFor(Hours(8));
+    const std::size_t committed = system->stats().rounds_committed();
+    const double total = static_cast<double>(
+        committed + system->stats().rounds_abandoned());
+    return std::make_pair(total == 0 ? 0.0 : committed / total, committed);
   };
+  const auto static_run = run(false);
+  const auto adaptive_run = run(true);
   // Adaptive tuning must not be worse, and it must keep committing rounds.
-  EXPECT_GE(rate(*adaptive_sys) + 0.05, rate(*static_sys));
-  EXPECT_GT(adaptive_sys->stats().rounds_committed(), 0u);
+  EXPECT_GE(adaptive_run.first + 0.05, static_run.first);
+  EXPECT_GT(adaptive_run.second, 0u);
 }
 
 TEST(AdaptiveIntegrationTest, StaysInertWhenNotEnabled) {
+  const ReplayedJournal journal;
   auto system = Deploy(false, 95);
   system->RunFor(Hours(2));
   EXPECT_EQ(system->adaptive_controller(), nullptr);

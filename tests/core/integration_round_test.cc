@@ -1,8 +1,11 @@
 // Integration tests of multi-task scheduling, evaluation rounds, pipelined
-// selection, and Secure Aggregation over the full simulator.
+// selection, and Secure Aggregation over the full simulator. The plain-path
+// runs are journaled and replayed through the offline analyzer
+// (ReplayedJournal).
 #include <gtest/gtest.h>
 
 #include "src/core/fl_system.h"
+#include "tests/core/journal_replay.h"
 #include "src/data/blobs.h"
 #include "src/graph/model_zoo.h"
 
@@ -49,6 +52,7 @@ FLSystem::DataProvisioner BlobsProvisioner() {
 }
 
 TEST(IntegrationTest, TrainAndEvalTasksAlternate) {
+  const ReplayedJournal journal;
   FLSystem system(SmallConfig(31));
   const graph::Model model = TestModel();
   system.AddTrainingTask("train", model, {}, {}, SmallRound(), Seconds(30));
@@ -77,6 +81,7 @@ TEST(IntegrationTest, TrainAndEvalTasksAlternate) {
 }
 
 TEST(IntegrationTest, EvalRoundsDoNotMoveTheModel) {
+  const ReplayedJournal journal;
   FLSystem system(SmallConfig(33));
   const graph::Model model = TestModel();
   // Evaluation-only deployment: model version advances per commit but the
@@ -98,6 +103,7 @@ TEST(IntegrationTest, EvalRoundsDoNotMoveTheModel) {
 }
 
 TEST(IntegrationTest, MetricsSummariesMaterialized) {
+  const ReplayedJournal journal;
   FLSystem system(SmallConfig(35));
   system.AddTrainingTask("train", TestModel(), {}, {}, SmallRound(),
                          Seconds(30));
@@ -116,6 +122,11 @@ TEST(IntegrationTest, MetricsSummariesMaterialized) {
   EXPECT_FALSE(system.model_store().MetricHistory("train", "loss").empty());
 }
 
+// The two Secure Aggregation runs are not journal-replayed: a device that
+// loses eligibility while it waits for the unmask round, after its masked
+// input was acked, is journaled '^' then '!'. fl_analyze --check flags that
+// transition, and the reducers count the participant as both completed and
+// dropped.
 TEST(IntegrationTest, SecureAggregationRoundsCommit) {
   FLSystemConfig config = SmallConfig(37);
   FLSystem system(std::move(config));
@@ -185,6 +196,7 @@ TEST(IntegrationTest, PipeliningReducesInterRoundGap) {
   // pipelining off, the waiting pool only refills between rounds, so fewer
   // rounds fit in the same wall-clock window.
   auto run = [](bool pipelined) {
+    const ReplayedJournal journal;
     FLSystemConfig config = SmallConfig(41);
     config.pipelined_selection = pipelined;
     FLSystem system(std::move(config));
@@ -204,6 +216,7 @@ TEST(IntegrationTest, PipeliningReducesInterRoundGap) {
 }
 
 TEST(IntegrationTest, DiurnalParticipationSwing) {
+  const ReplayedJournal journal;
   FLSystemConfig config = SmallConfig(43);
   config.population.device_count = 400;
   config.population.tz_weights = {1.0};

@@ -1,8 +1,8 @@
 // Round-trip, property, and accounting tests for the pluggable update
 // codec (src/fedavg/codec.h): every stage alone, the full
 // delta -> top-k -> int4 composition, unbiasedness of stochastic
-// quantization, index-encoding selection, and the SecAgg sparsification
-// helpers.
+// quantization, index-encoding selection, and the SecAgg input-vector
+// format (sparsification helpers, encode -> masked sum -> decode).
 #include "src/fedavg/codec.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <cmath>
 #include <set>
 
+#include "src/common/fixed_point.h"
 #include "src/common/rng.h"
 
 namespace fl::fedavg {
@@ -220,6 +221,76 @@ TEST(CodecTest, AgreedIndexSetIsDeterministicSortedDistinct) {
   // keep == total degenerates to the identity.
   const auto all = AgreedIndexSet(7, 10, 10);
   for (std::uint32_t i = 0; i < 10; ++i) EXPECT_EQ(all[i], i);
+}
+
+// Encodes every client with the spec, sums the words the way unmasking
+// leaves them (u32 wrap-around, reduced to the ring) and decodes the sum.
+// Returns the partial next to the independently quantized reference sum.
+std::pair<PartialAggregate, std::vector<float>> SecAggRoundTrip(
+    const SecAggVectorSpec& spec) {
+  Rng rng(spec.index_seed);
+  Checkpoint schema;
+  schema.Put("w", Tensor::FromVector(std::vector<float>(spec.total - 8)));
+  schema.Put("b", Tensor::FromVector(std::vector<float>(8)));
+  const FixedPointCodec codec(spec.clip, spec.max_summands, spec.ring_bits);
+  const std::vector<std::uint32_t> agreed =
+      AgreedIndexSet(spec.index_seed, spec.total, spec.keep);
+  std::vector<std::uint32_t> sum(spec.vector_length(), 0);
+  std::vector<std::int64_t> quantized(spec.keep, 0);
+  for (const float weight : {3.0f, 5.0f, 7.0f}) {
+    const std::vector<float> update = RandomUpdate(spec.total, rng, 1.5f);
+    const auto words = EncodeSecAggInput(spec, update, weight);
+    EXPECT_TRUE(words.ok()) << words.status();
+    for (std::size_t i = 0; i < sum.size(); ++i) sum[i] += (*words)[i];
+    for (std::size_t i = 0; i < spec.keep; ++i) {
+      quantized[i] += std::llround(
+          static_cast<double>(update[agreed[i]]) * codec.scale());
+    }
+  }
+  for (auto& w : sum) w &= codec.ring_mask();
+  auto partial = DecodeSecAggSum(spec, sum, 3, schema);
+  EXPECT_TRUE(partial.ok()) << partial.status();
+  const float rescale =
+      static_cast<float>(spec.total) / static_cast<float>(spec.keep);
+  std::vector<float> expected(spec.total, 0.0f);
+  for (std::size_t i = 0; i < spec.keep; ++i) {
+    const auto q = static_cast<float>(static_cast<double>(quantized[i]) /
+                                      codec.scale());
+    expected[agreed[i]] = spec.keep == spec.total ? q : q * rescale;
+  }
+  return {std::move(partial).value(), expected};
+}
+
+TEST(CodecTest, SecAggDenseVectorRoundTripsToTheQuantizedSum) {
+  const SecAggVectorSpec spec{.total = 40,
+                              .keep = 40,
+                              .clip = 2.0,
+                              .max_summands = 4,
+                              .ring_bits = 16,
+                              .index_seed = 5};
+  const auto [partial, expected] = SecAggRoundTrip(spec);
+  EXPECT_EQ(partial.delta_sum.Flatten(), expected);
+  EXPECT_EQ(partial.weight_sum, 15.0f);
+  EXPECT_EQ(partial.contributors, 3u);
+}
+
+TEST(CodecTest, SecAggSparseVectorRoundTripsRescaled) {
+  const SecAggVectorSpec spec{.total = 40,
+                              .keep = KeepCount(40, 0.25),
+                              .clip = 2.0,
+                              .max_summands = 4,
+                              .ring_bits = 32,
+                              .index_seed = 11};
+  ASSERT_EQ(spec.vector_length(), 11u);
+  const auto [partial, expected] = SecAggRoundTrip(spec);
+  const std::vector<float> flat = partial.delta_sum.Flatten();
+  EXPECT_EQ(flat, expected);
+  EXPECT_EQ(std::count(flat.begin(), flat.end(), 0.0f), 30);
+  EXPECT_EQ(partial.weight_sum, 15.0f);
+  // A vector of the wrong length is refused at both ends.
+  EXPECT_FALSE(EncodeSecAggInput(spec, std::vector<float>(39), 1.0f).ok());
+  EXPECT_FALSE(
+      DecodeSecAggSum(spec, std::vector<std::uint32_t>(40), 1, {}).ok());
 }
 
 TEST(CodecTest, WireAccountingMatchesCompressedUpdateFraming) {

@@ -20,6 +20,12 @@ Checkpoint DeltaOf(float a, float b) {
   return c;
 }
 
+// The model FinalizeInPlace makes of `global`.
+Result<Checkpoint> Finalized(const FedAvgAccumulator& acc, Checkpoint global) {
+  FL_RETURN_IF_ERROR(acc.FinalizeInPlace(global));
+  return global;
+}
+
 ClientMetrics Metrics(double loss) {
   ClientMetrics m;
   m.mean_loss = loss;
@@ -35,9 +41,9 @@ TEST(FedAvgAccumulatorTest, WeightedMeanMatchesAlgorithmOne) {
   ASSERT_TRUE(acc.Accumulate(DeltaOf(2, 2), 2, Metrics(1.0)).ok());
   ASSERT_TRUE(acc.Accumulate(DeltaOf(-8, 0), 8, Metrics(2.0)).ok());
   EXPECT_EQ(acc.contributions(), 2u);
-  EXPECT_FLOAT_EQ(acc.total_weight(), 10.0f);
+  EXPECT_FLOAT_EQ(acc.weight_sum(), 10.0f);
 
-  const auto next = acc.Finalize(Schema());
+  const auto next = Finalized(acc, Schema());
   ASSERT_TRUE(next.ok());
   const Tensor& w = *(*next->Get("w"));
   EXPECT_FLOAT_EQ(w.at(0), 1.0f + (2.0f - 8.0f) / 10.0f);
@@ -50,7 +56,7 @@ TEST(FedAvgAccumulatorTest, UnweightedMeanIgnoresWeights) {
   // n=100 delta/n = (3,3). Unweighted mean of per-client mean deltas = (2,2).
   ASSERT_TRUE(acc.Accumulate(DeltaOf(2, 2), 2, Metrics(1)).ok());
   ASSERT_TRUE(acc.Accumulate(DeltaOf(300, 300), 100, Metrics(1)).ok());
-  const auto next = acc.Finalize(Schema());
+  const auto next = Finalized(acc, Schema());
   ASSERT_TRUE(next.ok());
   EXPECT_FLOAT_EQ((*next->Get("w"))->at(0), 1.0f + 2.0f);
 }
@@ -60,7 +66,7 @@ TEST(FedAvgAccumulatorTest, MetricsOnlyNeverMovesModel) {
   ASSERT_TRUE(acc.Accumulate(Checkpoint{}, 1, Metrics(0.7)).ok());
   ASSERT_TRUE(acc.Accumulate(Checkpoint{}, 1, Metrics(0.9)).ok());
   const Checkpoint global = Schema();
-  const auto next = acc.Finalize(global);
+  const auto next = Finalized(acc, global);
   ASSERT_TRUE(next.ok());
   EXPECT_EQ(*next, global);
   EXPECT_NEAR(acc.metrics().Get("loss").mean, 0.8, 1e-9);
@@ -68,7 +74,7 @@ TEST(FedAvgAccumulatorTest, MetricsOnlyNeverMovesModel) {
 
 TEST(FedAvgAccumulatorTest, EmptyFinalizeFails) {
   FedAvgAccumulator acc(plan::AggregationOp::kWeightedFedAvg, Schema());
-  EXPECT_FALSE(acc.Finalize(Schema()).ok());
+  EXPECT_FALSE(Finalized(acc, Schema()).ok());
 }
 
 TEST(FedAvgAccumulatorTest, NonPositiveWeightRejected) {
@@ -116,15 +122,13 @@ TEST(FedAvgAccumulatorTest, HierarchicalAggregationMatchesFlat) {
                                  Metrics(1)).ok());
   }
   FedAvgAccumulator master(plan::AggregationOp::kWeightedFedAvg, Schema());
-  Checkpoint ls = left.delta_sum();
-  Checkpoint rs = right.delta_sum();
-  ASSERT_TRUE(master.AccumulateSum(std::move(ls), left.weight_sum(),
+  ASSERT_TRUE(master.AccumulateSum(left.delta_sum(), left.weight_sum(),
                                    left.contributions()).ok());
-  ASSERT_TRUE(master.AccumulateSum(std::move(rs), right.weight_sum(),
+  ASSERT_TRUE(master.AccumulateSum(right.delta_sum(), right.weight_sum(),
                                    right.contributions()).ok());
 
-  const auto flat_model = flat.Finalize(Schema());
-  const auto tree_model = master.Finalize(Schema());
+  const auto flat_model = Finalized(flat, Schema());
+  const auto tree_model = Finalized(master, Schema());
   ASSERT_TRUE(flat_model.ok() && tree_model.ok());
   const Tensor& a = *(*flat_model->Get("w"));
   const Tensor& b = *(*tree_model->Get("w"));
@@ -134,8 +138,9 @@ TEST(FedAvgAccumulatorTest, HierarchicalAggregationMatchesFlat) {
   EXPECT_EQ(master.contributions(), 4u);
 }
 
-TEST(FedAvgAccumulatorTest, MergeFromMatchesFlatAccumulation) {
-  // Shard merge (the parallel round engine's reduction) must equal flat
+TEST(FedAvgAccumulatorTest, TakenPartialsMergeLikeFlatAccumulation) {
+  // The Aggregator -> Master reduction: each shard hands over its partial,
+  // the master merges them through AccumulateSum. That must equal flat
   // accumulation exactly: same adds in the same order.
   FedAvgAccumulator flat(plan::AggregationOp::kWeightedFedAvg, Schema());
   ASSERT_TRUE(flat.Accumulate(DeltaOf(2, 4), 2, Metrics(1)).ok());
@@ -147,30 +152,38 @@ TEST(FedAvgAccumulatorTest, MergeFromMatchesFlatAccumulation) {
   ASSERT_TRUE(shard_b.Accumulate(DeltaOf(-6, 3), 3, Metrics(1)).ok());
 
   FedAvgAccumulator master(plan::AggregationOp::kWeightedFedAvg, Schema());
-  ASSERT_TRUE(master.MergeFrom(std::move(shard_a)).ok());
-  ASSERT_TRUE(master.MergeFrom(std::move(shard_b)).ok());
+  for (FedAvgAccumulator* shard : {&shard_a, &shard_b}) {
+    const PartialAggregate p = shard->TakePartial();
+    ASSERT_TRUE(
+        master.AccumulateSum(p.delta_sum, p.weight_sum, p.contributors).ok());
+    EXPECT_EQ(shard->contributions(), 0u);  // the sums moved out
+  }
 
   EXPECT_EQ(master.contributions(), flat.contributions());
-  EXPECT_FLOAT_EQ(master.total_weight(), flat.total_weight());
-  const auto a = flat.Finalize(Schema());
-  const auto b = master.Finalize(Schema());
+  EXPECT_FLOAT_EQ(master.weight_sum(), flat.weight_sum());
+  const auto a = Finalized(flat, Schema());
+  const auto b = Finalized(master, Schema());
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(*a, *b);
 }
 
-TEST(FedAvgAccumulatorTest, MergeFromEmptyShardIsNoOp) {
+TEST(FedAvgAccumulatorTest, EmptyPartialMergeIsNoOp) {
   FedAvgAccumulator master(plan::AggregationOp::kWeightedFedAvg, Schema());
   ASSERT_TRUE(master.Accumulate(DeltaOf(1, 1), 1, Metrics(1)).ok());
   FedAvgAccumulator empty(plan::AggregationOp::kWeightedFedAvg, Schema());
-  ASSERT_TRUE(master.MergeFrom(std::move(empty)).ok());
+  const PartialAggregate p = empty.TakePartial();
+  ASSERT_TRUE(
+      master.AccumulateSum(p.delta_sum, p.weight_sum, p.contributors).ok());
   EXPECT_EQ(master.contributions(), 1u);
-  EXPECT_FLOAT_EQ(master.total_weight(), 1.0f);
+  EXPECT_FLOAT_EQ(master.weight_sum(), 1.0f);
 }
 
-TEST(FedAvgAccumulatorTest, MergeFromRejectsOpMismatch) {
+TEST(FedAvgAccumulatorTest, MergeRejectsSchemaMismatch) {
   FedAvgAccumulator master(plan::AggregationOp::kWeightedFedAvg, Schema());
-  FedAvgAccumulator shard(plan::AggregationOp::kUnweightedMean, Schema());
-  EXPECT_FALSE(master.MergeFrom(std::move(shard)).ok());
+  Checkpoint wrong;
+  wrong.Put("other", Tensor::FromVector({1.0f}));
+  EXPECT_FALSE(master.AccumulateSum(wrong, 1, 1).ok());
+  EXPECT_EQ(master.contributions(), 0u);
 }
 
 TEST(FedAvgAccumulatorTest, OnlineAccumulationKeepsNoPerClientState) {
@@ -199,13 +212,13 @@ TEST(FedAvgAccumulatorTest, ResetRearmsForNextRoundBitIdentically) {
   ASSERT_TRUE(pooled.Accumulate(DeltaOf(5, 7), 3, Metrics(1.0)).ok());
   pooled.Reset();
   EXPECT_EQ(pooled.contributions(), 0u);
-  EXPECT_FLOAT_EQ(pooled.total_weight(), 0.0f);
+  EXPECT_FLOAT_EQ(pooled.weight_sum(), 0.0f);
 
   FedAvgAccumulator fresh(plan::AggregationOp::kWeightedFedAvg, Schema());
   ASSERT_TRUE(pooled.Accumulate(DeltaOf(2, 2), 2, Metrics(1.0)).ok());
   ASSERT_TRUE(fresh.Accumulate(DeltaOf(2, 2), 2, Metrics(1.0)).ok());
-  const auto a = pooled.Finalize(Schema());
-  const auto b = fresh.Finalize(Schema());
+  const auto a = Finalized(pooled, Schema());
+  const auto b = Finalized(fresh, Schema());
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(*a, *b);
@@ -219,25 +232,32 @@ TEST(FedAvgAccumulatorTest, ConstRefAccumulateSumLeavesShardIntact) {
                   .AccumulateSum(shard.delta_sum(), shard.weight_sum(),
                                  shard.contributions())
                   .ok());
-  // The shard still owns its sum (unlike MergeFrom, which consumes it).
+  // The shard still owns its sum (unlike TakePartial, which moves it out).
   EXPECT_EQ(shard.delta_sum().TotalParameters(), 2u);
   EXPECT_FLOAT_EQ((*shard.delta_sum().Get("w"))->at(0), 4.0f);
-  const auto a = master.Finalize(Schema());
-  const auto b = shard.Finalize(Schema());
+  const auto a = Finalized(master, Schema());
+  const auto b = Finalized(shard, Schema());
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(*a, *b);
 }
 
-TEST(FedAvgAccumulatorTest, FinalizeInPlaceMatchesFinalize) {
+TEST(FedAvgAccumulatorTest, AppliedPartialMatchesFinalizeInPlace) {
+  // The Coordinator's commit path: the master's partial, applied to a copy
+  // of the model, is bit-identical to finalizing the accumulator in place.
   FedAvgAccumulator acc(plan::AggregationOp::kWeightedFedAvg, Schema());
   ASSERT_TRUE(acc.Accumulate(DeltaOf(2, 2), 2, Metrics(1.0)).ok());
   ASSERT_TRUE(acc.Accumulate(DeltaOf(-8, 0), 8, Metrics(2.0)).ok());
-  const auto copy_form = acc.Finalize(Schema());
-  ASSERT_TRUE(copy_form.ok());
   Checkpoint in_place = Schema();
   ASSERT_TRUE(acc.FinalizeInPlace(in_place).ok());
-  EXPECT_EQ(in_place, *copy_form);
+  const PartialAggregate partial = acc.TakePartial();
+  Checkpoint applied = Schema();
+  ASSERT_TRUE(
+      partial.ApplyTo(plan::AggregationOp::kWeightedFedAvg, applied).ok());
+  EXPECT_EQ(applied, in_place);
+  EXPECT_FALSE(PartialAggregate{}
+                   .ApplyTo(plan::AggregationOp::kWeightedFedAvg, applied)
+                   .ok());
 }
 
 TEST(FedAvgAccumulatorTest, FinalizeInPlaceEmptyFails) {

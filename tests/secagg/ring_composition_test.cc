@@ -188,59 +188,57 @@ TEST(RingCompositionTest, RingSumSurvivesDropouts) {
 }
 
 TEST(RingCompositionTest, SparseCompositionDecodesAgreedSubset) {
-  // The device-agent composition in miniature: dense float updates, the
-  // cohort masks only AgreedIndexSet coordinates plus a weight word, the
-  // server decodes into a dense vector with the total/keep rescale.
-  const std::uint8_t ring_bits = 16;
+  // The device-agent composition in miniature, through the shared format:
+  // dense float updates are encoded with one spec (only AgreedIndexSet
+  // coordinates plus a weight word get masked), and the unmasked sum decodes
+  // into a dense partial aggregate with the total/keep rescale.
   const std::size_t n = 4;
-  const std::size_t total = 40;
-  const std::size_t keep = fedavg::KeepCount(total, 0.25);
-  ASSERT_EQ(keep, 10u);
-  const std::uint64_t index_seed = 77;
-  const auto agreed = fedavg::AgreedIndexSet(index_seed, total, keep);
-  FixedPointCodec codec(4.0, static_cast<std::uint32_t>(n), ring_bits);
+  const fedavg::SecAggVectorSpec spec{
+      .total = 40,
+      .keep = fedavg::KeepCount(40, 0.25),
+      .clip = 4.0,
+      .max_summands = static_cast<std::uint32_t>(n),
+      .ring_bits = 16,
+      .index_seed = 77};
+  ASSERT_EQ(spec.keep, 10u);
+  const std::uint32_t ring_mask = (1u << spec.ring_bits) - 1u;
   Rng rng(23);
 
   RingRun run;
-  run.ring_bits = ring_bits;
+  run.ring_bits = spec.ring_bits;
   run.threshold = 3;
   run.drop_after.assign(n, 4);
-  std::vector<std::uint32_t> expected(keep + 1, 0);
+  std::vector<std::uint32_t> expected(spec.vector_length(), 0);
   for (std::size_t i = 0; i < n; ++i) {
-    std::vector<float> dense(total);
+    std::vector<float> dense(spec.total);
     for (auto& x : dense) {
       x = 2.0f * static_cast<float>(rng.NextDouble()) - 1.0f;
     }
-    std::vector<std::uint32_t> words(keep + 1);
-    for (std::size_t j = 0; j < keep; ++j) {
-      words[j] = codec.Encode(dense[agreed[j]]);
+    auto words = fedavg::EncodeSecAggInput(spec, dense,
+                                           static_cast<float>(i + 1));
+    ASSERT_TRUE(words.ok()) << words.status();
+    for (std::size_t j = 0; j < words->size(); ++j) {
+      expected[j] = (expected[j] + (*words)[j]) & ring_mask;
     }
-    words[keep] = static_cast<std::uint32_t>(i + 1) & codec.ring_mask();
-    for (std::size_t j = 0; j <= keep; ++j) {
-      expected[j] = (expected[j] + words[j]) & codec.ring_mask();
-    }
-    run.inputs.push_back(std::move(words));
+    run.inputs.push_back(std::move(words).value());
   }
 
   auto sum = run.Execute(31);
   ASSERT_TRUE(sum.ok()) << sum.status().ToString();
-  ASSERT_EQ(sum->size(), keep + 1);
-  for (std::size_t j = 0; j <= keep; ++j) {
+  ASSERT_EQ(sum->size(), spec.vector_length());
+  for (std::size_t j = 0; j < sum->size(); ++j) {
     EXPECT_EQ((*sum)[j], expected[j]) << j;
   }
-  // Server-side decode: dense vector, kept coordinates rescaled, the rest
-  // zero; the weight word is a plain unsigned ring value.
-  std::vector<float> flat(total, 0.0f);
-  const float rescale =
-      static_cast<float>(total) / static_cast<float>(keep);
-  for (std::size_t j = 0; j < keep; ++j) {
-    flat[agreed[j]] = codec.DecodeSum((*sum)[j]) * rescale;
-  }
-  const float weight_sum = static_cast<float>((*sum)[keep]);
-  EXPECT_EQ(weight_sum, 1.0f + 2.0f + 3.0f + 4.0f);
+  // Aggregator-side decode: kept coordinates rescaled, the rest zero; the
+  // weight word is a plain unsigned ring value.
+  Checkpoint schema;
+  schema.Put("w", Tensor::FromVector(std::vector<float>(spec.total)));
+  const auto partial = fedavg::DecodeSecAggSum(spec, *sum, n, schema);
+  ASSERT_TRUE(partial.ok()) << partial.status();
+  EXPECT_EQ(partial->weight_sum, 1.0f + 2.0f + 3.0f + 4.0f);
   std::size_t nonzero = 0;
-  for (float v : flat) nonzero += (v != 0.0f) ? 1 : 0;
-  EXPECT_LE(nonzero, keep);
+  for (float v : partial->delta_sum.Flatten()) nonzero += (v != 0.0f) ? 1 : 0;
+  EXPECT_LE(nonzero, spec.keep);
 }
 
 TEST(RingCompositionTest, RingAlgebraIdenticalAcrossThreadCounts) {

@@ -2,6 +2,8 @@
 // place of the fleet simulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/graph/model_zoo.h"
 #include "src/server/aggregator.h"
 #include "src/server/coordinator.h"
@@ -276,10 +278,10 @@ TEST_F(Harness, FullRoundCommitsWithCorrectAggregation) {
   auto* p = system.Get<ProbeActor>(probe);
   ASSERT_EQ(p->completes.size(), 1u);
   const MsgRoundComplete& done = p->completes[0];
-  EXPECT_EQ(done.contributors, 4u);
-  EXPECT_FLOAT_EQ(done.weight_sum, 40.0f);
+  EXPECT_EQ(done.partial.contributors, 4u);
+  EXPECT_FLOAT_EQ(done.partial.weight_sum, 40.0f);
   // Sum of four deltas each = init * 0.1 -> total init * 0.4.
-  const Tensor& sum_w = *(*done.delta_sum.Get("w"));
+  const Tensor& sum_w = *(*done.partial.delta_sum.Get("w"));
   const Tensor& init_w = *(*model.init_params.Get("w"));
   for (std::size_t i = 0; i < sum_w.size(); ++i) {
     EXPECT_NEAR(sum_w.at(i), init_w.at(i) * 0.4f, 1e-4);
@@ -497,10 +499,16 @@ TEST_F(Harness, AggregatorCrashLosesOnlyItsCohort) {
   system.Send(ActorId{}, master, std::move(forwarded));
   queue.RunFor(Seconds(1));
 
-  // Two aggregators exist; crash the first cohort's aggregator.
+  // Two aggregators exist. Device 0's report is accepted, then the first
+  // cohort's aggregator crashes before it reports its sums.
   const ActorId agg0 = devices[0].assignments[0].aggregator;
   const ActorId agg1 = devices[3].assignments[0].aggregator;
   ASSERT_NE(agg0, agg1);
+  system.Send(ActorId{}, agg0,
+              ReportFor(devices[0], devices[0].assignments[0]));
+  queue.RunFor(Seconds(1));
+  ASSERT_EQ(devices[0].acks.size(), 1u);
+  EXPECT_TRUE(devices[0].acks[0].accepted);
   system.Crash(agg0);
   queue.RunFor(Seconds(1));
 
@@ -513,7 +521,18 @@ TEST_F(Harness, AggregatorCrashLosesOnlyItsCohort) {
   queue.RunFor(Minutes(11));
   auto* p = system.Get<ProbeActor>(probe);
   ASSERT_EQ(p->completes.size(), 1u);
-  EXPECT_EQ(p->completes[0].contributors, 3u);
+  // The crashed cohort's sums are lost: only the second cohort contributes.
+  EXPECT_EQ(p->completes[0].partial.contributors, 3u);
+  // Its accepted report's metrics reached the master with the progress
+  // message, so they stay in the round's summary (metrics ride progress,
+  // not the partial aggregate).
+  EXPECT_EQ(p->completes[0].metrics.Get("loss").count, 4u);
+  // And the loss is not silent.
+  EXPECT_NE(std::find_if(stats.errors.begin(), stats.errors.end(),
+                         [](const std::string& e) {
+                           return e.find("cohort lost") != std::string::npos;
+                         }),
+            stats.errors.end());
 }
 
 TEST_F(Harness, MasterCrashReportedToCoordinatorViaWatch) {

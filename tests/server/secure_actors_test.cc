@@ -4,7 +4,7 @@
 
 #include <cstring>
 
-#include "src/common/fixed_point.h"
+#include "src/fedavg/codec.h"
 #include "src/graph/model_zoo.h"
 #include "src/secagg/client.h"
 #include "src/server/aggregator.h"
@@ -76,7 +76,8 @@ struct SecureFakeDevice {
     global = std::move(Checkpoint::Deserialize(*a.model_bytes)).value();
     if (die_at == 1) return;
     client.emplace(a.secagg_index, a.secagg_threshold,
-                   a.secagg_vector_length, KeyFrom(rng));
+                   a.secagg_spec->vector_length(), KeyFrom(rng),
+                   a.secagg_spec->ring_bits);
     SecAggAdvertiseMsg msg;
     msg.device = id;
     msg.round = a.round;
@@ -99,16 +100,14 @@ struct SecureFakeDevice {
     if (!client) return;
     for (const auto& s : m.shares) client->ReceiveShare(s);
     if (die_at == 3) return;
-    // Build the quantized update: all coordinates = update_value, trailing
-    // word = weight.
-    const FixedPointCodec codec(assignment->secagg_clip,
-                                assignment->secagg_max_summands);
-    std::vector<std::uint32_t> words(assignment->secagg_vector_length);
-    for (std::size_t i = 0; i + 1 < words.size(); ++i) {
-      words[i] = codec.Encode(update_value);
-    }
-    words.back() = static_cast<std::uint32_t>(weight);
-    auto masked = client->MaskInput(words, m.u1);
+    // Encode the update (every coordinate = update_value) with the device
+    // encoder and the assignment's spec.
+    const std::vector<float> update(assignment->secagg_spec->total,
+                                    update_value);
+    const auto words =
+        fedavg::EncodeSecAggInput(*assignment->secagg_spec, update, weight);
+    ASSERT_TRUE(words.ok()) << words.status();
+    auto masked = client->MaskInput(*words, m.u1);
     ASSERT_TRUE(masked.ok()) << masked.status();
     SecAggMaskedInputMsg msg;
     msg.device = id;
@@ -224,10 +223,10 @@ TEST_F(SecureHarness, SecureRoundCommitsExactQuantizedSum) {
   auto* p = system.Get<ProbeActor>(probe);
   ASSERT_EQ(p->completes.size(), 1u) << "abandons: " << p->abandons.size();
   const MsgRoundComplete& done = p->completes[0];
-  EXPECT_EQ(done.contributors, 6u);
-  EXPECT_FLOAT_EQ(done.weight_sum, 60.0f);
+  EXPECT_EQ(done.partial.contributors, 6u);
+  EXPECT_FLOAT_EQ(done.partial.weight_sum, 60.0f);
   // Sum of 6 updates of 0.5 per coordinate = 3.0, up to quantization.
-  for (const auto& [name, t] : done.delta_sum.tensors()) {
+  for (const auto& [name, t] : done.partial.delta_sum.tensors()) {
     for (std::size_t i = 0; i < t.size(); ++i) {
       EXPECT_NEAR(t.at(i), 3.0f, 0.01) << name;
     }
@@ -236,6 +235,36 @@ TEST_F(SecureHarness, SecureRoundCommitsExactQuantizedSum) {
     EXPECT_TRUE(d.acked);
     EXPECT_TRUE(d.ack_accepted);
   }
+}
+
+TEST_F(SecureHarness, SparseRoundDecodesAgreedCoordinatesRescaled) {
+  const ActorId probe = system.Spawn<ProbeActor>("probe");
+  protocol::RoundConfig config = SecureRound(6);
+  config.secagg.keep_fraction = 0.25;  // default 32-bit ring
+  const ActorId master = SpawnMaster(config, probe);
+  auto devices = MakeDevices(6);
+  Forward(master, devices);
+  queue.RunFor(Minutes(20));
+
+  auto* p = system.Get<ProbeActor>(probe);
+  ASSERT_EQ(p->completes.size(), 1u) << "abandons: " << p->abandons.size();
+  const fedavg::PartialAggregate& sum = p->completes[0].partial;
+  EXPECT_EQ(sum.contributors, 6u);
+  EXPECT_FLOAT_EQ(sum.weight_sum, 60.0f);
+  // Only the agreed coordinates were masked: each sums 6 x 0.5 and is
+  // rescaled by total/keep; every other coordinate decodes to exactly 0.
+  const std::size_t total = model.init_params.TotalParameters();
+  const std::size_t keep = fedavg::KeepCount(total, 0.25);
+  ASSERT_LT(keep, total);
+  const float rescale =
+      static_cast<float>(total) / static_cast<float>(keep);
+  std::size_t nonzero = 0;
+  for (const float v : sum.delta_sum.Flatten()) {
+    if (v == 0.0f) continue;
+    ++nonzero;
+    EXPECT_NEAR(v, 3.0f * rescale, 0.01 * rescale);
+  }
+  EXPECT_EQ(nonzero, keep);
 }
 
 TEST_F(SecureHarness, DropoutsBeforeCommitAreRecovered) {
@@ -251,9 +280,9 @@ TEST_F(SecureHarness, DropoutsBeforeCommitAreRecovered) {
 
   auto* p = system.Get<ProbeActor>(probe);
   ASSERT_EQ(p->completes.size(), 1u);
-  EXPECT_EQ(p->completes[0].contributors, 4u);
-  EXPECT_FLOAT_EQ(p->completes[0].weight_sum, 40.0f);
-  for (const auto& [name, t] : p->completes[0].delta_sum.tensors()) {
+  EXPECT_EQ(p->completes[0].partial.contributors, 4u);
+  EXPECT_FLOAT_EQ(p->completes[0].partial.weight_sum, 40.0f);
+  for (const auto& [name, t] : p->completes[0].partial.delta_sum.tensors()) {
     for (std::size_t i = 0; i < t.size(); ++i) {
       EXPECT_NEAR(t.at(i), 2.0f, 0.01);
     }
@@ -287,8 +316,8 @@ TEST_F(SecureHarness, DropoutsAfterCommitStillIncluded) {
   auto* p = system.Get<ProbeActor>(probe);
   ASSERT_EQ(p->completes.size(), 1u);
   // All 5 committed; the sum includes the silent device's update.
-  EXPECT_EQ(p->completes[0].contributors, 5u);
-  for (const auto& [name, t] : p->completes[0].delta_sum.tensors()) {
+  EXPECT_EQ(p->completes[0].partial.contributors, 5u);
+  for (const auto& [name, t] : p->completes[0].partial.delta_sum.tensors()) {
     for (std::size_t i = 0; i < t.size(); ++i) {
       EXPECT_NEAR(t.at(i), 2.5f, 0.01);
     }

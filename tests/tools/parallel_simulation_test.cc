@@ -69,7 +69,7 @@ Result<SimulationResult> ReferenceSequentialFedAvg(
       ++got;
     }
     if (got == 0) return AbortedError("no client produced an update");
-    FL_ASSIGN_OR_RETURN(global, acc.Finalize(global));
+    FL_RETURN_IF_ERROR(acc.FinalizeInPlace(global));
     RoundPoint point;
     point.round = round;
     point.train_loss = train_loss / static_cast<double>(got);
