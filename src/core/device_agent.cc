@@ -622,6 +622,13 @@ void DeviceAgent::OnSecAggUnmask(std::uint64_t gen,
 
 void DeviceAgent::Interrupt() {
   if (!session_) return;
+  if (session_->reported_ok) {
+    // A Secure Aggregation device waiting for the unmask round: its masked
+    // input is already in the sum and the protocol tolerates the missing
+    // unmask share, so the session ends completed, not dropped.
+    EndSession(true);
+    return;
+  }
   // Interrupted mid-session ('!'): eligibility lost — e.g., the user picked
   // up the phone (Sec. 3: "the FL runtime will abort ... if these conditions
   // are no longer met").

@@ -1,6 +1,5 @@
 #include "src/ops/health.h"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "src/common/json_writer.h"
@@ -15,30 +14,6 @@ std::string FormatDetail(const char* fmt, double a, double b) {
 }
 
 }  // namespace
-
-double SnapshotHistogramQuantile(
-    const telemetry::MetricsSnapshot::HistogramValue& h, double p) {
-  if (h.count == 0 || h.bounds.empty()) return 0.0;
-  p = std::clamp(p, 0.0, 100.0);
-  const double target = p / 100.0 * static_cast<double>(h.count);
-  std::uint64_t acc = 0;
-  for (std::size_t i = 0; i < h.bounds.size(); ++i) {
-    const std::uint64_t c = h.counts[i];
-    if (c == 0) continue;
-    if (static_cast<double>(acc + c) >= target) {
-      const double lo = i == 0 ? 0.0 : h.bounds[i - 1];
-      const double hi = h.bounds[i];
-      const double cd = static_cast<double>(c);
-      const double frac =
-          std::clamp((target - static_cast<double>(acc)) / cd, 0.5 / cd,
-                     1.0 - 0.5 / cd);
-      return lo + (hi - lo) * frac;
-    }
-    acc += c;
-  }
-  // Only the overflow bucket remains: clamp to the configured range.
-  return h.bounds.back();
-}
 
 HealthEvaluator::HealthEvaluator(HealthPolicy policy) : policy_(policy) {}
 
@@ -99,7 +74,9 @@ HealthReport HealthEvaluator::Evaluate(
     check.name = "mailbox_depth_p99";
     check.bound = policy_.max_mailbox_depth_p99;
     const auto* h = snapshot.FindHistogram("fl_actor_mailbox_depth");
-    check.observed = h != nullptr ? SnapshotHistogramQuantile(*h, 99.0) : 0.0;
+    check.observed =
+        h != nullptr ? telemetry::BucketQuantile(h->bounds, h->counts, 99.0)
+                     : 0.0;
     check.ok = check.observed <= check.bound;
     check.detail = FormatDetail("mailbox depth p99 %.1f (bound %.1f)",
                                 check.observed, check.bound);

@@ -87,9 +87,4 @@ class HealthEvaluator {
   HealthReport latest_;
 };
 
-// Midpoint-clamped quantile over a snapshot histogram (same estimator as
-// telemetry::Histogram::Quantile, usable on a point-in-time copy).
-double SnapshotHistogramQuantile(
-    const telemetry::MetricsSnapshot::HistogramValue& h, double p);
-
 }  // namespace fl::ops

@@ -44,22 +44,21 @@ double Histogram::Sum() const {
   return s;
 }
 
-double Histogram::Quantile(double p) const {
-  const std::vector<std::uint64_t> counts = BucketCounts();
+double BucketQuantile(std::span<const double> bounds,
+                      std::span<const std::uint64_t> counts, double p) {
   std::uint64_t total = 0;
   for (std::uint64_t c : counts) total += c;
-  if (total == 0) return 0.0;
+  if (total == 0 || bounds.empty()) return 0.0;
   const double target = std::clamp(p, 0.0, 100.0) / 100.0 *
                         static_cast<double>(total);
   std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
+  for (std::size_t i = 0; i < bounds.size(); ++i) {
     if (counts[i] == 0) continue;
     const std::uint64_t prev = cum;
     cum += counts[i];
     if (static_cast<double>(cum) < target) continue;
-    if (i == counts.size() - 1) return bounds_.back();  // overflow bucket
-    const double lo = i == 0 ? 0.0 : bounds_[i - 1];
-    const double hi = bounds_[i];
+    const double lo = i == 0 ? 0.0 : bounds[i - 1];
+    const double hi = bounds[i];
     // Midpoint-clamped interpolation: the c samples in this bucket are
     // treated as sitting at in-bucket midpoints, so frac stays inside
     // [0.5/c, 1 - 0.5/c]. Raw interpolation reported the exact bucket
@@ -71,7 +70,11 @@ double Histogram::Quantile(double p) const {
                                    0.5 / c, 1.0 - 0.5 / c);
     return lo + (hi - lo) * frac;
   }
-  return bounds_.back();
+  return bounds.back();  // overflow bucket
+}
+
+double Histogram::Quantile(double p) const {
+  return BucketQuantile(bounds_, BucketCounts(), p);
 }
 
 std::vector<std::uint64_t> Histogram::BucketCounts() const {

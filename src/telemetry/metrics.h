@@ -19,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -91,6 +92,16 @@ struct HistogramOptions {
   std::size_t buckets = 24;
 };
 
+// Midpoint-clamped linear interpolation inside the owning bucket; p in
+// [0, 100]. `counts` pairs with `bounds` plus one trailing overflow bucket,
+// as in Histogram::BucketCounts(). Estimates never sit exactly on a bucket
+// boundary, and a single-sample bucket reports its midpoint for every p.
+// The overflow bucket reports its lower bound (the estimate is clamped to
+// the configured range). The one estimator for live histograms and
+// MetricsSnapshot copies alike.
+double BucketQuantile(std::span<const double> bounds,
+                      std::span<const std::uint64_t> counts, double p);
+
 class Histogram {
  public:
   explicit Histogram(HistogramOptions opts);
@@ -105,11 +116,7 @@ class Histogram {
     const std::uint64_t n = Count();
     return n > 0 ? Sum() / static_cast<double>(n) : 0.0;
   }
-  // Midpoint-clamped linear interpolation inside the owning bucket; p in
-  // [0, 100]. Estimates never sit exactly on a bucket boundary, and a
-  // single-sample bucket reports its midpoint for every p. The overflow
-  // bucket reports its lower bound (the estimate is clamped to the
-  // configured range).
+  // BucketQuantile over the current bucket counts.
   double Quantile(double p) const;
 
   const std::vector<double>& bounds() const { return bounds_; }

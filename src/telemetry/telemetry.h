@@ -7,8 +7,8 @@
 //  * Run time: Enabled() is a single relaxed atomic load. Instrumentation
 //    sites are written as `if (telemetry::Enabled()) { ... }`, so a disabled
 //    deployment pays ~one predictable branch per site and performs no
-//    allocation, locking, or atomic RMW (verified by
-//    bench_telemetry_overhead and the zero-allocation test).
+//    allocation, locking, or atomic RMW (measured by bench_overhead into
+//    BENCH_overhead.json, and checked by the zero-allocation test).
 //
 // The flag is a header-inline atomic so that headers (e.g. bench_common.h)
 // can consult it without linking fl_telemetry.

@@ -1,7 +1,6 @@
 // Integration tests of multi-task scheduling, evaluation rounds, pipelined
-// selection, and Secure Aggregation over the full simulator. The plain-path
-// runs are journaled and replayed through the offline analyzer
-// (ReplayedJournal).
+// selection, and Secure Aggregation over the full simulator. Every run is
+// journaled and replayed through the offline analyzer (ReplayedJournal).
 #include <gtest/gtest.h>
 
 #include "src/core/fl_system.h"
@@ -122,12 +121,12 @@ TEST(IntegrationTest, MetricsSummariesMaterialized) {
   EXPECT_FALSE(system.model_store().MetricHistory("train", "loss").empty());
 }
 
-// The two Secure Aggregation runs are not journal-replayed: a device that
-// loses eligibility while it waits for the unmask round, after its masked
-// input was acked, is journaled '^' then '!'. fl_analyze --check flags that
-// transition, and the reducers count the participant as both completed and
-// dropped.
+// In both Secure Aggregation runs some devices lose eligibility while they
+// wait for the unmask round, after their masked input was acked; the
+// replay checks those sessions end completed ('^' then session end), never
+// '^' then '!'.
 TEST(IntegrationTest, SecureAggregationRoundsCommit) {
+  const ReplayedJournal journal;
   FLSystemConfig config = SmallConfig(37);
   FLSystem system(std::move(config));
   protocol::RoundConfig rc = SmallRound();
@@ -163,6 +162,7 @@ TEST(IntegrationTest, SecureAggregationRoundsCommit) {
 }
 
 TEST(IntegrationTest, SecureModelStillLearns) {
+  const ReplayedJournal journal;
   FLSystem system(SmallConfig(39));
   protocol::RoundConfig rc = SmallRound();
   rc.aggregation = protocol::AggregationMode::kSecure;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <string>
 
 #include "src/analytics/window_store.h"
@@ -48,17 +50,42 @@ class HealthTest : public ::testing::Test {
   void SetUp() override { MetricsRegistry::Global().ResetValuesForTest(); }
 };
 
+double SnapshotQuantile(const MetricsSnapshot::HistogramValue& h, double p) {
+  return telemetry::BucketQuantile(h.bounds, h.counts, p);
+}
+
 TEST(SnapshotHistogramQuantileTest, MatchesLiveHistogramEstimator) {
   MetricsSnapshot::HistogramValue h;
   h.bounds = {1.0, 2.0, 4.0, 8.0};
   h.counts = {0, 10, 0, 0, 0};  // all ten samples in (1, 2]
   h.count = 10;
   // Interior quantiles interpolate within the bucket; never on a boundary.
-  EXPECT_GT(SnapshotHistogramQuantile(h, 50.0), 1.0);
-  EXPECT_LT(SnapshotHistogramQuantile(h, 50.0), 2.0);
+  EXPECT_GT(SnapshotQuantile(h, 50.0), 1.0);
+  EXPECT_LT(SnapshotQuantile(h, 50.0), 2.0);
   // Clamped at the midpoint offsets so p=0/p=100 stay inside the bucket.
-  EXPECT_DOUBLE_EQ(SnapshotHistogramQuantile(h, 0.0), 1.0 + 0.5 / 10.0);
-  EXPECT_DOUBLE_EQ(SnapshotHistogramQuantile(h, 100.0), 2.0 - 0.5 / 10.0);
+  EXPECT_DOUBLE_EQ(SnapshotQuantile(h, 0.0), 1.0 + 0.5 / 10.0);
+  EXPECT_DOUBLE_EQ(SnapshotQuantile(h, 100.0), 2.0 - 0.5 / 10.0);
+
+  // A registry snapshot of a live histogram gives bit-identical estimates,
+  // overflow bucket included.
+  auto& registry = MetricsRegistry::Global();
+  telemetry::Histogram* live = registry.GetHistogram(
+      "health_test_quantile_parity", telemetry::HistogramOptions{1.0, 2.0, 4});
+  live->ResetForTest();
+  for (double v : {0.5, 1.5, 1.7, 3.0, 3.9, 6.0, 7.5, 100.0, 250.0}) {
+    live->Observe(v);
+  }
+  const MetricsSnapshot snap = registry.Snapshot();
+  const auto* copy = snap.FindHistogram("health_test_quantile_parity");
+  ASSERT_NE(copy, nullptr);
+  ASSERT_EQ(copy->counts.back(), 2u);  // two samples in overflow
+  for (double p : {0.0, 1.0, 10.0, 25.0, 50.0, 75.0, 88.0, 90.0, 99.0, 100.0}) {
+    const double a = live->Quantile(p);
+    const double b = SnapshotQuantile(*copy, p);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b))
+        << "p=" << p << " live " << a << " snapshot " << b;
+  }
+  EXPECT_EQ(SnapshotQuantile(*copy, 99.0), 8.0);  // clamped to the range
 }
 
 TEST(SnapshotHistogramQuantileTest, SingleSampleReportsBucketMidpoint) {
@@ -67,19 +94,19 @@ TEST(SnapshotHistogramQuantileTest, SingleSampleReportsBucketMidpoint) {
   h.counts = {0, 1, 0};
   h.count = 1;
   for (double p : {0.0, 50.0, 99.0, 100.0}) {
-    EXPECT_DOUBLE_EQ(SnapshotHistogramQuantile(h, p), 1.5) << "p=" << p;
+    EXPECT_DOUBLE_EQ(SnapshotQuantile(h, p), 1.5) << "p=" << p;
   }
 }
 
 TEST(SnapshotHistogramQuantileTest, EmptyAndOverflowEdges) {
   MetricsSnapshot::HistogramValue empty;
-  EXPECT_DOUBLE_EQ(SnapshotHistogramQuantile(empty, 50.0), 0.0);
+  EXPECT_DOUBLE_EQ(SnapshotQuantile(empty, 50.0), 0.0);
 
   MetricsSnapshot::HistogramValue overflow;
   overflow.bounds = {1.0, 2.0};
   overflow.counts = {0, 0, 5};  // everything above the last bound
   overflow.count = 5;
-  EXPECT_DOUBLE_EQ(SnapshotHistogramQuantile(overflow, 99.0), 2.0);
+  EXPECT_DOUBLE_EQ(SnapshotQuantile(overflow, 99.0), 2.0);
 }
 
 TEST_F(HealthTest, HealthyBeforeFirstEvaluation) {
