@@ -11,8 +11,15 @@
 // vector_length >= 100k, while the recovered sum for a pinned
 // (seed, cohort, dropout) scenario stays bit-identical across kernels and
 // thread counts. Results land in BENCH_secagg_scaling.json.
+//
+// The cutoff sweep times one cohort's MaskInput calls and Finalize, serial
+// vs on a hardware_concurrency - 1 pool, over vector length x cohort: the
+// measured crossover behind core::kSecAggPoolMinWords, the mask work below
+// which FLSystem starts no SecAgg compute pool.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <thread>
 
 #include "src/analytics/dashboard.h"
 #include "src/common/crc32.h"
@@ -44,6 +51,7 @@ std::uint32_t SumCrc(std::span<const std::uint32_t> words) {
 struct RunCost {
   double server_ms = 0;       // wall time of server-side work
   double finalize_ms = 0;     // Finalize() alone (mask recovery)
+  double mask_ms = 0;         // every surviving client's MaskInput()
   std::uint64_t prg_words = 0;
   std::uint64_t modexps = 0;
   std::vector<std::uint32_t> sum;
@@ -96,8 +104,12 @@ RunCost RunInstance(std::size_t n, std::size_t dropouts, std::size_t veclen,
     }
   }
   // `dropouts` clients vanish after sharing keys.
+  double mask_ms = 0;
   for (std::size_t i = dropouts; i < n; ++i) {
+    const auto m0 = Clock::now();
     auto masked = clients[i].MaskInput(inputs[i], *u1);
+    mask_ms +=
+        std::chrono::duration<double, std::milli>(Clock::now() - m0).count();
     FL_CHECK(masked.ok());
     FL_CHECK(timed([&] { return server.CollectMaskedInput(*masked); }).ok());
   }
@@ -114,7 +126,7 @@ RunCost RunInstance(std::size_t n, std::size_t dropouts, std::size_t veclen,
       std::chrono::duration<double, std::milli>(Clock::now() - f0).count();
   FL_CHECK(sum.ok());
 
-  return RunCost{server_ms, finalize_ms,
+  return RunCost{server_ms, finalize_ms, mask_ms,
                  server.cost_stats().prg_words_expanded,
                  server.cost_stats().modexp_operations, std::move(*sum)};
 }
@@ -179,6 +191,38 @@ KernelResult KernelMicrobench(std::size_t veclen, std::size_t seeds,
   out.speedup = out.fused_words_per_sec / out.scalar_words_per_sec;
   out.bit_exact = scalar_acc == fused_acc;
   return out;
+}
+
+struct CutoffPoint {
+  std::size_t users = 0;
+  std::size_t vector_length = 0;
+  // Medians over paired instances of one cohort's MaskInput calls plus its
+  // Finalize, the SecAgg work one Aggregator's round puts on the fleet's
+  // event-loop thread.
+  double serial_ms = 0;
+  double pooled_ms = 0;
+};
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+// Serial vs pooled cost of one cohort's masking and unmasking, alternating
+// the two arms over `reps` seeds so drift on a shared host hits both.
+CutoffPoint CutoffCost(std::size_t users, std::size_t veclen,
+                       common::ThreadPool& pool, std::size_t reps) {
+  const std::size_t drops = users / 10;
+  std::vector<double> serial, pooled;
+  for (std::size_t r = 0; r < reps; ++r) {
+    const std::uint64_t seed = 31 * users + veclen + r;
+    const RunCost s = RunInstance(users, drops, veclen, seed);
+    const RunCost p = RunInstance(users, drops, veclen, seed, &pool);
+    FL_CHECK(s.sum == p.sum);
+    serial.push_back(s.mask_ms + s.finalize_ms);
+    pooled.push_back(p.mask_ms + p.finalize_ms);
+  }
+  return CutoffPoint{users, veclen, Median(serial), Median(pooled)};
 }
 
 }  // namespace
@@ -256,6 +300,30 @@ int main() {
               "  identical sums across thread counts: %s\n",
               kPinN, kPinDrops, kSweepVeclen, sweep_table.Render().c_str(),
               threads_deterministic ? "yes" : "NO");
+
+  // --- Cutoff sweep: where a pool starts paying for its wake-ups. ---
+  const std::size_t hw =
+      std::max(1u, std::thread::hardware_concurrency());
+  common::ThreadPool fleet_pool(hw - 1);
+  std::vector<CutoffPoint> cutoff;
+  analytics::TextTable cutoff_table({"users", "veclen", "users x veclen",
+                                     "serial ms", "pooled ms",
+                                     "pooled / serial"});
+  for (std::size_t users : {8u, 32u}) {
+    for (std::size_t veclen : {16u, 64u, 256u, 1024u, 2048u, 4096u, 8192u}) {
+      const CutoffPoint p = CutoffCost(users, veclen, fleet_pool, 9);
+      cutoff.push_back(p);
+      cutoff_table.AddRow(
+          {std::to_string(users), std::to_string(veclen),
+           std::to_string(users * veclen),
+           analytics::TextTable::Num(p.serial_ms),
+           analytics::TextTable::Num(p.pooled_ms),
+           analytics::TextTable::Num(p.pooled_ms / p.serial_ms)});
+    }
+  }
+  std::printf("\nPool cutoff sweep (cohort MaskInput + Finalize, median of "
+              "9 paired runs, pool of %zu workers):\n%s",
+              fleet_pool.size(), cutoff_table.Render().c_str());
 
   // --- Quadratic scaling table (the paper's Sec. 6 shape). ---
   const std::size_t veclen = 512;  // update coordinates per client
@@ -344,6 +412,17 @@ int main() {
   }
   json.EndArray()
       .Field("threads_deterministic", threads_deterministic)
+      .Field("cutoff_pool_workers", fleet_pool.size())
+      .BeginArray("cutoff_sweep");
+  for (const CutoffPoint& p : cutoff) {
+    json.BeginObject()
+        .Field("users", p.users)
+        .Field("vector_length", p.vector_length)
+        .Field("serial_ms", p.serial_ms)
+        .Field("pooled_ms", p.pooled_ms)
+        .EndObject();
+  }
+  json.EndArray()
       .BeginArray("scaling");
   for (const ScalePoint& p : scale) {
     json.BeginObject()

@@ -5,26 +5,54 @@
 namespace fl {
 namespace {
 
-constexpr std::array<std::uint32_t, 256> MakeTable() {
-  std::array<std::uint32_t, 256> table{};
+// Slice-by-8 tables: kTables[0] is the classic bytewise table; kTables[k][b]
+// is the CRC of byte b followed by k zero bytes, so eight table lookups fold
+// eight input bytes per step.
+using Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr Tables MakeTables() {
+  Tables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = t[k - 1][i];
+      t[k][i] = t[0][prev & 0xFF] ^ (prev >> 8);
+    }
+  }
+  return t;
 }
 
-constexpr auto kTable = MakeTable();
+constexpr Tables kTables = MakeTables();
+
+inline std::uint32_t LoadLE32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
+}
 
 }  // namespace
 
 std::uint32_t Crc32(std::span<const std::uint8_t> data, std::uint32_t seed) {
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (const std::uint8_t b : data) {
-    c = kTable[(c ^ b) & 0xFF] ^ (c >> 8);
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = LoadLE32(p) ^ c;
+    const std::uint32_t hi = LoadLE32(p + 4);
+    c = kTables[7][lo & 0xFF] ^ kTables[6][(lo >> 8) & 0xFF] ^
+        kTables[5][(lo >> 16) & 0xFF] ^ kTables[4][lo >> 24] ^
+        kTables[3][hi & 0xFF] ^ kTables[2][(hi >> 8) & 0xFF] ^
+        kTables[1][(hi >> 16) & 0xFF] ^ kTables[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    c = kTables[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

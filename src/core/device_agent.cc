@@ -318,6 +318,7 @@ void DeviceAgent::OnAssigned(std::uint64_t gen,
     s.sa_client.emplace(assignment.secagg_index, assignment.secagg_threshold,
                         s.secagg->vector_length(), RandomKey(rng_),
                         s.secagg->ring_bits);
+    s.sa_client->SetThreadPool(services_.compute_pool);
     // Round 0: advertise keys right away, overlapping with training.
     const secagg::KeyAdvertisement adv = s.sa_client->AdvertiseKeys();
     SendSecAggUpload(gen, AdvertiseBytes(), [this, adv] {

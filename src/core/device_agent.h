@@ -37,6 +37,9 @@ class DeviceAgent {
     // session end) goes through analytics::Emit() into this sink.
     analytics::LifecycleSink* events = nullptr;
     const FLSystemConfig* config = nullptr;
+    // Fork-join pool for SecAgg mask expansion (null: serial); handed to
+    // each session's SecAggClient.
+    common::ThreadPool* compute_pool = nullptr;
   };
 
   DeviceAgent(sim::DeviceProfile profile, Services services);

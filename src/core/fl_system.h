@@ -119,15 +119,23 @@ class FLSystem : private analytics::LifecycleSink {
   const std::vector<ActorId>& selector_ids() const { return selector_ids_; }
   sim::EventQueue& queue() { return queue_; }
   const FLSystemConfig& config() const { return config_; }
+  // The SecAgg compute pool: hardware_concurrency - 1 workers, started by
+  // the first secure task with enough mask work to repay its wake-ups; null
+  // until then (a plain or small-model deployment starts no extra thread).
+  common::ThreadPool* compute_pool() { return compute_pool_.get(); }
 
  private:
   void On(const analytics::LifecycleEvent& e) override;
+  void AddTask(const std::string& name, plan::VersionedPlanSet plans,
+               const protocol::RoundConfig& round_config, Duration cadence);
   ActorId SpawnCoordinator();
   void ScheduleStatsSampler();
   void ScheduleDataRefresh();
   void ScheduleAdaptiveTick();
 
   FLSystemConfig config_;
+  // Declared before every actor and agent that borrows it.
+  std::unique_ptr<common::ThreadPool> compute_pool_;
   Rng rng_;
   sim::EventQueue queue_;
   sim::DiurnalCurve curve_;

@@ -77,6 +77,24 @@ void BlocksX4(const std::uint32_t s[16], std::uint32_t counter,
   }
 }
 
+// acc[i] += ks[i] (Sign +1) or -= (Sign -1) for i < n, four words per
+// vector op: at -O2 GCC leaves this variable-length loop scalar, and it
+// then costs about a third as much as the keystream itself.
+template <int Sign>
+inline void AccumulateWords(std::uint32_t* __restrict acc,
+                            const std::uint32_t* __restrict ks,
+                            std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    v4u a, k;
+    std::memcpy(&a, acc + i, sizeof(a));
+    std::memcpy(&k, ks + i, sizeof(k));
+    a = Sign > 0 ? a + k : a - k;
+    std::memcpy(acc + i, &a, sizeof(a));
+  }
+  for (; i < n; ++i) acc[i] = Sign > 0 ? acc[i] + ks[i] : acc[i] - ks[i];
+}
+
 // --- Kernel dispatch --------------------------------------------------------
 
 struct Dispatch {
@@ -167,15 +185,14 @@ void PrgAccumulate(const Key256& seed, std::uint32_t stream_id, int sign,
   std::uint32_t counter = 0;
   std::size_t pos = 0;
   const std::size_t n = acc.size();
-  std::uint32_t* __restrict a = acc.data();
   while (pos < n) {
     d.blocks(s, counter, ks);
     counter += static_cast<std::uint32_t>(d.stride_blocks);
     const std::size_t take = std::min(d.stride_words, n - pos);
     if (sign >= 0) {
-      for (std::size_t i = 0; i < take; ++i) a[pos + i] += ks[i];
+      AccumulateWords<+1>(acc.data() + pos, ks, take);
     } else {
-      for (std::size_t i = 0; i < take; ++i) a[pos + i] -= ks[i];
+      AccumulateWords<-1>(acc.data() + pos, ks, take);
     }
     pos += take;
   }

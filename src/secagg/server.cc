@@ -56,12 +56,17 @@ Status SecAggServer::CollectShares(const ShareKeysMessage& msg) {
   if (u1_.count(msg.index) > 0) {
     return AlreadyExistsError("duplicate ShareKeys message");
   }
+  // Validate the whole message before routing any of it, so a rejected
+  // message leaves nothing behind.
   for (const EncryptedShare& s : msg.shares) {
     if (s.from != msg.index) {
       return InvalidArgumentError("share sender mismatch");
     }
-    routed_[s.to].push_back(s);
+    if (s.to == msg.index || directory_.count(s.to) == 0) {
+      return InvalidArgumentError("share addressed outside the cohort");
+    }
   }
+  for (const EncryptedShare& s : msg.shares) routed_[s.to].push_back(s);
   u1_.insert(msg.index);
   return Status::Ok();
 }
@@ -133,26 +138,35 @@ Status SecAggServer::CollectUnmaskingResponse(const UnmaskingResponse& resp) {
   if (u2_.count(resp.index) == 0) {
     return PermissionDeniedError("unmasking response from non-survivor");
   }
+  if (responded_.count(resp.index) > 0) {
+    return AlreadyExistsError("duplicate unmasking response");
+  }
+  // Validate the whole response before storing any share: a rejected
+  // response must not leave shares behind for Finalize to reconstruct from.
   for (const auto& [u, shares] : resp.mask_key_shares) {
     if (u2_.count(u) > 0) {
       return PermissionDeniedError(
           "refusing mask-key share of a committed participant");
     }
+  }
+  for (const auto& [u, limbs] : resp.self_seed_shares) {
+    if (u2_.count(u) > 0 && limbs.size() != kSeedLimbs) {
+      return InvalidArgumentError("unexpected seed limb count");
+    }
+  }
+  responded_.insert(resp.index);
+  for (const auto& [u, shares] : resp.mask_key_shares) {
     auto& bucket = key_shares_[u];
     bucket.insert(bucket.end(), shares.begin(), shares.end());
   }
   for (const auto& [u, limbs] : resp.self_seed_shares) {
     if (u2_.count(u) == 0) continue;  // self-seeds only for survivors
-    if (limbs.size() != kSeedLimbs) {
-      return InvalidArgumentError("unexpected seed limb count");
-    }
     auto& buckets = seed_shares_[u];
     buckets.resize(kSeedLimbs);
     for (std::size_t l = 0; l < kSeedLimbs; ++l) {
       buckets[l].push_back(limbs[l]);
     }
   }
-  ++unmask_responses_;
   return Status::Ok();
 }
 
@@ -160,9 +174,9 @@ Result<std::vector<std::uint32_t>> SecAggServer::Finalize() {
   if (phase_ != Phase::kUnmasking) {
     return FailedPreconditionError("not in unmasking phase");
   }
-  if (unmask_responses_ < threshold_) {
+  if (responded_.size() < threshold_) {
     return AbortedError("not enough unmasking responses: " +
-                        std::to_string(unmask_responses_) + " < " +
+                        std::to_string(responded_.size()) + " < " +
                         std::to_string(threshold_));
   }
 

@@ -97,7 +97,7 @@ class SecAggServer {
   std::map<ParticipantIndex, std::vector<crypto::Share>> key_shares_;
   std::map<ParticipantIndex, std::vector<std::vector<crypto::Share>>>
       seed_shares_;  // [participant][limb] -> shares
-  std::size_t unmask_responses_ = 0;
+  std::set<ParticipantIndex> responded_;  // survivors that answered round 3
   ServerCostStats stats_;
 };
 

@@ -136,6 +136,7 @@ void AggregatorActor::HandleConfigure(const MsgConfigureDevices& msg) {
                          static_cast<double>(m))));
     secagg_.emplace(secagg_threshold_, secagg_spec_.vector_length(),
                     secagg_spec_.ring_bits);
+    secagg_->SetThreadPool(init_.context->compute_pool);
     // Arm the advertise-phase timer.
     SendAfter(init_.config.reporting_deadline / 4, id(),
               MsgSecAggPhaseTimeout{init_.round, 0});

@@ -9,6 +9,7 @@
 #include "src/analytics/lifecycle.h"
 #include "src/common/id.h"
 #include "src/common/rng.h"
+#include "src/common/thread_pool.h"
 #include "src/plan/versioning.h"
 #include "src/protocol/pace_steering.h"
 #include "src/protocol/round_config.h"
@@ -47,6 +48,9 @@ struct ServerContext {
   const protocol::PaceSteeringPolicy* pace = nullptr;
   Rng* rng = nullptr;  // server-side randomness (single-threaded sim use)
   std::size_t estimated_population = 0;  // updated by the embedder
+  // Fork-join pool for SecAgg mask expansion (null: serial). Aggregators
+  // hand it to their SecAggServer.
+  common::ThreadPool* compute_pool = nullptr;
 };
 
 }  // namespace fl::server

@@ -20,18 +20,16 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <fstream>
 #include <functional>
-#include <sstream>
 #include <string>
 
 #include "src/analytics/journal.h"
-#include "src/common/crc32.h"
 #include "src/core/fl_system.h"
 #include "src/data/blobs.h"
 #include "src/graph/model_zoo.h"
 #include "src/telemetry/metrics.h"
 #include "src/tools/log_analyzer.h"
+#include "tests/core/fleet_digest.h"
 
 namespace fl::core {
 namespace {
@@ -94,31 +92,6 @@ struct RunDigest {
   bool operator==(const RunDigest&) const = default;
 };
 
-std::uint32_t CrcOfString(const std::string& s) {
-  return Crc32(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(s.data()), s.size()));
-}
-
-// CRC32 over the journal with the (non-deterministic) wall-clock field
-// zeroed: parse each record, clear wall_us, re-serialize.
-std::uint32_t JournalCrc(const std::string& path, std::uint64_t* lines) {
-  std::ifstream in(path);
-  std::string line;
-  std::string canonical;
-  *lines = 0;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    auto rec = analytics::JournalRecord::Parse(line);
-    EXPECT_TRUE(rec.ok()) << line;
-    if (!rec.ok()) continue;
-    rec->wall_us = 0;
-    canonical += rec->Serialize();
-    canonical += '\n';
-    ++*lines;
-  }
-  return CrcOfString(canonical);
-}
-
 FleetPins PinFleet(const FleetStats& stats) {
   FleetPins pins;
   pins.accepted = stats.accepted();
@@ -177,20 +150,8 @@ RunDigest RunGoldenFleet(
     system.Start();
     system.RunFor(Hours(2));
 
-    std::ostringstream rounds;
-    for (const auto& r : system.stats().round_log()) {
-      rounds << r.round.value << ' ' << r.at.millis << ' '
-             << static_cast<int>(r.outcome) << ' ' << r.contributors << ' '
-             << r.selection_duration.millis << ' ' << r.round_duration.millis
-             << '\n';
-    }
-    digest.round_log_crc = CrcOfString(rounds.str());
-    // The serialized checkpoint ends in its own CRC32, and CRC32 over a
-    // message followed by its CRC is a constant (0x2144df1c); digest the
-    // payload before it.
-    const Bytes model_bytes = system.model_store().Latest().Serialize();
-    digest.model_crc = Crc32(std::span<const std::uint8_t>(model_bytes).first(
-        model_bytes.size() - 4));
+    digest.round_log_crc = RoundLogCrc(system.stats());
+    digest.model_crc = ModelPayloadCrc(system.model_store());
     digest.rounds_committed = system.stats().rounds_committed();
     digest.events_fired = system.queue().stats().fired;
     digest.events_scheduled = system.queue().stats().scheduled;
@@ -290,10 +251,21 @@ TEST(DeterminismGoldenTest, ReducersAgreeOnParticipantsAndUploadBytes) {
 // fl_analyze --check beyond the plain path: the golden fleet's journal under
 // Secure Aggregation and under the 8-bit update codec replays cleanly and
 // reproduces the live Table 1 tally.
+//
+// The secure run's digests are pinned too. Its LR vectors are tens of words
+// over 8-device Aggregators, far below the mask work that repays a
+// ParallelFor, so the fleet starts no SecAgg compute pool.
 TEST(DeterminismGoldenTest, SecAggJournalReplaysClean) {
   protocol::RoundConfig rc = GoldenRound();
   rc.aggregation = protocol::AggregationMode::kSecure;
-  const RunDigest run = RunGoldenFleet(rc);
+  const RunDigest run = RunGoldenFleet(rc, [](FLSystem& system) {
+    EXPECT_EQ(system.compute_pool(), nullptr);
+  });
+  EXPECT_EQ(run.journal_crc, 0x9fda9551u);
+  EXPECT_EQ(run.round_log_crc, 0xef9f2d5cu);
+  EXPECT_EQ(run.model_crc, 0xa51c4697u);
+  EXPECT_EQ(run.journal_lines, 12318u);
+  EXPECT_EQ(run.rounds_committed, 20u);
   EXPECT_EQ(run.replay_violations, 0u);
   EXPECT_TRUE(run.replay_tally_matches);
   EXPECT_EQ(run.fleet.shapes, 284u);

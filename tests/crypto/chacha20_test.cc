@@ -248,6 +248,29 @@ TEST(PrgTest, MultiBlockMatchesScalarReference) {
   }
 }
 
+TEST(PrgTest, RandomSeedsAndLengthsMatchScalarReference) {
+  // Fully random keys put a distinct value in every state word, so a
+  // misplaced lane or word in a kernel's output shuffle cannot hide.
+  std::uint64_t x = 0x243F6A8885A308D3ull;
+  const auto next = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    Key256 seed;
+    for (auto& b : seed) b = static_cast<std::uint8_t>(next());
+    const std::size_t count = next() % 600;
+    const auto stream = static_cast<std::uint32_t>(next());
+    const auto expect = PrgWordsRef(seed, count, stream);
+    ForEachKernel([&](const char* kernel) {
+      ASSERT_EQ(PrgWords(seed, count, stream), expect)
+          << kernel << " trial=" << trial << " count=" << count;
+    });
+  }
+}
+
 TEST(PrgTest, AccumulateMatchesSeparateExpandAndApply) {
   Key256 a{}, b{};
   a[3] = 0x5A;
