@@ -124,8 +124,10 @@ int main(int argc, char** argv) {
   const std::size_t rss_before = CurrentRssBytes();
   const auto build_t0 = std::chrono::steady_clock::now();
   auto config = bench::FleetConfig(devices, /*seed=*/42);
-  // Provision once: a 12-hourly refresh over 1M devices would measure the
-  // data generator, not the event core.
+  // Provision once, so the event counts stay comparable across recordings:
+  // a refresh adds one event per period (devices generate data lazily, when
+  // they start training), and only changes what the devices that train
+  // later read.
   config.data_refresh_period = Millis(0);
   core::FLSystem system(std::move(config));
   plan::TrainingHyperparams hyper;
@@ -133,9 +135,10 @@ int main(int argc, char** argv) {
   hyper.epochs = 1;
   system.AddTrainingTask("train", bench::BenchModel(), hyper, {},
                          bench::StandardRound(25), Seconds(30));
-  // Every device holds data (a selected-but-empty device fails its round,
+  // Every device has data (a selected-but-empty device fails its round,
   // Sec. 5's "-v[*"), but a small batch each: example storage must not
-  // drown the per-device footprint the bench is measuring.
+  // drown the per-device footprint the bench is measuring. Only devices
+  // that start training ever generate it.
   system.ProvisionData(bench::BlobsProvisioner(/*seed=*/5,
                                                /*per_device=*/30));
   system.Start();

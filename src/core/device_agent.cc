@@ -47,7 +47,8 @@ DeviceAgent::DeviceAgent(sim::DeviceProfile profile, Services services)
       runtime_(profile.os_version, &registry_) {
   FL_CHECK(services_.queue != nullptr && services_.network != nullptr &&
            services_.frontend != nullptr && services_.stats != nullptr &&
-           services_.config != nullptr && services_.attestation != nullptr);
+           services_.config != nullptr && services_.attestation != nullptr &&
+           services_.data != nullptr);
   eligible_ = availability_.eligible();
 }
 
@@ -63,14 +64,17 @@ void DeviceAgent::Configure(const std::string& population,
 
 device::InMemoryExampleStore& DeviceAgent::GetOrCreateStore(
     const std::string& name) {
-  auto it = owned_stores_.find(name);
-  if (it == owned_stores_.end()) {
-    auto store = std::make_shared<device::InMemoryExampleStore>(
-        name, device::InMemoryExampleStore::Options{});
-    FL_CHECK(registry_.Register(store).ok());
-    it = owned_stores_.emplace(name, std::move(store)).first;
+  if (const auto found = registry_.Find(name); found.ok()) {
+    auto* store = dynamic_cast<device::InMemoryExampleStore*>(*found);
+    FL_CHECK_MSG(store != nullptr,
+                 "example store '" + name + "' is not an in-memory store");
+    return *store;
   }
-  return *it->second;
+  auto store = std::make_shared<device::InMemoryExampleStore>(
+      name, device::InMemoryExampleStore::Options{});
+  device::InMemoryExampleStore& out = *store;
+  FL_CHECK(registry_.Register(std::move(store)).ok());
+  return out;
 }
 
 void DeviceAgent::Start() {
@@ -128,7 +132,7 @@ void DeviceAgent::ScheduleCheckinPoll(Duration delay) {
 }
 
 void DeviceAgent::TryCheckin() {
-  if (!eligible_ || session_.has_value()) return;
+  if (!eligible_ || session_ != nullptr) return;
   const SimTime now = services_.queue->now();
   const auto population = scheduler_.NextSession(now);
   if (!population.has_value()) {
@@ -150,13 +154,13 @@ void DeviceAgent::BeginSession(const std::string& population) {
   ++sessions_started_;
   ++session_counter_;
   const std::uint64_t gen = ++generation_;
-  Session s;
+  session_ = std::make_unique<Session>();
+  Session& s = *session_;
   s.id = SessionId{(profile_.id.value << 20) | session_counter_};
   s.generation = gen;
   s.checkin_at = services_.queue->now();
   s.population = population;
   s.ctx = telemetry::TraceContext{0, s.id.value, profile_.id.value, 0};
-  session_ = std::move(s);
   scheduler_.OnSessionStarted(population, services_.queue->now());
   SetState(DeviceState::kAttesting);
 
@@ -351,6 +355,13 @@ void DeviceAgent::OnAssigned(std::uint64_t gen,
   StartTraining(gen);
 }
 
+void DeviceAgent::CatchUpData() {
+  const DataSchedule& data = *services_.data;
+  for (; data_calls_run_ < data.due.size(); ++data_calls_run_) {
+    data.provisioner(profile_, *this, rng_, data.due[data_calls_run_]);
+  }
+}
+
 void DeviceAgent::StartTraining(std::uint64_t gen) {
   Session& s = *session_;
   AddTrace(SessionEvent::kTrainingStarted);
@@ -364,6 +375,8 @@ void DeviceAgent::StartTraining(std::uint64_t gen) {
   // The computation itself is pure; its wall-clock cost is simulated.
   const profiler::ScopedPhase profile_scope(profiler::Phase::kTraining,
                                             s.round.value);
+  // The plan is the first reader of the stores: fill them first.
+  CatchUpData();
   auto result = runtime_.ExecutePlan(*s.plan, *s.global,
                                      services_.queue->now(), rng_);
   if (!result.ok()) {

@@ -5,8 +5,10 @@
 // discrete-event queue.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "src/analytics/events.h"
 #include "src/analytics/lifecycle.h"
@@ -24,6 +26,21 @@
 
 namespace fl::core {
 
+class DeviceAgent;
+
+// Fills one device's example stores as of sim time `now` (see
+// FLSystem::ProvisionData).
+using DataProvisioner = std::function<void(const sim::DeviceProfile&,
+                                           DeviceAgent&, Rng&, SimTime)>;
+
+// A fleet's data provisioning, shared by all of its agents: the provisioner
+// and every time a call to it came due (start, then each refresh). An agent
+// runs the calls it has not run yet when it next reads its stores.
+struct DataSchedule {
+  DataProvisioner provisioner;
+  std::vector<SimTime> due;  // append-only, ascending
+};
+
 class DeviceAgent {
  public:
   struct Services {
@@ -40,6 +57,7 @@ class DeviceAgent {
     // Fork-join pool for SecAgg mask expansion (null: serial); handed to
     // each session's SecAggClient.
     common::ThreadPool* compute_pool = nullptr;
+    const DataSchedule* data = nullptr;
   };
 
   DeviceAgent(sim::DeviceProfile profile, Services services);
@@ -50,6 +68,8 @@ class DeviceAgent {
                  Duration min_checkin_interval);
 
   device::InMemoryExampleStore& GetOrCreateStore(const std::string& name);
+  // The stores hold the provisioner's calls only up to the device's last
+  // training start (see DataSchedule).
   device::ExampleStoreRegistry& stores() { return registry_; }
   const sim::DeviceProfile& profile() const { return profile_; }
   Rng& rng() { return rng_; }
@@ -115,6 +135,9 @@ class DeviceAgent {
   void OnSecAggUnmask(std::uint64_t gen, const server::SecAggUnmaskMsg&);
 
   // --- round execution ---
+  // Runs every provisioner call that came due since the last one this
+  // device ran, in order, each with its original due time.
+  void CatchUpData();
   void StartTraining(std::uint64_t gen);
   void FinishTraining(std::uint64_t gen);
   void BeginUpload(std::uint64_t gen);
@@ -131,7 +154,7 @@ class DeviceAgent {
   void FailSession(const std::string& why);  // '*' error path
   void EndSession(bool completed);
   bool Active(std::uint64_t gen) const {
-    return session_.has_value() && session_->generation == gen;
+    return session_ != nullptr && session_->generation == gen;
   }
 
   sim::DeviceProfile profile_;
@@ -142,12 +165,12 @@ class DeviceAgent {
   analytics::DeviceState state_ = analytics::DeviceState::kIdle;
 
   device::ExampleStoreRegistry registry_;
-  std::map<std::string, std::shared_ptr<device::InMemoryExampleStore>>
-      owned_stores_;
   device::MultiTenantScheduler scheduler_;
   device::FlRuntime runtime_;
+  std::size_t data_calls_run_ = 0;  // prefix of services_.data->due
 
-  std::optional<Session> session_;
+  // Live from check-in to EndSession only: an idle device holds no Session.
+  std::unique_ptr<Session> session_;
   std::uint64_t generation_ = 0;
   std::uint64_t session_counter_ = 0;
   std::uint64_t sessions_started_ = 0;

@@ -159,7 +159,8 @@ void FLSystem::AddTask(const std::string& name, plan::VersionedPlanSet plans,
 }
 
 void FLSystem::ProvisionData(DataProvisioner provisioner) {
-  provisioner_ = std::move(provisioner);
+  FL_CHECK_MSG(!started_, "ProvisionData must be called before Start()");
+  data_.provisioner = std::move(provisioner);
 }
 
 void FLSystem::EnableAdaptiveWindows(
@@ -289,7 +290,9 @@ void FLSystem::Start() {
   SpawnCoordinator();
   FL_CHECK_MSG(coordinator_.value != 0, "failed to acquire population lock");
 
-  // The device fleet.
+  // The device fleet. Every device's first provisioner call is due now;
+  // each device runs it at its first training start.
+  if (data_.provisioner) data_.due.push_back(queue_.now());
   std::vector<sim::DeviceProfile> profiles =
       sim::GeneratePopulation(config_.population, rng_);
   agents_.reserve(profiles.size());
@@ -306,18 +309,16 @@ void FLSystem::Start() {
     services.events = this;
     services.config = &config_;
     services.compute_pool = compute_pool_.get();
+    services.data = &data_;
     auto agent = std::make_unique<DeviceAgent>(profile, services);
     agent->Configure(config_.population_name, store_name,
                      config_.device_checkin_cadence);
-    if (provisioner_) {
-      provisioner_(profile, *agent, agent->rng(), queue_.now());
-    }
     agent->Start();
     agents_.push_back(std::move(agent));
   }
 
   ScheduleStatsSampler();
-  if (config_.data_refresh_period.millis > 0 && provisioner_) {
+  if (config_.data_refresh_period.millis > 0 && data_.provisioner) {
     ScheduleDataRefresh();
   }
   if (adaptive_.has_value()) ScheduleAdaptiveTick();
@@ -366,9 +367,7 @@ void FLSystem::ScheduleStatsSampler() {
 
 void FLSystem::ScheduleDataRefresh() {
   queue_.After(config_.data_refresh_period, [this] {
-    for (auto& agent : agents_) {
-      provisioner_(agent->profile(), *agent, agent->rng(), queue_.now());
-    }
+    data_.due.push_back(queue_.now());  // run by each device when it trains
     ScheduleDataRefresh();
   });
 }

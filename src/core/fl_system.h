@@ -7,6 +7,7 @@
 //   system.AddTrainingTask("train", model, hyper, selector, round_config);
 //   system.ProvisionData([](const sim::DeviceProfile& d,
 //                           core::DeviceAgent& agent, Rng& rng, SimTime now) {
+//     // Runs lazily, when device d starts training (see ProvisionData).
 //     agent.GetOrCreateStore("default").AddBatch(...);
 //   });
 //   system.Start();
@@ -35,8 +36,7 @@ namespace fl::core {
 // registry metrics, FleetStats and the RoundLedger, in that order.
 class FLSystem : private analytics::LifecycleSink {
  public:
-  using DataProvisioner = std::function<void(
-      const sim::DeviceProfile&, DeviceAgent&, Rng&, SimTime)>;
+  using DataProvisioner = core::DataProvisioner;
 
   explicit FLSystem(FLSystemConfig config);
   ~FLSystem();
@@ -61,8 +61,14 @@ class FLSystem : private analytics::LifecycleSink {
                          const protocol::RoundConfig& round_config,
                          Duration cadence = Seconds(10));
 
-  // Installs the per-device data provisioner; called once per device at
-  // start and every config.data_refresh_period thereafter.
+  // Installs the per-device data provisioner (before Start()). A call is
+  // due for every device at start and every config.data_refresh_period
+  // thereafter, but runs lazily: when a device starts training, it first
+  // runs each call that came due since its last training start, in order,
+  // with that call's due time as `now`. Devices that never train never
+  // generate data. Any draws from the Rng argument (the device's own)
+  // happen at that first read, so a provisioner whose output depends only
+  // on (profile, now) fills the same stores as an eager one.
   void ProvisionData(DataProvisioner provisioner);
 
   // Enables adaptive tuning of the round windows (Sec. 11 "Convergence
@@ -161,7 +167,7 @@ class FLSystem : private analytics::LifecycleSink {
   std::vector<ActorId> selector_ids_;
 
   std::vector<std::unique_ptr<DeviceAgent>> agents_;
-  DataProvisioner provisioner_;
+  DataSchedule data_;
   bool started_ = false;
   std::uint64_t next_task_id_ = 1;
 

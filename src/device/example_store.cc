@@ -6,9 +6,11 @@ namespace fl::device {
 
 void InMemoryExampleStore::Add(data::Example example) {
   examples_.push_back(std::move(example));
-  while (examples_.size() > options_.max_examples) {
-    examples_.pop_front();  // evict oldest beyond the footprint limit
+  // Evict the oldest beyond the footprint limit.
+  if (size() > options_.max_examples) {
+    head_ = examples_.size() - options_.max_examples;
   }
+  Compact();
 }
 
 void InMemoryExampleStore::AddBatch(std::vector<data::Example> examples) {
@@ -17,9 +19,17 @@ void InMemoryExampleStore::AddBatch(std::vector<data::Example> examples) {
 
 void InMemoryExampleStore::ExpireOld(SimTime now) {
   const SimTime cutoff = now - options_.expiration;
-  while (!examples_.empty() && examples_.front().timestamp < cutoff) {
-    examples_.pop_front();
+  while (head_ < examples_.size() && examples_[head_].timestamp < cutoff) {
+    ++head_;
   }
+  Compact();
+}
+
+void InMemoryExampleStore::Compact() {
+  if (head_ == 0 || 2 * head_ < examples_.size()) return;
+  examples_.erase(examples_.begin(),
+                  examples_.begin() + static_cast<std::ptrdiff_t>(head_));
+  head_ = 0;
 }
 
 Result<std::vector<data::Example>> InMemoryExampleStore::Query(
@@ -27,7 +37,8 @@ Result<std::vector<data::Example>> InMemoryExampleStore::Query(
   const SimTime cutoff = now - selector.max_example_age;
   std::vector<data::Example> out;
   // Newest first; stop once the per-participation cap is reached.
-  for (auto it = examples_.rbegin(); it != examples_.rend(); ++it) {
+  const auto oldest = examples_.rend() - static_cast<std::ptrdiff_t>(head_);
+  for (auto it = examples_.rbegin(); it != oldest; ++it) {
     if (it->timestamp < cutoff) break;  // older entries only get older
     out.push_back(*it);
     if (out.size() >= selector.max_examples) break;

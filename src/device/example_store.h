@@ -5,7 +5,6 @@
 // a pre-designated expiration time."
 #pragma once
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -48,6 +47,8 @@ class InMemoryExampleStore final : public ExampleStore {
   const std::string& name() const override { return name_; }
 
   // Appends an example; evicts oldest entries beyond the footprint limit.
+  // An empty store holds no heap memory; eviction and expiry are amortised
+  // O(1).
   void Add(data::Example example);
   void AddBatch(std::vector<data::Example> examples);
 
@@ -57,12 +58,18 @@ class InMemoryExampleStore final : public ExampleStore {
   Result<std::vector<data::Example>> Query(
       const plan::ExampleSelector& selector, SimTime now) const override;
 
-  std::size_t size() const override { return examples_.size(); }
+  std::size_t size() const override { return examples_.size() - head_; }
 
  private:
+  // Drops the examples before `head_` once they are at least half the
+  // vector, so each example is moved O(1) times on average.
+  void Compact();
+
   std::string name_;
   Options options_;
-  std::deque<data::Example> examples_;  // ordered by insertion (≈ time)
+  // Ordered by insertion (≈ time); the live examples are [head_, end).
+  std::vector<data::Example> examples_;
+  std::size_t head_ = 0;
 };
 
 // Per-app registry mapping store names to stores ("registering its example

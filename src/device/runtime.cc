@@ -35,14 +35,6 @@ Result<TaskExecution> FlRuntime::ExecutePlan(const plan::FLPlan& plan,
   return out;
 }
 
-std::size_t FlRuntime::AvailableExamples(const plan::FLPlan& plan,
-                                         SimTime now) const {
-  auto store = stores_->Find(plan.device.selector.store_name);
-  if (!store.ok()) return 0;
-  auto examples = (*store)->Query(plan.device.selector, now);
-  return examples.ok() ? examples->size() : 0;
-}
-
 Duration EstimateComputeDuration(const plan::FLPlan& plan,
                                  std::size_t example_count,
                                  const sim::DeviceProfile& profile) {

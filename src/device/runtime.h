@@ -39,9 +39,6 @@ class FlRuntime {
                                     const Checkpoint& global, SimTime now,
                                     Rng& rng) const;
 
-  // How many examples the plan would consume right now (0 if below minimum).
-  std::size_t AvailableExamples(const plan::FLPlan& plan, SimTime now) const;
-
  private:
   std::uint32_t runtime_version_;
   ExampleStoreRegistry* stores_;

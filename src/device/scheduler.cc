@@ -4,62 +4,64 @@
 
 namespace fl::device {
 
+std::size_t MultiTenantScheduler::IndexOf(
+    const std::string& population) const {
+  std::size_t i = 0;
+  while (i < entries_.size() && entries_[i].reg.population != population) ++i;
+  return i;
+}
+
 Status MultiTenantScheduler::RegisterPopulation(PopulationRegistration reg) {
-  const std::string name = reg.population;
-  if (entries_.count(name) > 0) {
-    return AlreadyExistsError("population '" + name + "' already registered");
+  if (IndexOf(reg.population) < entries_.size()) {
+    return AlreadyExistsError("population '" + reg.population +
+                              "' already registered");
   }
-  entries_.emplace(name, Entry{std::move(reg), SimTime{0}});
-  queue_.push_back(name);
+  entries_.push_back(Entry{std::move(reg), SimTime{0}});
   return Status::Ok();
 }
 
 Status MultiTenantScheduler::UnregisterPopulation(
     const std::string& population) {
-  if (entries_.erase(population) == 0) {
+  const std::size_t i = IndexOf(population);
+  if (i == entries_.size()) {
     return NotFoundError("population '" + population + "' not registered");
   }
-  queue_.erase(std::remove(queue_.begin(), queue_.end(), population),
-               queue_.end());
+  entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
   return Status::Ok();
 }
 
 std::optional<std::string> MultiTenantScheduler::NextSession(
     SimTime now) const {
   if (running_) return std::nullopt;  // one training session at a time
-  for (const std::string& name : queue_) {
-    const auto it = entries_.find(name);
-    if (it == entries_.end()) continue;
-    if (it->second.earliest_next <= now) return name;
+  for (const Entry& entry : entries_) {
+    if (entry.earliest_next <= now) return entry.reg.population;
   }
   return std::nullopt;
 }
 
 void MultiTenantScheduler::OnSessionStarted(const std::string& population,
                                             SimTime now) {
-  const auto it = entries_.find(population);
-  if (it == entries_.end()) return;
+  const std::size_t i = IndexOf(population);
+  if (i == entries_.size()) return;
   running_ = true;
-  it->second.earliest_next = now + it->second.reg.min_checkin_interval;
+  Entry& entry = entries_[i];
+  entry.earliest_next = now + entry.reg.min_checkin_interval;
   // Rotate to the back of the worker queue.
-  auto qit = std::find(queue_.begin(), queue_.end(), population);
-  if (qit != queue_.end()) {
-    queue_.erase(qit);
-    queue_.push_back(population);
-  }
+  const auto it = entries_.begin() + static_cast<std::ptrdiff_t>(i);
+  std::rotate(it, it + 1, entries_.end());
 }
 
 void MultiTenantScheduler::SetEarliestCheckin(const std::string& population,
                                               SimTime earliest) {
-  const auto it = entries_.find(population);
-  if (it == entries_.end()) return;
-  it->second.earliest_next = std::max(it->second.earliest_next, earliest);
+  const std::size_t i = IndexOf(population);
+  if (i == entries_.size()) return;
+  entries_[i].earliest_next = std::max(entries_[i].earliest_next, earliest);
 }
 
 std::optional<SimTime> MultiTenantScheduler::NextRunnableAt(
     SimTime now) const {
   std::optional<SimTime> best;
-  for (const auto& [name, entry] : entries_) {
+  for (const Entry& entry : entries_) {
     const SimTime t = std::max(entry.earliest_next, now);
     if (!best.has_value() || t < *best) best = t;
   }
@@ -68,11 +70,11 @@ std::optional<SimTime> MultiTenantScheduler::NextRunnableAt(
 
 Result<const PopulationRegistration*> MultiTenantScheduler::Find(
     const std::string& population) const {
-  const auto it = entries_.find(population);
-  if (it == entries_.end()) {
+  const std::size_t i = IndexOf(population);
+  if (i == entries_.size()) {
     return NotFoundError("population '" + population + "' not registered");
   }
-  return &it->second.reg;
+  return &entries_[i].reg;
 }
 
 }  // namespace fl::device

@@ -5,10 +5,9 @@
 // consumption)."
 #pragma once
 
-#include <deque>
-#include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "src/common/sim_time.h"
 #include "src/common/status.h"
@@ -50,6 +49,8 @@ class MultiTenantScheduler {
   void OnSessionEnded() { running_ = false; }
 
   std::size_t registered_count() const { return entries_.size(); }
+  // The pointer is valid until the next call that registers, unregisters
+  // or starts a session.
   Result<const PopulationRegistration*> Find(
       const std::string& population) const;
 
@@ -59,9 +60,13 @@ class MultiTenantScheduler {
     SimTime earliest_next;  // max(last run + cadence, pace-steering window)
   };
 
-  std::map<std::string, Entry> entries_;
-  std::deque<std::string> queue_;  // FIFO order among registered populations
-  bool running_ = false;           // no parallel sessions
+  // Index of `population` in entries_, or entries_.size() if absent.
+  std::size_t IndexOf(const std::string& population) const;
+
+  // The worker queue: registered populations in FIFO order. A device
+  // registers a handful at most, so a linear scan beats any index.
+  std::vector<Entry> entries_;
+  bool running_ = false;  // no parallel sessions
 };
 
 }  // namespace fl::device

@@ -2,7 +2,14 @@
 #include "src/core/fl_system.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
+#include <fstream>
+#include <limits>
+#include <map>
+
+#include "src/analytics/journal.h"
 #include "src/data/blobs.h"
 #include "src/graph/model_zoo.h"
 
@@ -184,6 +191,108 @@ TEST(FLSystemTest, NonGenuineDevicesExcluded) {
   // Attestation failures were recorded and rounds still commit.
   EXPECT_GT(system.frontend().attestation_failures(), 0u);
   EXPECT_GT(system.stats().rounds_committed(), 0u);
+}
+
+// Every example a store holds, oldest first.
+std::vector<data::Example> Contents(const device::ExampleStore& store,
+                                    SimTime now) {
+  plan::ExampleSelector all;
+  all.max_example_age = Hours(24 * 365);
+  all.min_examples = 0;
+  all.max_examples = std::numeric_limits<std::size_t>::max();
+  auto newest_first = store.Query(all, now);
+  EXPECT_TRUE(newest_first.ok());
+  return {newest_first->rbegin(), newest_first->rend()};
+}
+
+TEST(FLSystemTest, ProvisioningRunsLazilyAtEachDevicesTrainingStart) {
+  // The provisioner runs only for devices that start training: at each
+  // training start, once for every due time (start, then each hourly
+  // refresh) not yet run, with that due time as `now`.
+  const std::string path = ::testing::TempDir() + "fl_system_lazy." +
+                           std::to_string(::getpid()) + ".log";
+  ASSERT_TRUE(analytics::Journal::Global().Open(path).ok());
+  FLSystemConfig config = SmallConfig(31);
+  config.data_refresh_period = Hours(1);
+  FLSystem system(std::move(config));
+  system.AddTrainingTask("train", TestModel(), {}, {}, SmallRound(),
+                         Seconds(30));
+  auto blobs = std::make_shared<data::BlobsWorkload>(
+      data::BlobsParams{.classes = 4, .feature_dim = 8}, 5);
+  // Every provisioner call, by device: its `now`, in call order.
+  auto calls =
+      std::make_shared<std::map<std::uint64_t, std::vector<SimTime>>>();
+  system.ProvisionData([blobs, calls](const sim::DeviceProfile& profile,
+                                      DeviceAgent& agent, Rng&, SimTime now) {
+    (*calls)[profile.id.value].push_back(now);
+    agent.GetOrCreateStore("default").AddBatch(
+        blobs->UserExamples(profile.id.value, 40, now));
+  });
+  system.Start();
+  EXPECT_TRUE(calls->empty());
+  system.RunFor(Hours(5));
+  analytics::Journal::Global().Close();
+
+  // Each device's last training start, from the journal.
+  std::map<std::uint64_t, SimTime> last_train_start;
+  std::ifstream journal(path);
+  std::string line;
+  while (std::getline(journal, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    const auto record = analytics::JournalRecord::Parse(line);
+    ASSERT_TRUE(record.ok()) << line;
+    if (record->event == analytics::JournalEventKind::kTrainStart) {
+      last_train_start[record->device.value] = record->sim_time;
+    }
+  }
+  journal.close();
+  std::remove(path.c_str());
+  ASSERT_GT(last_train_start.size(), 10u);
+
+  std::size_t checked = 0;
+  for (DeviceAgent* agent : system.devices()) {
+    const std::uint64_t id = agent->profile().id.value;
+    const auto trained = last_train_start.find(id);
+    const auto ran = calls->find(id);
+    if (trained == last_train_start.end()) {
+      EXPECT_TRUE(ran == calls->end()) << "device " << id << " never trained";
+      continue;
+    }
+    ASSERT_TRUE(ran != calls->end()) << "device " << id;
+    const std::vector<SimTime>& due = ran->second;
+    // Once per due time, in order, up to the last training start.
+    for (std::size_t k = 0; k < due.size(); ++k) {
+      EXPECT_EQ(due[k].millis, Hours(static_cast<std::int64_t>(k)).millis);
+    }
+    const std::int64_t n = static_cast<std::int64_t>(due.size());
+    EXPECT_LE(Hours(n - 1).millis, trained->second.millis) << "device " << id;
+    EXPECT_LE(trained->second.millis, Hours(n).millis) << "device " << id;
+
+    // The store equals an eager replay of the same calls.
+    device::InMemoryExampleStore eager("default", {});
+    for (std::int64_t k = 0; k < n; ++k) {
+      eager.AddBatch(blobs->UserExamples(id, 40, SimTime{Hours(k).millis}));
+    }
+    const device::InMemoryExampleStore& lazy =
+        agent->GetOrCreateStore("default");
+    ASSERT_EQ(lazy.size(), eager.size());
+    const auto got = Contents(lazy, system.now());
+    const auto want = Contents(eager, system.now());
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].timestamp.millis, want[i].timestamp.millis);
+      EXPECT_EQ(got[i].features, want[i].features);
+      EXPECT_EQ(got[i].label, want[i].label);
+    }
+    ++checked;
+  }
+  EXPECT_EQ(checked, last_train_start.size());
+  // Some device trained after a refresh, so replays ran more than one call.
+  std::size_t most_calls = 0;
+  for (const auto& [id, due] : *calls) {
+    most_calls = std::max(most_calls, due.size());
+  }
+  EXPECT_GT(most_calls, 1u);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
+#include "src/common/rng.h"
+
 namespace fl::device {
 namespace {
 
@@ -94,6 +98,84 @@ TEST(ExampleStoreTest, AddBatch) {
   InMemoryExampleStore store("s", {});
   store.AddBatch({MakeExample(1, SimTime{1}), MakeExample(2, SimTime{2})});
   EXPECT_EQ(store.size(), 2u);
+}
+
+TEST(ExampleStoreTest, MatchesDequeReferenceUnderRandomOps) {
+  // Differential test: random Add/AddBatch/ExpireOld/Query against the
+  // obvious deque implementation. A small footprint limit and a short
+  // expiration make eviction and expiry interleave.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    InMemoryExampleStore::Options opts;
+    opts.max_examples = 1 + rng.UniformInt(12);
+    opts.expiration =
+        Millis(static_cast<std::int64_t>(50 + rng.UniformInt(200)));
+    InMemoryExampleStore store("s", opts);
+    std::deque<data::Example> ref;
+    auto ref_add = [&](data::Example e) {
+      ref.push_back(std::move(e));
+      while (ref.size() > opts.max_examples) ref.pop_front();
+    };
+    std::int64_t now = 0;
+    int next_label = 0;
+    auto next_example = [&] {
+      now += static_cast<std::int64_t>(rng.UniformInt(20));
+      return MakeExample(static_cast<float>(next_label++), SimTime{now});
+    };
+    for (int op = 0; op < 400; ++op) {
+      switch (rng.UniformInt(4)) {
+        case 0: {
+          data::Example e = next_example();
+          ref_add(e);
+          store.Add(std::move(e));
+          break;
+        }
+        case 1: {
+          std::vector<data::Example> batch(
+              rng.UniformInt(2 * opts.max_examples));
+          for (auto& e : batch) {
+            e = next_example();
+            ref_add(e);
+          }
+          store.AddBatch(std::move(batch));
+          break;
+        }
+        case 2: {
+          now += static_cast<std::int64_t>(rng.UniformInt(100));
+          const SimTime cutoff = SimTime{now} - opts.expiration;
+          while (!ref.empty() && ref.front().timestamp < cutoff) {
+            ref.pop_front();
+          }
+          store.ExpireOld(SimTime{now});
+          break;
+        }
+        default: {
+          plan::ExampleSelector sel;
+          sel.min_examples = rng.UniformInt(4);
+          sel.max_examples = 1 + rng.UniformInt(16);
+          sel.max_example_age =
+              Millis(static_cast<std::int64_t>(rng.UniformInt(300)));
+          std::vector<data::Example> want;
+          const SimTime cutoff = SimTime{now} - sel.max_example_age;
+          for (auto it = ref.rbegin(); it != ref.rend(); ++it) {
+            if (it->timestamp < cutoff) break;
+            want.push_back(*it);
+            if (want.size() >= sel.max_examples) break;
+          }
+          const auto got = store.Query(sel, SimTime{now});
+          ASSERT_EQ(got.ok(), want.size() >= sel.min_examples)
+              << "seed " << seed << " op " << op;
+          if (!got.ok()) break;
+          ASSERT_EQ(got->size(), want.size());
+          for (std::size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ((*got)[i].label, want[i].label);
+            EXPECT_EQ((*got)[i].timestamp.millis, want[i].timestamp.millis);
+          }
+        }
+      }
+      ASSERT_EQ(store.size(), ref.size()) << "seed " << seed << " op " << op;
+    }
+  }
 }
 
 TEST(RegistryTest, RegisterAndFind) {

@@ -88,14 +88,6 @@ TEST_F(RuntimeFixture, InsufficientDataReported) {
   EXPECT_EQ(result.status().code(), ErrorCode::kFailedPrecondition);
 }
 
-TEST_F(RuntimeFixture, AvailableExamplesMatchesQuery) {
-  FlRuntime runtime(graph::kCurrentRuntimeVersion, &registry);
-  EXPECT_EQ(runtime.AvailableExamples(TrainingPlan(), SimTime{1}), 40u);
-  plan::FLPlan starved = TrainingPlan();
-  starved.device.selector.min_examples = 1000;
-  EXPECT_EQ(runtime.AvailableExamples(starved, SimTime{1}), 0u);
-}
-
 TEST_F(RuntimeFixture, TrainingImprovesLocalLoss) {
   FlRuntime runtime(graph::kCurrentRuntimeVersion, &registry);
   plan::FLPlan p = TrainingPlan();

@@ -107,5 +107,37 @@ TEST(SchedulerTest, StaleAppNeverStarves) {
   EXPECT_EQ(runs["b"], 10);
 }
 
+TEST(SchedulerTest, SessionStartsRotateTheFifoOrder) {
+  // Two populations with different cadences: each session start moves its
+  // population behind the other, so the queue order flips every time, and
+  // cadences and pace-steering windows stay with their own population.
+  MultiTenantScheduler s;
+  ASSERT_TRUE(s.RegisterPopulation(Reg("a", Seconds(10))).ok());
+  ASSERT_TRUE(s.RegisterPopulation(Reg("b", Seconds(30))).ok());
+  std::string expected = "a";
+  for (int i = 0; i < 6; ++i) {
+    const SimTime t{Minutes(i).millis};
+    const auto next = s.NextSession(t);
+    ASSERT_TRUE(next.has_value()) << i;
+    EXPECT_EQ(*next, expected) << i;
+    s.OnSessionStarted(*next, t);
+    s.OnSessionEnded();
+    expected = expected == "a" ? "b" : "a";
+  }
+  // "a" ran last at 4 min, "b" at 5 min; "a" is at the front again.
+  EXPECT_EQ(*s.NextSession(SimTime{Minutes(5).millis + 10'000}), "a");
+  // Only "b" is throttled by its 30 s cadence here.
+  s.SetEarliestCheckin("a", SimTime{Hours(1).millis});
+  EXPECT_FALSE(s.NextSession(SimTime{Minutes(5).millis + 20'000}).has_value());
+  EXPECT_EQ(*s.NextSession(SimTime{Minutes(5).millis + 30'000}), "b");
+  EXPECT_EQ(s.NextRunnableAt(SimTime{Minutes(5).millis})->millis,
+            Minutes(5).millis + 30'000);
+  // Each registration kept its own store name through the rotations.
+  EXPECT_EQ((*s.Find("a"))->example_store, "a-store");
+  EXPECT_EQ((*s.Find("b"))->example_store, "b-store");
+  ASSERT_TRUE(s.UnregisterPopulation("a").ok());
+  EXPECT_EQ(*s.NextSession(SimTime{Hours(2).millis}), "b");
+}
+
 }  // namespace
 }  // namespace fl::device
