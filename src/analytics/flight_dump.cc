@@ -28,6 +28,7 @@ LifecycleEvent EventFromFlight(const telemetry::FlightRecord& f) {
   e.session = SessionId{f.session};
   e.round = RoundId{f.round};
   e.a = f.aux_a;
+  e.fields = kRingFields;
   const std::uint8_t lo = static_cast<std::uint8_t>(f.aux_b & 0xffu);
   const std::uint8_t hi = static_cast<std::uint8_t>(f.aux_b >> 8);
   switch (e.kind) {
@@ -101,7 +102,7 @@ std::size_t FormatLine(const telemetry::FlightRecord& f, char* buf) {
       PutU64(&p, id);
     }
     const std::size_t n =
-        WriteDetail(EventFromFlight(f), /*ring_only=*/true, p + 1, kMaxDetail);
+        WriteDetail(EventFromFlight(f), p + 1, kMaxDetail);
     if (n > 0) {
       *p = ' ';
       p += n + 1;
@@ -134,16 +135,8 @@ std::size_t FormatLine(const telemetry::FlightRecord& f, char* buf) {
 bool JournalRecordFromFlight(const telemetry::FlightRecord& rec,
                              JournalRecord* out) {
   if (!IsJournalKind(rec.source, rec.kind)) return false;
-  const LifecycleEvent e = EventFromFlight(rec);
-  out->sim_time = e.t;
-  out->wall_us = static_cast<std::int64_t>(rec.wall_us);
-  out->source = e.source;
-  out->event = e.kind;
-  out->device = e.device;
-  out->session = e.session;
-  out->round = e.round;
-  out->detail.clear();
-  AppendDetail(e, /*ring_only=*/true, &out->detail);
+  *out = RenderJournalRecord(EventFromFlight(rec),
+                             static_cast<std::int64_t>(rec.wall_us));
   return true;
 }
 

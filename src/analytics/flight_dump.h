@@ -3,9 +3,9 @@
 // header owns the encoding: journal sources/events map one-to-one onto the
 // flight codes, and the dump synthesizes `#fl-journal v1`-format lines that
 // fl_analyze ingests exactly like a real journal. The detail text comes from
-// the one lifecycle renderer (AppendDetail in src/analytics/lifecycle.h),
-// minus the fields the rings do not carry (byte accounting, codec names,
-// free-form reason text).
+// the one lifecycle renderer (src/analytics/lifecycle.h) for an event that
+// carries only kRingFields: no byte accounting, codec names or free-form
+// reason text.
 //
 // Only analytics::Emit() writes the ring in production: every journaled
 // LifecycleEvent lands here (the call self-gates on one relaxed load), so

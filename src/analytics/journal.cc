@@ -192,29 +192,6 @@ Result<JournalRecord> JournalRecord::Parse(std::string_view line) {
   return rec;
 }
 
-bool DetailField(std::string_view detail, std::string_view key,
-                 std::string* value) {
-  std::string_view rest = detail;
-  std::string_view tok;
-  while (NextToken(rest, &tok)) {
-    if (tok.size() > key.size() + 1 && tok.substr(0, key.size()) == key &&
-        tok[key.size()] == '=') {
-      value->assign(tok.substr(key.size() + 1));
-      return true;
-    }
-  }
-  return false;
-}
-
-std::int64_t DetailInt(std::string_view detail, std::string_view key,
-                       std::int64_t fallback) {
-  std::string v;
-  if (!DetailField(detail, key, &v)) return fallback;
-  std::int64_t out = 0;
-  if (!ParseInt64(v, &out)) return fallback;
-  return out;
-}
-
 Journal& Journal::Global() {
   static Journal* journal = new Journal();
   return *journal;

@@ -109,15 +109,6 @@ struct JournalRecord {
   static Result<JournalRecord> Parse(std::string_view line);
 };
 
-// Pulls "key=value" out of a record detail string ("a=1 b=x y"). Values run
-// to the next space; returns false when the key is absent.
-bool DetailField(std::string_view detail, std::string_view key,
-                 std::string* value);
-// Integer convenience over DetailField; returns `fallback` when missing or
-// non-numeric.
-std::int64_t DetailInt(std::string_view detail, std::string_view key,
-                       std::int64_t fallback);
-
 namespace journal_internal {
 inline std::atomic<bool> g_enabled{false};
 }  // namespace journal_internal

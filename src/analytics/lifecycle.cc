@@ -39,9 +39,9 @@ constexpr std::array<const char*, 4> kPhaseNames = {{
 // The count each phase record carries after its name (index 0 has none).
 constexpr std::array<const char*, 4> kPhaseCountKeys = {{
     nullptr,
-    " devices=",
-    " aggregators=",
-    " accepted=",
+    "devices",
+    "aggregators",
+    "accepted",
 }};
 
 // Render targets: a growing string (journal) or a fixed buffer (crash dump,
@@ -62,92 +62,159 @@ struct BufferOut {
   }
 };
 
+// Writes space-separated `key=value` fields.
 template <typename Out>
-void PutU64(Out& out, std::uint64_t v) {
-  char tmp[20];
-  const auto res = std::to_chars(tmp, tmp + sizeof(tmp), v);
-  out(std::string_view(tmp, static_cast<std::size_t>(res.ptr - tmp)));
-}
+struct FieldWriter {
+  Out& out;
+  bool first = true;
 
-template <typename Out>
-void PutField(Out& out, std::string_view key, std::uint64_t v) {
-  out(key);
-  PutU64(out, v);
-}
+  void Str(std::string_view key, std::string_view v) {
+    if (!first) out(" ");
+    first = false;
+    out(key);
+    out("=");
+    out(v);
+  }
+  void Num(std::string_view key, std::uint64_t v) {
+    char tmp[20];
+    const auto res = std::to_chars(tmp, tmp + sizeof(tmp), v);
+    Str(key, std::string_view(tmp, static_cast<std::size_t>(res.ptr - tmp)));
+  }
+};
 
-// The one k=v detail renderer; see AppendDetail().
+// The one k=v detail renderer; see RenderJournalRecord().
 template <typename Out>
-void RenderDetail(const LifecycleEvent& e, bool ring_only, Out& out) {
+void RenderDetail(const LifecycleEvent& e, Out& out) {
+  FieldWriter<Out> w{out};
+  const auto has = [&e](EventField f) { return (e.fields & f) != 0; };
   switch (e.kind) {
     case JournalEventKind::kSessionEnd:
-      PutField(out, "completed=", e.a);
+      w.Num("completed", e.a);
       break;
     case JournalEventKind::kCheckinRejected:
     case JournalEventKind::kReportRejected:
-      out("reason=");
-      out(FlightReasonName(e.reason));
+      w.Str("reason", FlightReasonName(e.reason));
       break;
     case JournalEventKind::kRoundOpen:
-      if (!ring_only) PutField(out, "task=", e.c);
-      PutField(out, ring_only ? "goal=" : " goal=", e.a);
-      if (!ring_only) PutField(out, " target=", e.d);
-      PutField(out, " min_report=", e.b);
+      if (has(kFieldTask)) w.Num("task", e.c);
+      w.Num("goal", e.a);
+      if (has(kFieldTarget)) w.Num("target", e.d);
+      w.Num("min_report", e.b);
       break;
     case JournalEventKind::kPhase:
-      out("phase=");
-      out(e.a < kPhaseNames.size() ? kPhaseNames[e.a] : "unknown");
-      if (!ring_only && e.a < kPhaseNames.size() && e.a > 0) {
-        PutField(out, kPhaseCountKeys[e.a], e.b);
+      w.Str("phase", PhaseName(e.a));
+      if (has(kFieldCount) && e.a > 0 && e.a < kPhaseNames.size()) {
+        w.Num(kPhaseCountKeys[e.a], e.b);
       }
       break;
     case JournalEventKind::kReportAccepted:
       if (e.a == 1) {
-        out("mode=secagg");
-        if (!ring_only) PutField(out, " wire_bytes=", e.b);
-      } else if (!ring_only) {
+        w.Str("mode", "secagg");
+      } else if (has(kFieldWeight)) {
         // std::to_string(float) formatting ("%f"), allocation-free.
         char tmp[328];  // any double in fixed notation
         const auto res = std::to_chars(tmp, tmp + sizeof(tmp), e.weight,
                                        std::chars_format::fixed, 6);
-        out("weight=");
-        out(std::string_view(tmp, static_cast<std::size_t>(res.ptr - tmp)));
-        PutField(out, " wire_bytes=", e.b);
-        out(" codec=");
-        out(e.note);
+        w.Str("weight",
+              std::string_view(tmp, static_cast<std::size_t>(res.ptr - tmp)));
       }
+      if (has(kFieldWireBytes)) w.Num("wire_bytes", e.b);
+      if (e.a != 1 && has(kFieldCodec)) w.Str("codec", e.note);
       break;
     case JournalEventKind::kRoundCommit:
-      PutField(out, "contributors=", e.a);
-      PutField(out, " min_report=", e.b);
-      if (!ring_only) {
-        PutField(out, " wire_bytes=", e.c);
-        out(" codec=");
-        out(e.note);
-      }
+      w.Num("contributors", e.a);
+      w.Num("min_report", e.b);
+      if (has(kFieldWireBytes)) w.Num("wire_bytes", e.c);
+      if (has(kFieldCodec)) w.Str("codec", e.note);
       break;
     case JournalEventKind::kRoundAbandoned:
     case JournalEventKind::kRoundOutcome:
-      out("outcome=");
-      out(protocol::RoundOutcomeName(e.outcome));
-      if (e.outcome == protocol::RoundOutcome::kCommitted &&
-          e.kind == JournalEventKind::kRoundOutcome) {
-        PutField(out, " contributors=", e.a);
+      w.Str("outcome", protocol::RoundOutcomeName(e.outcome));
+      if (e.kind == JournalEventKind::kRoundOutcome &&
+          e.outcome == protocol::RoundOutcome::kCommitted &&
+          has(kFieldContributors)) {
+        w.Num("contributors", e.a);
       }
-      if (e.reason != FlightReason::kNone) {
-        out(" reason=");
-        out(!ring_only && !e.note.empty() ? e.note
-                                          : FlightReasonName(e.reason));
-      }
+      if (e.reason != FlightReason::kNone) w.Str("reason", ReasonText(e));
       break;
     case JournalEventKind::kSimRoundStart:
-      PutField(out, "want=", e.a);
+      w.Num("want", e.a);
       break;
     case JournalEventKind::kSimRoundComplete:
-      PutField(out, "got=", e.a);
+      w.Num("got", e.a);
       break;
     default:
       break;
   }
+}
+
+bool ParseU64(std::string_view v, std::uint64_t* out) {
+  const auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), *out);
+  return ec == std::errc() && ptr == v.data() + v.size();
+}
+
+// The numeric detail fields: key, the event word it fills, the EventField
+// bit that marks it present (0 for fields every line of its kind holds).
+struct NumericField {
+  std::string_view key;
+  std::uint64_t LifecycleEvent::*word;
+  std::uint8_t bit;
+};
+constexpr NumericField kNumericFields[] = {
+    {"completed", &LifecycleEvent::a, 0},
+    {"goal", &LifecycleEvent::a, 0},
+    {"want", &LifecycleEvent::a, 0},
+    {"got", &LifecycleEvent::a, 0},
+    {"contributors", &LifecycleEvent::a, kFieldContributors},
+    {"min_report", &LifecycleEvent::b, 0},
+    {"devices", &LifecycleEvent::b, kFieldCount},
+    {"aggregators", &LifecycleEvent::b, kFieldCount},
+    {"accepted", &LifecycleEvent::b, kFieldCount},
+    {"task", &LifecycleEvent::c, kFieldTask},
+    {"target", &LifecycleEvent::d, kFieldTarget},
+};
+
+// Sets the field `key` names on `line` from its text `v`. The caller checks
+// that the result renders back to the input, so this only has to read.
+bool ReadField(std::string_view key, std::string_view v, LifecycleLine* line) {
+  LifecycleEvent& e = line->event;
+  for (const NumericField& f : kNumericFields) {
+    if (key != f.key) continue;
+    e.fields |= f.bit;
+    return ParseU64(v, &(e.*f.word));
+  }
+  if (key == "wire_bytes") {
+    e.fields |= kFieldWireBytes;
+    return ParseU64(v, e.kind == JournalEventKind::kRoundCommit ? &e.c : &e.b);
+  }
+  if (key == "weight") {
+    e.fields |= kFieldWeight;
+    const auto [ptr, ec] =
+        std::from_chars(v.data(), v.data() + v.size(), e.weight);
+    return ec == std::errc() && ptr == v.data() + v.size();
+  }
+  if (key == "codec" || key == "reason") {
+    line->note.assign(v);
+    if (key == "reason") e.reason = FlightReasonForDetail(v);
+    e.fields |= key == "codec" ? kFieldCodec : kFieldNote;
+    return true;
+  }
+  if (key == "phase") {
+    e.a = static_cast<std::uint64_t>(
+        std::find(kPhaseNames.begin(), kPhaseNames.end(), v) -
+        kPhaseNames.begin());
+  } else if (key == "mode") {
+    e.a = v == "secagg" ? 1 : 0;
+  } else if (key == "outcome") {
+    for (int o = 0; o <= static_cast<int>(protocol::RoundOutcome::kFailed);
+         ++o) {
+      const auto outcome = static_cast<protocol::RoundOutcome>(o);
+      if (v == protocol::RoundOutcomeName(outcome)) e.outcome = outcome;
+    }
+  } else {
+    return false;
+  }
+  return true;
 }
 
 // The ring's aux words: aux_a carries `a`; aux_b the reason, the outcome +
@@ -170,6 +237,10 @@ std::uint16_t FlightAuxB(const LifecycleEvent& e) {
 
 }  // namespace
 
+const char* PhaseName(std::uint64_t phase) {
+  return phase < kPhaseNames.size() ? kPhaseNames[phase] : "unknown";
+}
+
 const char* FlightReasonName(FlightReason r) {
   const auto i = static_cast<std::size_t>(r);
   return i < kReasonNames.size() ? kReasonNames[i] : "other";
@@ -182,16 +253,75 @@ FlightReason FlightReasonForDetail(std::string_view reason) {
   return FlightReason::kOther;
 }
 
-void AppendDetail(const LifecycleEvent& e, bool ring_only, std::string* out) {
-  StringOut sink{out};
-  RenderDetail(e, ring_only, sink);
+std::size_t WriteDetail(const LifecycleEvent& e, char* buf, std::size_t cap) {
+  BufferOut sink{buf, cap};
+  RenderDetail(e, sink);
+  return sink.n;
 }
 
-std::size_t WriteDetail(const LifecycleEvent& e, bool ring_only, char* buf,
-                        std::size_t cap) {
-  BufferOut sink{buf, cap};
-  RenderDetail(e, ring_only, sink);
-  return sink.n;
+JournalRecord RenderJournalRecord(const LifecycleEvent& e,
+                                  std::int64_t wall_us) {
+  JournalRecord rec;
+  rec.sim_time = e.t;
+  rec.wall_us = wall_us;
+  rec.source = e.source;
+  rec.event = e.kind;
+  rec.device = e.device;
+  rec.session = e.session;
+  rec.round = e.round;
+  StringOut sink{&rec.detail};
+  RenderDetail(e, sink);
+  return rec;
+}
+
+std::string_view ReasonText(const LifecycleEvent& e) {
+  return (e.fields & kFieldNote) != 0 && !e.note.empty()
+             ? e.note
+             : std::string_view(FlightReasonName(e.reason));
+}
+
+LifecycleLine& LifecycleLine::operator=(const LifecycleLine& other) {
+  event = other.event;
+  wall_us = other.wall_us;
+  note = other.note;
+  event.note = note;
+  return *this;
+}
+
+Result<LifecycleLine> ParseLifecycleLine(std::string_view line) {
+  FL_ASSIGN_OR_RETURN(const JournalRecord rec, JournalRecord::Parse(line));
+  LifecycleLine out;
+  LifecycleEvent& e = out.event;
+  e.t = rec.sim_time;
+  e.source = rec.source;
+  e.kind = rec.event;
+  e.device = rec.device;
+  e.session = rec.session;
+  e.round = rec.round;
+  e.fields = 0;
+  out.wall_us = rec.wall_us;
+  std::string_view rest = rec.detail;
+  while (!rest.empty()) {
+    const std::size_t eq = rest.find('=');
+    if (eq == std::string_view::npos) {
+      return InvalidArgumentError("journal line: detail field without '='");
+    }
+    const std::string_view key = rest.substr(0, eq);
+    rest.remove_prefix(eq + 1);
+    // A reason is free text and runs to the end of the line.
+    const std::size_t end = key == "reason" ? rest.size() : rest.find(' ');
+    const std::string_view value = rest.substr(0, end);
+    if (!ReadField(key, value, &out)) {
+      return InvalidArgumentError("journal line: bad detail field '" +
+                                  std::string(key) + "'");
+    }
+    rest = end < rest.size() ? rest.substr(end + 1) : std::string_view{};
+  }
+  e.note = out.note;
+  if (RenderJournalRecord(e, out.wall_us).Serialize() != line) {
+    return InvalidArgumentError("journal line: does not render back as is");
+  }
+  return out;
 }
 
 void Emit(LifecycleSink* reducers, const LifecycleEvent& e) {
@@ -199,16 +329,7 @@ void Emit(LifecycleSink* reducers, const LifecycleEvent& e) {
     RecordFlight(e.t, e.source, e.kind, e.device, e.session, e.round,
                  static_cast<std::uint32_t>(e.a), FlightAuxB(e));
     if (JournalEnabled()) {
-      JournalRecord rec;
-      rec.sim_time = e.t;
-      rec.wall_us = telemetry::WallMicros();
-      rec.source = e.source;
-      rec.event = e.kind;
-      rec.device = e.device;
-      rec.session = e.session;
-      rec.round = e.round;
-      AppendDetail(e, /*ring_only=*/false, &rec.detail);
-      Journal::Global().Append(rec);
+      Journal::Global().Append(RenderJournalRecord(e, telemetry::WallMicros()));
     }
   }
   if (reducers != nullptr) reducers->On(e);

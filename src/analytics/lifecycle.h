@@ -7,7 +7,10 @@
 //   * the flight recorder ring (always on) stores its compact projection;
 //   * the journal renders the `k=v` text line from it (when open);
 //   * reducers — FleetStats, ops::RoundLedger, ServerMetrics — fold it into
-//     their counters, series and round records.
+//     their counters, series and round records (FoldRound,
+//     src/analytics/round_record.h);
+//   * fl_analyze parses journal lines back into it (ParseLifecycleLine) and
+//     folds the same round records offline.
 //
 // Journaled kinds (everything up to kSimRoundComplete) reach the ring and
 // the journal; the kinds after it carry facts that have no journal line
@@ -56,11 +59,31 @@ const char* FlightReasonName(FlightReason r);
 // Inverse of FlightReasonName; unknown strings map to kOther.
 FlightReason FlightReasonForDetail(std::string_view reason);
 
+// The phase a phase event's `a` indexes: selection, configuration,
+// reporting, closing ("unknown" past closing).
+const char* PhaseName(std::uint64_t phase);
+
 // True for kinds with a journal line (and hence a flight-ring slot). Derived
 // from the enum order: every kind after kSimRoundComplete is reducer-only.
 constexpr bool IsJournaled(JournalEventKind k) {
   return k <= JournalEventKind::kSimRoundComplete;
 }
+
+// The optional k=v fields of a detail line (LifecycleEvent::fields). A live
+// event carries all of them; the flight ring keeps kRingFields; an event
+// parsed back from a line carries the ones the line held.
+enum EventField : std::uint8_t {
+  kFieldTask = 1 << 0,          // round_open task=
+  kFieldTarget = 1 << 1,        // round_open target=
+  kFieldCount = 1 << 2,         // phase devices= / aggregators= / accepted=
+  kFieldWeight = 1 << 3,        // report_accepted weight=
+  kFieldWireBytes = 1 << 4,     // report_accepted / round_commit wire_bytes=
+  kFieldCodec = 1 << 5,         // report_accepted / round_commit codec=
+  kFieldNote = 1 << 6,          // reason= as the note's free text
+  kFieldContributors = 1 << 7,  // round_outcome contributors=
+};
+inline constexpr std::uint8_t kAllFields = 0xff;
+inline constexpr std::uint8_t kRingFields = kFieldContributors;
 
 // One lifecycle fact. Ids use 0 for "not applicable". The numeric
 // arguments are per kind:
@@ -100,6 +123,7 @@ struct LifecycleEvent {
   double weight = 0.0;
   FlightReason reason = FlightReason::kNone;
   protocol::RoundOutcome outcome = protocol::RoundOutcome::kCommitted;
+  std::uint8_t fields = kAllFields;  // EventField bits this event carries
   // Borrowed: valid only for the duration of Emit(); reducers copy it if
   // they keep it.
   std::string_view note{};
@@ -121,13 +145,36 @@ class LifecycleSink {
 // `reducers` may be null.
 void Emit(LifecycleSink* reducers, const LifecycleEvent& e);
 
-// The one `k=v` detail renderer. Appends to `out`; with `ring_only`, fields
-// the flight ring does not carry are omitted (the dump's synthesized
-// records). The buffer variant is allocation-free for the crash path and
-// returns the bytes written (truncated at `cap`).
-void AppendDetail(const LifecycleEvent& e, bool ring_only, std::string* out);
-std::size_t WriteDetail(const LifecycleEvent& e, bool ring_only, char* buf,
-                        std::size_t cap);
+// The journal line `e` renders to: its ids and sim time, `wall_us`, and the
+// `k=v` detail of the one renderer — the fields of `e.kind`, optional ones
+// only when `e.fields` holds them.
+JournalRecord RenderJournalRecord(const LifecycleEvent& e,
+                                  std::int64_t wall_us);
+// The same detail written into a fixed buffer, allocation-free for the crash
+// path; returns the bytes written (truncated at `cap`).
+std::size_t WriteDetail(const LifecycleEvent& e, char* buf, std::size_t cap);
+
+// The reason text a detail line shows: the note when the event carries one,
+// else the reason's name.
+std::string_view ReasonText(const LifecycleEvent& e);
+
+// One journal line parsed back into the event it was rendered from. The
+// event's note views `note`, which this object owns (copies re-point it).
+struct LifecycleLine {
+  LifecycleEvent event;
+  std::int64_t wall_us = 0;
+  std::string note;
+
+  LifecycleLine() = default;
+  LifecycleLine(const LifecycleLine& other) { *this = other; }
+  LifecycleLine& operator=(const LifecycleLine& other);
+};
+
+// The inverse of RenderJournalRecord(): accepts the journal form, the
+// flight-dump form (kRingFields) and any other subset of the optional
+// fields, with a free-form `reason=` tail. A line that would not render
+// back byte for byte is an error.
+Result<LifecycleLine> ParseLifecycleLine(std::string_view line);
 
 // The per-participant outcome a fact implies, shared by every reducer:
 // report_accepted → completed; report_rejected late → rejected late,

@@ -39,16 +39,16 @@ std::uint64_t UnmaskBytes(const secagg::UnmaskingResponse& r) {
 
 }  // namespace
 
-DeviceAgent::DeviceAgent(sim::DeviceProfile profile, Services services)
+DeviceAgent::DeviceAgent(sim::DeviceProfile profile, const Services* services)
     : profile_(profile),
       services_(services),
-      availability_(*services.curve, profile),
+      availability_(*services->curve, profile),
       rng_(profile.seed ^ 0x5851f42d4c957f2dULL),
       runtime_(profile.os_version, &registry_) {
-  FL_CHECK(services_.queue != nullptr && services_.network != nullptr &&
-           services_.frontend != nullptr && services_.stats != nullptr &&
-           services_.config != nullptr && services_.attestation != nullptr &&
-           services_.data != nullptr);
+  FL_CHECK(services_->queue != nullptr && services_->network != nullptr &&
+           services_->frontend != nullptr && services_->stats != nullptr &&
+           services_->config != nullptr && services_->attestation != nullptr &&
+           services_->data != nullptr);
   eligible_ = availability_.eligible();
 }
 
@@ -78,7 +78,7 @@ device::InMemoryExampleStore& DeviceAgent::GetOrCreateStore(
 }
 
 void DeviceAgent::Start() {
-  services_.stats->OnDeviceStateChange(DeviceState::kIdle, state_);
+  services_->stats->OnDeviceStateChange(DeviceState::kIdle, state_);
   ScheduleNextToggle();
   // First check-in attempt at a jittered offset so fleet start-up is not a
   // thundering herd by construction.
@@ -88,17 +88,17 @@ void DeviceAgent::Start() {
 
 void DeviceAgent::SetState(DeviceState s) {
   if (s == state_) return;
-  services_.stats->OnDeviceStateChange(state_, s);
+  services_->stats->OnDeviceStateChange(state_, s);
   state_ = s;
 }
 
 void DeviceAgent::EmitSession(analytics::LifecycleEvent e) {
-  e.t = services_.queue->now();
+  e.t = services_->queue->now();
   e.source = analytics::JournalSource::kDevice;
   e.device = profile_.id;
   e.session = session_->id;
   e.round = session_->assigned ? session_->round : RoundId{};
-  analytics::Emit(services_.events, e);
+  analytics::Emit(services_->events, e);
 }
 
 void DeviceAgent::AddTrace(SessionEvent e) {
@@ -107,9 +107,9 @@ void DeviceAgent::AddTrace(SessionEvent e) {
 }
 
 void DeviceAgent::ScheduleNextToggle() {
-  const SimTime t = availability_.NextToggleAfter(services_.queue->now());
+  const SimTime t = availability_.NextToggleAfter(services_->queue->now());
   const bool will_be = availability_.eligible();
-  services_.queue->At(t, [this, will_be] { OnToggle(will_be); });
+  services_->queue->At(t, [this, will_be] { OnToggle(will_be); });
 }
 
 void DeviceAgent::OnToggle(bool now_eligible) {
@@ -125,7 +125,7 @@ void DeviceAgent::OnToggle(bool now_eligible) {
 void DeviceAgent::ScheduleCheckinPoll(Duration delay) {
   if (poll_scheduled_) return;
   poll_scheduled_ = true;
-  services_.queue->After(delay, [this] {
+  services_->queue->After(delay, [this] {
     poll_scheduled_ = false;
     TryCheckin();
   });
@@ -133,7 +133,7 @@ void DeviceAgent::ScheduleCheckinPoll(Duration delay) {
 
 void DeviceAgent::TryCheckin() {
   if (!eligible_ || session_ != nullptr) return;
-  const SimTime now = services_.queue->now();
+  const SimTime now = services_->queue->now();
   const auto population = scheduler_.NextSession(now);
   if (!population.has_value()) {
     const auto next = scheduler_.NextRunnableAt(now);
@@ -158,10 +158,10 @@ void DeviceAgent::BeginSession(const std::string& population) {
   Session& s = *session_;
   s.id = SessionId{(profile_.id.value << 20) | session_counter_};
   s.generation = gen;
-  s.checkin_at = services_.queue->now();
+  s.checkin_at = services_->queue->now();
   s.population = population;
   s.ctx = telemetry::TraceContext{0, s.id.value, profile_.id.value, 0};
-  scheduler_.OnSessionStarted(population, services_.queue->now());
+  scheduler_.OnSessionStarted(population, services_->queue->now());
   SetState(DeviceState::kAttesting);
 
   // Attestation + connection handshake, then check in (Sec. 3 Job
@@ -170,11 +170,11 @@ void DeviceAgent::BeginSession(const std::string& population) {
   const std::uint64_t nonce = rng_.Next();
   const device::AttestationToken token =
       profile_.genuine
-          ? services_.attestation->Issue(profile_.id, nonce)
-          : services_.attestation->Forge(profile_.id, nonce, rng_.Next());
+          ? services_->attestation->Issue(profile_.id, nonce)
+          : services_->attestation->Forge(profile_.id, nonce, rng_.Next());
 
-  const Duration handshake = services_.network->SampleRtt() * 2;
-  services_.queue->After(handshake, [this, gen, token, population] {
+  const Duration handshake = services_->network->SampleRtt() * 2;
+  services_->queue->After(handshake, [this, gen, token, population] {
     if (!Active(gen)) return;
     AddTrace(SessionEvent::kCheckin);
     const profiler::ScopedPhase profile_scope(profiler::Phase::kCheckin);
@@ -186,18 +186,18 @@ void DeviceAgent::BeginSession(const std::string& population) {
     req.attestation = token;
     // Selector-side records for this check-in carry the device context.
     const telemetry::ScopedTraceContext scope(session_->ctx);
-    const bool ok = services_.frontend->CheckIn(req, MakeLink(gen));
+    const bool ok = services_->frontend->CheckIn(req, MakeLink(gen));
     if (!ok) {
       // Attestation rejected (or no selectors): long back-off.
       scheduler_.SetEarliestCheckin(population,
-                                    services_.queue->now() + Hours(6));
+                                    services_->queue->now() + Hours(6));
       EndSession(false);
       return;
     }
     SetState(DeviceState::kWaiting);
     // Give-up timer: a crashed Selector means silence, not rejection
     // (Sec. 4.4: "only the devices connected to that actor will be lost").
-    services_.queue->After(services_.config->device_give_up, [this, gen] {
+    services_->queue->After(services_->config->device_give_up, [this, gen] {
       if (!Active(gen) || session_->assigned) return;
       EndSession(false);
     });
@@ -209,16 +209,16 @@ server::DeviceLink DeviceAgent::MakeLink(std::uint64_t gen) {
   link.device = profile_.id;
   link.session = session_->id;
   link.runtime_version = profile_.os_version;
-  link.connected_at = services_.queue->now();
+  link.connected_at = services_->queue->now();
   link.assign = [this, gen](const server::TaskAssignment& a) {
     if (!Active(gen)) return;
     // Configuration download: plan + global model over the device's radio.
     const std::uint64_t bytes = a.plan_bytes->size() + a.model_bytes->size();
-    const sim::TransferOutcome t = services_.network->Transfer(
+    const sim::TransferOutcome t = services_->network->Transfer(
         profile_, sim::Direction::kDownload, bytes);
     server::TaskAssignment copy = a;
     const bool ok = t.success && !t.corrupted;
-    services_.queue->After(t.duration, [this, gen, copy, ok] {
+    services_->queue->After(t.duration, [this, gen, copy, ok] {
       if (!Active(gen)) return;
       if (!ok) {
         FailSession("configuration download failed");
@@ -228,39 +228,39 @@ server::DeviceLink DeviceAgent::MakeLink(std::uint64_t gen) {
     });
   };
   link.reject = [this, gen](const server::RejectionNotice& n) {
-    services_.queue->After(services_.network->SampleRtt(),
+    services_->queue->After(services_->network->SampleRtt(),
                            [this, gen, n] { OnRejected(gen, n); });
   };
   link.report_ack = [this, gen](const server::ReportAck& ack) {
-    services_.queue->After(services_.network->SampleRtt(),
+    services_->queue->After(services_->network->SampleRtt(),
                            [this, gen, ack] { OnReportAck(gen, ack); });
   };
   link.secagg_directory = [this, gen](const server::SecAggDirectoryMsg& m) {
-    const sim::TransferOutcome t = services_.network->Transfer(
+    const sim::TransferOutcome t = services_->network->Transfer(
         profile_, sim::Direction::kDownload, 24 * m.directory.size() + 16);
     if (!t.success) return;  // device misses the directory; drops out
-    services_.queue->After(t.duration,
+    services_->queue->After(t.duration,
                            [this, gen, m] { OnSecAggDirectory(gen, m); });
   };
   link.secagg_shares = [this, gen](const server::SecAggSharesMsg& m) {
     std::uint64_t bytes = 16;
     for (const auto& s : m.shares) bytes += s.ciphertext.size() + 12;
-    const sim::TransferOutcome t = services_.network->Transfer(
+    const sim::TransferOutcome t = services_->network->Transfer(
         profile_, sim::Direction::kDownload, bytes);
     if (!t.success) return;
-    services_.queue->After(t.duration,
+    services_->queue->After(t.duration,
                            [this, gen, m] { OnSecAggShares(gen, m); });
   };
   link.secagg_unmask = [this, gen](const server::SecAggUnmaskMsg& m) {
-    const sim::TransferOutcome t = services_.network->Transfer(
+    const sim::TransferOutcome t = services_->network->Transfer(
         profile_, sim::Direction::kDownload,
         16 + 8 * (m.request.dropped.size() + m.request.survivors.size()));
     if (!t.success) return;
-    services_.queue->After(t.duration,
+    services_->queue->After(t.duration,
                            [this, gen, m] { OnSecAggUnmask(gen, m); });
   };
   link.closed = [this, gen](const server::ConnectionClosed&) {
-    services_.queue->After(services_.network->SampleRtt(),
+    services_->queue->After(services_->network->SampleRtt(),
                            [this, gen] { OnClosed(gen); });
   };
   return link;
@@ -300,7 +300,7 @@ void DeviceAgent::OnAssigned(std::uint64_t gen,
   if (telemetry::Enabled()) {
     const telemetry::ScopedTraceContext scope(s.ctx);
     s.session_span = telemetry::Tracer::Global().Begin(
-        "device_session", services_.queue->now());
+        "device_session", services_->queue->now());
     auto& tracer = telemetry::Tracer::Global();
     tracer.AddAttr(s.session_span, "device", std::to_string(profile_.id.value));
     tracer.AddAttr(s.session_span, "round", std::to_string(s.round.value));
@@ -322,7 +322,7 @@ void DeviceAgent::OnAssigned(std::uint64_t gen,
     s.sa_client.emplace(assignment.secagg_index, assignment.secagg_threshold,
                         s.secagg->vector_length(), RandomKey(rng_),
                         s.secagg->ring_bits);
-    s.sa_client->SetThreadPool(services_.compute_pool);
+    s.sa_client->SetThreadPool(services_->compute_pool);
     // Round 0: advertise keys right away, overlapping with training.
     const secagg::KeyAdvertisement adv = s.sa_client->AdvertiseKeys();
     SendSecAggUpload(gen, AdvertiseBytes(), [this, adv] {
@@ -331,15 +331,15 @@ void DeviceAgent::OnAssigned(std::uint64_t gen,
       msg.round = session_->round;
       msg.advertisement = adv;
       msg.upload_wire_bytes = AdvertiseBytes();
-      services_.frontend->SecAggAdvertise(session_->aggregator, msg);
+      services_->frontend->SecAggAdvertise(session_->aggregator, msg);
     });
   }
 
   // Device-side participation cap.
   const Duration until_deadline = s.participation_deadline -
-                                  services_.queue->now();
+                                  services_->queue->now();
   if (until_deadline.millis > 0) {
-    services_.queue->After(until_deadline, [this, gen] {
+    services_->queue->After(until_deadline, [this, gen] {
       if (!Active(gen)) return;
       if (session_->reported_ok) {
         // Already accepted; a Secure Aggregation session may be lingering
@@ -356,7 +356,7 @@ void DeviceAgent::OnAssigned(std::uint64_t gen,
 }
 
 void DeviceAgent::CatchUpData() {
-  const DataSchedule& data = *services_.data;
+  const DataSchedule& data = *services_->data;
   for (; data_calls_run_ < data.due.size(); ++data_calls_run_) {
     data.provisioner(profile_, *this, rng_, data.due[data_calls_run_]);
   }
@@ -369,7 +369,7 @@ void DeviceAgent::StartTraining(std::uint64_t gen) {
   if (telemetry::Enabled()) {
     const telemetry::ScopedTraceContext scope(s.ctx);
     s.train_span = telemetry::Tracer::Global().Begin("device_train",
-                                                     services_.queue->now());
+                                                     services_->queue->now());
   }
 
   // The computation itself is pure; its wall-clock cost is simulated.
@@ -378,7 +378,7 @@ void DeviceAgent::StartTraining(std::uint64_t gen) {
   // The plan is the first reader of the stores: fill them first.
   CatchUpData();
   auto result = runtime_.ExecutePlan(*s.plan, *s.global,
-                                     services_.queue->now(), rng_);
+                                     services_->queue->now(), rng_);
   if (!result.ok()) {
     // E.g. the example store no longer satisfies the plan's selection
     // criteria — a model-issue '*' right after '[' (Sec. 5's "-v[*").
@@ -392,7 +392,7 @@ void DeviceAgent::StartTraining(std::uint64_t gen) {
   }
   const Duration compute = device::EstimateComputeDuration(
       *s.plan, s.examples_used, profile_);
-  services_.queue->After(compute, [this, gen] {
+  services_->queue->After(compute, [this, gen] {
     if (!Active(gen)) return;
     FinishTraining(gen);
   });
@@ -406,7 +406,7 @@ void DeviceAgent::FinishTraining(std::uint64_t gen) {
   s.trained = true;
   AddTrace(SessionEvent::kTrainingCompleted);
   if (s.train_span != 0) {
-    telemetry::Tracer::Global().End(s.train_span, services_.queue->now());
+    telemetry::Tracer::Global().End(s.train_span, services_->queue->now());
     s.train_span = 0;
   }
   if (s.secagg) {
@@ -423,7 +423,7 @@ void DeviceAgent::BeginUpload(std::uint64_t gen) {
   if (telemetry::Enabled()) {
     const telemetry::ScopedTraceContext scope(s.ctx);
     s.upload_span = telemetry::Tracer::Global().Begin("device_upload",
-                                                      services_.queue->now());
+                                                      services_->queue->now());
   }
 
   const profiler::ScopedPhase profile_scope(profiler::Phase::kReporting,
@@ -455,10 +455,10 @@ void DeviceAgent::BeginUpload(std::uint64_t gen) {
   }
   report.upload_wire_bytes = wire_bytes;
 
-  const sim::TransferOutcome t = services_.network->Transfer(
+  const sim::TransferOutcome t = services_->network->Transfer(
       profile_, sim::Direction::kUpload, wire_bytes);
   if (!t.success) {
-    services_.queue->After(t.duration, [this, gen, t] {
+    services_->queue->After(t.duration, [this, gen, t] {
       if (!Active(gen)) return;
       // Wasted bytes still hit the server NIC.
       EmitSession({.kind = analytics::JournalEventKind::kTraffic,
@@ -470,14 +470,14 @@ void DeviceAgent::BeginUpload(std::uint64_t gen) {
   // Move the report into the event: the serialized update (the dominant
   // per-device buffer) travels device → event node → aggregator without a
   // single copy.
-  services_.queue->After(
+  services_->queue->After(
       t.duration, [this, gen, report = std::move(report)]() mutable {
     if (!Active(gen)) return;
     // Aggregator-side accept/reject records link back to this session.
     const telemetry::ScopedTraceContext scope(session_->ctx);
-    services_.frontend->Report(session_->aggregator, std::move(report));
+    services_->frontend->Report(session_->aggregator, std::move(report));
     // Ack timeout: a dead Aggregator means silence.
-    services_.queue->After(services_.config->ack_timeout, [this, gen] {
+    services_->queue->After(services_->config->ack_timeout, [this, gen] {
       if (!Active(gen)) return;
       FailSession("no ack from aggregator");
     });
@@ -493,7 +493,7 @@ void DeviceAgent::OnReportAck(std::uint64_t gen, const server::ReportAck& ack) {
   AddTrace(ack.accepted ? SessionEvent::kUploadCompleted
                         : SessionEvent::kUploadRejected);
   if (s.upload_span != 0) {
-    telemetry::Tracer::Global().End(s.upload_span, services_.queue->now());
+    telemetry::Tracer::Global().End(s.upload_span, services_->queue->now());
     s.upload_span = 0;
   }
   // Pace steering: the server tells reporting devices when to come back
@@ -504,7 +504,7 @@ void DeviceAgent::OnReportAck(std::uint64_t gen, const server::ReportAck& ack) {
 
   if (s.secagg && ack.accepted) {
     // Stay online for the Finalization round; end after a grace window.
-    services_.queue->After(services_.config->ack_timeout * 2, [this, gen] {
+    services_->queue->After(services_->config->ack_timeout * 2, [this, gen] {
       if (!Active(gen)) return;
       EndSession(true);
     });
@@ -526,13 +526,13 @@ void DeviceAgent::OnClosed(std::uint64_t gen) {
 void DeviceAgent::SendSecAggUpload(std::uint64_t gen, std::uint64_t bytes,
                                    std::function<void()> send) {
   const sim::TransferOutcome t =
-      services_.network->Transfer(profile_, sim::Direction::kUpload, bytes);
+      services_->network->Transfer(profile_, sim::Direction::kUpload, bytes);
   if (!t.success) {
     // Lost control message: this device silently drops out of the protocol
     // round; SecAgg's share recovery handles it.
     return;
   }
-  services_.queue->After(t.duration, [this, gen, send = std::move(send)] {
+  services_->queue->After(t.duration, [this, gen, send = std::move(send)] {
     if (!Active(gen)) return;
     // SecAgg control messages carry the session context to the aggregator.
     const telemetry::ScopedTraceContext scope(session_->ctx);
@@ -555,7 +555,7 @@ void DeviceAgent::OnSecAggDirectory(std::uint64_t gen,
     out.round = session_->round;
     out.message = std::move(msg);
     out.upload_wire_bytes = bytes;
-    services_.frontend->SecAggShareKeys(session_->aggregator, out);
+    services_->frontend->SecAggShareKeys(session_->aggregator, out);
   });
 }
 
@@ -600,10 +600,10 @@ void DeviceAgent::MaybeSendMaskedInput(std::uint64_t gen) {
     out.input = std::move(input);
     out.metrics = session_->metrics;
     out.upload_wire_bytes = bytes;
-    services_.frontend->SecAggMaskedInput(session_->aggregator, out);
+    services_->frontend->SecAggMaskedInput(session_->aggregator, out);
     // Ack timeout as in the simple path.
     const std::uint64_t gen2 = session_->generation;
-    services_.queue->After(services_.config->ack_timeout, [this, gen2] {
+    services_->queue->After(services_->config->ack_timeout, [this, gen2] {
       if (!Active(gen2)) return;
       if (session_->uploading) FailSession("no secagg ack");
     });
@@ -625,7 +625,7 @@ void DeviceAgent::OnSecAggUnmask(std::uint64_t gen,
     out.round = session_->round;
     out.response = std::move(r);
     out.upload_wire_bytes = bytes;
-    services_.frontend->SecAggUnmaskResponse(session_->aggregator, out);
+    services_->frontend->SecAggUnmaskResponse(session_->aggregator, out);
     EndSession(true);
   });
 }
@@ -666,7 +666,7 @@ void DeviceAgent::FailSession(const std::string& why) {
 void DeviceAgent::EndSession(bool completed) {
   if (!session_) return;
   if (completed) ++sessions_completed_;
-  const SimTime now = services_.queue->now();
+  const SimTime now = services_->queue->now();
   EmitSession({.kind = analytics::JournalEventKind::kSessionEnd,
                .a = completed ? 1u : 0u,
                .b = session_->assigned ? static_cast<std::uint64_t>(

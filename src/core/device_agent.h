@@ -43,6 +43,8 @@ struct DataSchedule {
 
 class DeviceAgent {
  public:
+  // The fleet-wide collaborators every agent borrows. FLSystem owns one
+  // Services; each agent keeps a pointer to it.
   struct Services {
     sim::EventQueue* queue = nullptr;
     sim::NetworkModel* network = nullptr;
@@ -60,7 +62,8 @@ class DeviceAgent {
     const DataSchedule* data = nullptr;
   };
 
-  DeviceAgent(sim::DeviceProfile profile, Services services);
+  // `services` is shared by the whole fleet and must outlive the agent.
+  DeviceAgent(sim::DeviceProfile profile, const Services* services);
 
   // Registers a population + its example store on this device
   // ("Programmatic Configuration", Sec. 3).
@@ -158,7 +161,7 @@ class DeviceAgent {
   }
 
   sim::DeviceProfile profile_;
-  Services services_;
+  const Services* services_;
   sim::AvailabilityProcess availability_;
   Rng rng_;
   bool eligible_ = false;
@@ -167,7 +170,7 @@ class DeviceAgent {
   device::ExampleStoreRegistry registry_;
   device::MultiTenantScheduler scheduler_;
   device::FlRuntime runtime_;
-  std::size_t data_calls_run_ = 0;  // prefix of services_.data->due
+  std::size_t data_calls_run_ = 0;  // prefix of services_->data->due
 
   // Live from check-in to EndSession only: an idle device holds no Session.
   std::unique_ptr<Session> session_;

@@ -182,17 +182,13 @@ void FLSystem::ScheduleAdaptiveTick() {
     const auto& log = stats_->round_log();
     bool changed = false;
     for (; state.log_cursor < log.size(); ++state.log_cursor) {
-      const RoundSummary& summary = log[state.log_cursor];
+      const analytics::RoundRecord& r = log[state.log_cursor];
       protocol::RoundObservation obs;
-      obs.outcome = summary.outcome;
-      obs.selection_duration = summary.selection_duration;
-      obs.round_duration = summary.round_duration;
-      obs.completed = summary.contributors;
-      const auto it = stats_->per_round().find(summary.round);
-      if (it != stats_->per_round().end()) {
-        obs.completed = it->second.completed;
-        obs.dropped = it->second.dropped;
-      }
+      obs.outcome = r.outcome;
+      obs.selection_duration = r.selection_duration;
+      obs.round_duration = r.round_duration;
+      obs.completed = r.participants() > 0 ? r.completed : r.contributors;
+      obs.dropped = r.dropped;
       state.shadow_config =
           state.controller.Update(state.shadow_config, obs);
       changed = true;
@@ -298,19 +294,18 @@ void FLSystem::Start() {
   agents_.reserve(profiles.size());
   const std::string store_name =
       tasks_.front().plans.plans().begin()->second.device.selector.store_name;
+  agent_services_.queue = &queue_;
+  agent_services_.network = &network_;
+  agent_services_.curve = &curve_;
+  agent_services_.frontend = frontend_.get();
+  agent_services_.attestation = &attestation_;
+  agent_services_.stats = stats_.get();
+  agent_services_.events = this;
+  agent_services_.config = &config_;
+  agent_services_.compute_pool = compute_pool_.get();
+  agent_services_.data = &data_;
   for (const sim::DeviceProfile& profile : profiles) {
-    DeviceAgent::Services services;
-    services.queue = &queue_;
-    services.network = &network_;
-    services.curve = &curve_;
-    services.frontend = frontend_.get();
-    services.attestation = &attestation_;
-    services.stats = stats_.get();
-    services.events = this;
-    services.config = &config_;
-    services.compute_pool = compute_pool_.get();
-    services.data = &data_;
-    auto agent = std::make_unique<DeviceAgent>(profile, services);
+    auto agent = std::make_unique<DeviceAgent>(profile, &agent_services_);
     agent->Configure(config_.population_name, store_name,
                      config_.device_checkin_cadence);
     agent->Start();

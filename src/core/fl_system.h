@@ -166,6 +166,7 @@ class FLSystem : private analytics::LifecycleSink {
   ActorId coordinator_;
   std::vector<ActorId> selector_ids_;
 
+  DeviceAgent::Services agent_services_;  // shared by every agent
   std::vector<std::unique_ptr<DeviceAgent>> agents_;
   DataSchedule data_;
   bool started_ = false;

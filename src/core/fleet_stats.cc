@@ -32,8 +32,10 @@ void FleetStats::On(const analytics::LifecycleEvent& e) {
     open_shapes_[e.session.value] += analytics::SessionEventGlyph(glyph);
     return;
   }
+  if (const analytics::RoundRecord* done = rounds_.Fold(e)) RecordRound(*done);
   if (const auto p = analytics::ParticipantOutcomeOf(e)) {
-    RecordParticipant(e.t, e.round, *p);
+    if (*p == protocol::ParticipantOutcome::kCompleted) completions_.Add(e.t);
+    if (*p == protocol::ParticipantOutcome::kDropped) drops_.Add(e.t);
   }
   if (analytics::IsServerError(e)) {
     ++errors_;
@@ -71,54 +73,35 @@ void FleetStats::On(const analytics::LifecycleEvent& e) {
         total_upload_ += e.b;
       }
       break;
-    case JournalEventKind::kRoundOutcome:
-      RecordRound(e);
-      break;
     default:
       break;
   }
 }
 
-void FleetStats::RecordRound(const analytics::LifecycleEvent& e) {
-  RoundSummary summary;
-  summary.round = e.round;
-  summary.at = e.t;
-  summary.outcome = e.outcome;
-  summary.contributors = e.a;
-  if (e.outcome == protocol::RoundOutcome::kCommitted) {
+void FleetStats::RecordRound(const analytics::RoundRecord& r) {
+  if (r.outcome == protocol::RoundOutcome::kCommitted) {
     ++rounds_committed_;
-    round_completions_.Add(e.t);
-    summary.selection_duration = Duration{static_cast<std::int64_t>(e.b)};
-    summary.round_duration = Duration{static_cast<std::int64_t>(e.c)};
-    summary.has_timing = true;
-    selection_duration_.Add(summary.selection_duration.Minutes());
-    round_duration_.Add(summary.round_duration.Minutes());
+    round_completions_.Add(r.finished_at);
+    selection_duration_.Add(r.selection_duration.Minutes());
+    round_duration_.Add(r.round_duration.Minutes());
   } else {
     ++rounds_abandoned_;
-    round_failures_.Add(e.t);
+    round_failures_.Add(r.finished_at);
   }
-  round_log_.push_back(summary);
 }
 
-void FleetStats::RecordParticipant(SimTime t, RoundId round,
-                                   protocol::ParticipantOutcome outcome) {
-  RoundParticipantCounts& c = per_round_[round];
-  switch (outcome) {
-    case protocol::ParticipantOutcome::kCompleted:
-      ++c.completed;
-      completions_.Add(t);
-      break;
-    case protocol::ParticipantOutcome::kAborted:
-    case protocol::ParticipantOutcome::kRejectedLate:
-      // Fig. 7's "aborted": work discarded because the server already had
-      // enough reports.
-      ++c.aborted;
-      break;
-    case protocol::ParticipantOutcome::kDropped:
-      ++c.dropped;
-      drops_.Add(t);
-      break;
-  }
+std::map<RoundId, RoundParticipantCounts> FleetStats::per_round() const {
+  std::map<RoundId, RoundParticipantCounts> out;
+  const auto add = [&out](const analytics::RoundRecord& r) {
+    // Fig. 7's "aborted": work discarded because the server already had
+    // enough reports, late rejections included.
+    if (r.participants() > 0) {
+      out[r.round] = {r.completed, r.aborted + r.rejected_late, r.dropped};
+    }
+  };
+  for (const auto& [id, r] : rounds_.open()) add(r);
+  for (const analytics::RoundRecord& r : rounds_.finished()) add(r);
+  return out;
 }
 
 void FleetStats::OnDeviceStateChange(analytics::DeviceState from,

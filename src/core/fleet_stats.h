@@ -7,6 +7,7 @@
 #pragma once
 
 #include <array>
+#include <deque>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -14,26 +15,16 @@
 #include "src/analytics/events.h"
 #include "src/analytics/lifecycle.h"
 #include "src/analytics/monitor.h"
+#include "src/analytics/round_record.h"
 #include "src/analytics/timeseries.h"
 
 namespace fl::core {
 
+// One round's participants in Fig. 7's terms, built from its RoundRecord.
 struct RoundParticipantCounts {
   std::size_t completed = 0;
-  std::size_t aborted = 0;   // server had enough (late '#' rejections)
+  std::size_t aborted = 0;   // server had enough (incl. late '#' rejections)
   std::size_t dropped = 0;   // device-side failures
-};
-
-// One row per finished round, in completion order — the feed for adaptive
-// window tuning (Sec. 11) and the Fig. 5/6 outcome series.
-struct RoundSummary {
-  RoundId round;
-  SimTime at;
-  protocol::RoundOutcome outcome = protocol::RoundOutcome::kCommitted;
-  std::size_t contributors = 0;
-  Duration selection_duration;
-  Duration round_duration;
-  bool has_timing = false;
 };
 
 class FleetStats {
@@ -78,10 +69,13 @@ class FleetStats {
     return participation_;
   }
   const analytics::SessionShapeTally& shapes() const { return shapes_; }
-  const std::map<RoundId, RoundParticipantCounts>& per_round() const {
-    return per_round_;
+  // Rounds with at least one participant outcome, by id.
+  std::map<RoundId, RoundParticipantCounts> per_round() const;
+  // Finished rounds in completion order — the feed for adaptive window
+  // tuning (Sec. 11) and the Fig. 5/6 outcome series.
+  const std::deque<analytics::RoundRecord>& round_log() const {
+    return rounds_.finished();
   }
-  const std::vector<RoundSummary>& round_log() const { return round_log_; }
   std::uint64_t total_download_bytes() const { return total_download_; }
   std::uint64_t total_upload_bytes() const { return total_upload_; }
   std::uint64_t accepted() const { return accepted_; }
@@ -95,9 +89,7 @@ class FleetStats {
   }
 
  private:
-  void RecordRound(const analytics::LifecycleEvent& e);
-  void RecordParticipant(SimTime t, RoundId round,
-                         protocol::ParticipantOutcome outcome);
+  void RecordRound(const analytics::RoundRecord& r);
 
   std::array<std::size_t, 5> live_counts_{};
   std::array<analytics::TimeSeries, 5> state_series_;
@@ -113,8 +105,7 @@ class FleetStats {
   analytics::SessionShapeTally shapes_;
   // Table 1 glyphs of each open session, keyed by session id.
   std::unordered_map<std::uint64_t, std::string> open_shapes_;
-  std::map<RoundId, RoundParticipantCounts> per_round_;
-  std::vector<RoundSummary> round_log_;
+  analytics::RoundBook rounds_;
   std::uint64_t total_download_ = 0;
   std::uint64_t total_upload_ = 0;
   std::uint64_t accepted_ = 0;

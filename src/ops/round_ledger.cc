@@ -5,7 +5,7 @@
 namespace fl::ops {
 
 RoundLedger::RoundLedger(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {}
+    : capacity_(capacity == 0 ? 1 : capacity), rounds_(capacity_) {}
 
 void RoundLedger::On(const analytics::LifecycleEvent& e) {
   using analytics::JournalEventKind;
@@ -14,19 +14,7 @@ void RoundLedger::On(const analytics::LifecycleEvent& e) {
   if (e.kind <= JournalEventKind::kSessionEnd) return;
   if (enabled()) {
     std::lock_guard<std::mutex> lock(mu_);
-    if (const auto p = analytics::ParticipantOutcomeOf(e)) {
-      // Late rejections can land after the round closed; they update the
-      // finished record while it is still retained.
-      RoundRecord& rec = RecordForLocked(e.round);
-      switch (*p) {
-        case protocol::ParticipantOutcome::kCompleted: ++rec.completed; break;
-        case protocol::ParticipantOutcome::kAborted: ++rec.aborted; break;
-        case protocol::ParticipantOutcome::kDropped: ++rec.dropped; break;
-        case protocol::ParticipantOutcome::kRejectedLate:
-          ++rec.rejected_late;
-          break;
-      }
-    }
+    rounds_.Fold(e);
     if (analytics::IsServerError(e)) ++totals_.errors;
     switch (e.kind) {
       case JournalEventKind::kMasterAccept:
@@ -36,7 +24,9 @@ void RoundLedger::On(const analytics::LifecycleEvent& e) {
         ++totals_.checkins_rejected;
         break;
       case JournalEventKind::kRoundOutcome:
-        FinishRoundLocked(e);
+        ++(e.outcome == protocol::RoundOutcome::kCommitted
+               ? totals_.rounds_committed
+               : totals_.rounds_abandoned);
         break;
       default:
         break;
@@ -50,47 +40,21 @@ void RoundLedger::On(const analytics::LifecycleEvent& e) {
   }
 }
 
-void RoundLedger::FinishRoundLocked(const analytics::LifecycleEvent& e) {
-  RoundRecord rec;
-  if (auto it = open_.find(e.round.value); it != open_.end()) {
-    rec = it->second;
-    open_.erase(it);
-  }
-  rec.round = e.round;
-  rec.finished_at = e.t;
-  rec.outcome = e.outcome;
-  rec.contributors = e.a;
-  if (e.outcome == protocol::RoundOutcome::kCommitted) {
-    rec.selection_duration = Duration{static_cast<std::int64_t>(e.b)};
-    rec.round_duration = Duration{static_cast<std::int64_t>(e.c)};
-    rec.has_timing = true;
-    ++totals_.rounds_committed;
-  } else {
-    ++totals_.rounds_abandoned;
-  }
-  finished_.push_back(rec);
-  while (finished_.size() > capacity_) finished_.pop_front();
-}
-
 RoundLedger::Totals RoundLedger::totals() const {
   std::lock_guard<std::mutex> lock(mu_);
   return totals_;
 }
 
-std::vector<RoundRecord> RoundLedger::Recent(std::size_t max) const {
+std::vector<analytics::RoundRecord> RoundLedger::Recent(std::size_t max) const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<RoundRecord> out;
-  const std::size_t n = std::min(max, finished_.size());
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(finished_[finished_.size() - 1 - i]);
-  }
-  return out;
+  const auto& finished = rounds_.finished();
+  const std::size_t n = std::min(max, finished.size());
+  return {finished.rbegin(), finished.rbegin() + static_cast<std::ptrdiff_t>(n)};
 }
 
 std::string RoundLedger::RecentJson(std::size_t max) const {
   const Totals t = totals();
-  const std::vector<RoundRecord> rounds = Recent(max);
+  const std::vector<analytics::RoundRecord> rounds = Recent(max);
   JsonWriter w;
   w.BeginObject();
   w.BeginObject("totals")
@@ -101,7 +65,7 @@ std::string RoundLedger::RecentJson(std::size_t max) const {
       .Field("errors", t.errors)
       .EndObject();
   w.BeginArray("rounds");
-  for (const RoundRecord& r : rounds) {
+  for (const analytics::RoundRecord& r : rounds) {
     w.BeginObject()
         .Field("round", r.round.value)
         .Field("finished_at_ms", r.finished_at.millis)
@@ -120,15 +84,6 @@ std::string RoundLedger::RecentJson(std::size_t max) const {
   w.EndArray();
   w.EndObject();
   return w.str();
-}
-
-RoundRecord& RoundLedger::RecordForLocked(RoundId round) {
-  for (auto it = finished_.rbegin(); it != finished_.rend(); ++it) {
-    if (it->round == round) return *it;
-  }
-  RoundRecord& rec = open_[round.value];
-  rec.round = round;
-  return rec;
 }
 
 }  // namespace fl::ops

@@ -1,7 +1,7 @@
 // Per-round ledger for the /rounds endpoint: a reducer over the lifecycle
 // event stream (src/analytics/lifecycle.h) that keeps the last K finished
-// rounds as structured records (phase durations, contributor counts,
-// per-participant outcome tallies, checkin accept/reject totals).
+// rounds as analytics::RoundRecords (src/analytics/round_record.h), plus
+// check-in, outcome and error totals.
 //
 // core::FLSystem feeds it every event after FleetStats and the registry
 // metrics. Recording is disabled by default: with the ops plane off, each
@@ -11,31 +11,15 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "src/analytics/lifecycle.h"
+#include "src/analytics/round_record.h"
 
 namespace fl::ops {
-
-struct RoundRecord {
-  RoundId round{};
-  SimTime finished_at{};  // when the outcome was reported
-  protocol::RoundOutcome outcome = protocol::RoundOutcome::kFailed;
-  std::size_t contributors = 0;
-  Duration selection_duration{};
-  Duration round_duration{};
-  bool has_timing = false;
-  // Per-participant outcome tallies for this round.
-  std::size_t completed = 0;
-  std::size_t aborted = 0;
-  std::size_t dropped = 0;
-  std::size_t rejected_late = 0;
-};
 
 class RoundLedger {
  public:
@@ -60,9 +44,9 @@ class RoundLedger {
     on_abandoned_ = std::move(observer);
   }
 
-  // Reduces one lifecycle event: round_outcome finishes a record (timing
-  // rides on committed outcomes); participant outcomes, master accepts,
-  // check-in rejections and errors update the tallies.
+  // Reduces one lifecycle event: round facts fold into their round's
+  // record (round_outcome finishes it); master accepts, check-in rejections,
+  // outcomes and errors update the totals.
   void On(const analytics::LifecycleEvent& e);
 
   // Cumulative totals since enable (checkin accept/reject, commit/abandon).
@@ -76,7 +60,7 @@ class RoundLedger {
   Totals totals() const;
 
   // Most recent finished rounds, newest first, at most `max`.
-  std::vector<RoundRecord> Recent(std::size_t max = SIZE_MAX) const;
+  std::vector<analytics::RoundRecord> Recent(std::size_t max = SIZE_MAX) const;
 
   // {"totals":{...},"rounds":[...]} for /rounds; newest first.
   std::string RecentJson(std::size_t max) const;
@@ -84,19 +68,12 @@ class RoundLedger {
   std::size_t capacity() const { return capacity_; }
 
  private:
-  void FinishRoundLocked(const analytics::LifecycleEvent& e);
-  // The finished record for `round` if still retained, else its open
-  // (possibly freshly staged) record.
-  RoundRecord& RecordForLocked(RoundId round);
-
   const std::size_t capacity_;
   std::atomic<bool> enabled_{false};
   AbandonedObserver on_abandoned_;
 
   mutable std::mutex mu_;
-  // Participant tallies for rounds that have not reported an outcome yet.
-  std::map<std::uint64_t, RoundRecord> open_;
-  std::deque<RoundRecord> finished_;  // oldest at front
+  analytics::RoundBook rounds_;
   Totals totals_;
 };
 

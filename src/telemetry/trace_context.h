@@ -5,9 +5,10 @@
 //
 // The context is a thread-local value, not a span: installing it costs four
 // u64 stores and no locking, so the actor runtime can stamp every envelope
-// even with telemetry OFF (the flight recorder reads it too). Span linkage
-// only happens inside Tracer::Begin, which instrumentation sites already
-// gate on telemetry::Enabled().
+// even with telemetry OFF. Only Tracer::Begin acts on it (envelopes and
+// TaskAssignment just carry it along; the flight recorder takes its ids from
+// the lifecycle events), and instrumentation sites already gate that on
+// telemetry::Enabled().
 //
 // Propagation rules:
 //  * ActorSystem::Send captures the sender's current context into the

@@ -14,8 +14,8 @@ namespace fl::tools {
 namespace {
 
 using analytics::JournalEventKind;
-using analytics::JournalRecord;
-using analytics::JournalSource;
+using analytics::LifecycleEvent;
+using analytics::RoundRecord;
 using analytics::SessionEvent;
 
 // Legal device session state machine (Table 1 glyph adjacency). '-' opens
@@ -48,13 +48,48 @@ bool LegalTransition(SessionEvent from, SessionEvent to) {
   return false;
 }
 
-// selection -> configuration -> reporting -> closing.
-int PhaseIndex(std::string_view name) {
-  if (name == "selection") return 0;
-  if (name == "configuration") return 1;
-  if (name == "reporting") return 2;
-  if (name == "closing") return 3;
-  return -1;
+// Calls fn(line_no, line) for every non-empty, non-comment line.
+template <typename Fn>
+void ForEachLine(std::string_view text, Fn fn) {
+  std::size_t line_no = 0;
+  std::size_t pos = 0;
+  while (pos <= text.size()) {
+    const std::size_t eol = text.find('\n', pos);
+    const std::string_view line =
+        text.substr(pos, eol == std::string_view::npos ? text.size() - pos
+                                                       : eol - pos);
+    ++line_no;
+    if (!line.empty() && line.front() != '#') fn(line_no, line);
+    if (eol == std::string_view::npos) break;
+    pos = eol + 1;
+  }
+}
+
+// The phase index of a phase entry; -1 for one past closing ("unknown").
+int PhaseOrder(std::uint64_t phase) {
+  return phase <= 3 ? static_cast<int>(phase) : -1;
+}
+
+// The record's phases, each lasting until the next one or `end`.
+std::vector<PhaseSpan> PhaseSpans(const RoundRecord& r, SimTime end) {
+  std::vector<PhaseSpan> spans;
+  for (std::size_t i = 0; i < r.phases.size(); ++i) {
+    const SimTime next = i + 1 < r.phases.size() ? r.phases[i + 1].at : end;
+    spans.push_back(PhaseSpan{analytics::PhaseName(r.phases[i].phase),
+                              r.phases[i].at, next - r.phases[i].at});
+  }
+  return spans;
+}
+
+void RenderPhaseSpans(const std::vector<PhaseSpan>& spans,
+                      std::ostringstream& out) {
+  for (const PhaseSpan& phase : spans) {
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "    %-14s %s  +%.1fs\n",
+                  phase.name.c_str(), FormatSimTime(phase.entered_at).c_str(),
+                  phase.duration.Seconds());
+    out << buf;
+  }
 }
 
 struct SessionState {
@@ -67,268 +102,173 @@ struct SessionState {
 };
 
 struct RoundState {
-  RoundTimeline timeline;
-  int last_phase_index = -1;
-  bool has_closing = false;
-  SimTime closing_at;
-  SimTime last_time;
-  std::size_t last_line = 0;
+  RoundRecord record;
+  std::size_t last_line = 0;  // of the round's last server event
 };
 
 class Analyzer {
  public:
   AnalysisReport Run(std::string_view text) {
-    std::size_t line_no = 0;
-    std::size_t pos = 0;
-    while (pos <= text.size()) {
-      const std::size_t eol = text.find('\n', pos);
-      std::string_view line =
-          text.substr(pos, eol == std::string_view::npos ? text.size() - pos
-                                                         : eol - pos);
-      ++line_no;
-      if (!line.empty() && line.front() != '#') {
-        ++report_.lines;
-        auto rec = JournalRecord::Parse(line);
-        if (!rec.ok()) {
-          ++report_.parse_errors;
-          report_.violations.push_back(InvariantViolation{
-              "parse-error", line_no, DeviceId{}, SessionId{}, RoundId{},
-              rec.status().ToString()});
-        } else {
-          ++report_.records;
-          Ingest(line_no, *rec);
-        }
+    ForEachLine(text, [this](std::size_t line_no, std::string_view line) {
+      ++report_.lines;
+      const auto parsed = analytics::ParseLifecycleLine(line);
+      if (!parsed.ok()) {
+        ++report_.parse_errors;
+        report_.violations.push_back(InvariantViolation{
+            "parse-error", line_no, DeviceId{}, SessionId{}, RoundId{},
+            parsed.status().ToString()});
+        return;
       }
-      if (eol == std::string_view::npos) break;
-      pos = eol + 1;
+      ++report_.records;
+      Ingest(line_no, parsed->event);
+    });
+    for (const auto& [session, st] : sessions_) {
+      if (!st.closed && !st.events.empty()) ++report_.sessions_open;
     }
-    Finish();
+    for (RoundState& round : rounds_) {
+      report_.rounds.push_back(std::move(round.record));
+    }
     return std::move(report_);
   }
 
  private:
-  void Violate(std::string rule, std::size_t line, const JournalRecord& rec,
+  void Violate(std::string rule, std::size_t line, const LifecycleEvent& e,
                std::string message) {
     report_.violations.push_back(InvariantViolation{
-        std::move(rule), line, rec.device, rec.session, rec.round,
+        std::move(rule), line, e.device, e.session, e.round,
         std::move(message)});
-  }
-
-  RoundState* FindRound(RoundId round) {
-    const auto it = round_index_.find(round);
-    return it == round_index_.end() ? nullptr : &rounds_[it->second];
   }
 
   // Per-round server events must arrive in sim-time order; a regression
   // means records were reordered after the fact.
-  RoundState* TouchRound(std::size_t line, const JournalRecord& rec) {
-    RoundState* round = FindRound(rec.round);
-    if (round == nullptr) {
-      Violate("unknown-round", line, rec,
+  RoundState* TouchRound(std::size_t line, const LifecycleEvent& e) {
+    const auto it = round_index_.find(e.round);
+    if (it == round_index_.end()) {
+      Violate("unknown-round", line, e,
               "event references a round with no round_open");
       return nullptr;
     }
-    if (round->last_line != 0 && rec.sim_time < round->last_time) {
-      Violate("out-of-order", line, rec,
-              "round event precedes line " +
-                  std::to_string(round->last_line) + " in sim time");
+    RoundState& round = rounds_[it->second];
+    if (e.t < round.record.last_event_at) {
+      Violate("out-of-order", line, e,
+              "round event precedes line " + std::to_string(round.last_line) +
+                  " in sim time");
     }
-    round->last_time = rec.sim_time;
-    round->last_line = line;
-    round->timeline.last_event_at = rec.sim_time;
-    return round;
+    round.last_line = line;
+    return &round;
   }
 
-  void Ingest(std::size_t line, const JournalRecord& rec) {
+  void Ingest(std::size_t line, const LifecycleEvent& e) {
     SessionEvent se;
-    if (analytics::SessionEventForJournal(rec.event, &se)) {
-      IngestDeviceEvent(line, rec, se);
+    if (analytics::SessionEventForJournal(e.kind, &se)) {
+      IngestDeviceEvent(line, e, se);
       return;
     }
-    switch (rec.event) {
+    switch (e.kind) {
       case JournalEventKind::kSessionEnd: {
-        SessionState& st = sessions_[rec.session];
+        SessionState& st = sessions_[e.session];
         st.closed = true;
         ++report_.sessions_closed;
         // The tally mirrors FleetStats' session_end rule: only sessions
         // with at least two events enter the Table 1 distribution.
         if (st.events.size() >= 2) {
           analytics::SessionTrace trace;
-          trace.session = rec.session;
+          trace.session = e.session;
           trace.device = st.device;
           trace.events = st.events;
           report_.tally.Record(trace);
         }
-        break;
+        return;
       }
-      case JournalEventKind::kRoundOpen: {
-        RoundState state;
-        state.timeline.round = rec.round;
-        state.timeline.opened_at = rec.sim_time;
-        state.timeline.last_event_at = rec.sim_time;
-        state.timeline.goal = static_cast<std::size_t>(
-            analytics::DetailInt(rec.detail, "goal", 0));
-        state.timeline.min_report = static_cast<std::size_t>(
-            analytics::DetailInt(rec.detail, "min_report", 0));
-        state.last_time = rec.sim_time;
-        state.last_line = line;
-        round_index_[rec.round] = rounds_.size();
-        rounds_.push_back(std::move(state));
-        break;
-      }
-      case JournalEventKind::kPhase: {
-        RoundState* round = TouchRound(line, rec);
-        if (round == nullptr) break;
-        std::string phase;
-        analytics::DetailField(rec.detail, "phase", &phase);
-        const int idx = PhaseIndex(phase);
-        if (idx <= round->last_phase_index) {
-          Violate("phase-order", line, rec,
-                  "phase '" + phase + "' out of order (after " +
-                      (round->timeline.phases.empty()
-                           ? std::string("<none>")
-                           : round->timeline.phases.back().name) +
-                      ")");
-        }
-        round->last_phase_index = idx;
-        round->timeline.phases.push_back(
-            RoundTimeline::PhaseSpan{phase, rec.sim_time, Duration{}});
-        if (phase == "closing") {
-          round->has_closing = true;
-          round->closing_at = rec.sim_time;
-        }
-        break;
-      }
-      case JournalEventKind::kReportAccepted: {
-        RoundState* round = TouchRound(line, rec);
-        sessions_[rec.session].report_accepted = true;
-        if (round == nullptr) break;
-        ++round->timeline.reports_accepted;
-        round->timeline.accepted_wire_bytes = static_cast<std::uint64_t>(
-            analytics::DetailInt(rec.detail, "wire_bytes", 0)) +
-            round->timeline.accepted_wire_bytes;
-        // Plaintext accepts must land inside the reporting window; secagg
-        // commits are exempt (phases 2/3 legitimately outlive the flush).
-        std::string mode;
-        analytics::DetailField(rec.detail, "mode", &mode);
-        if (round->has_closing && rec.sim_time > round->closing_at &&
-            mode != "secagg") {
-          Violate("accept-after-close", line, rec,
-                  "report accepted after the round's closing phase");
-        }
-        break;
-      }
-      case JournalEventKind::kReportRejected: {
-        RoundState* round = TouchRound(line, rec);
-        if (round == nullptr) break;
-        ++round->timeline.reports_rejected;
-        std::string reason;
-        analytics::DetailField(rec.detail, "reason", &reason);
-        if (reason == "late") ++round->timeline.stragglers;
-        break;
-      }
-      case JournalEventKind::kCheckinAccepted:
-        break;  // selector-side; no round yet
-      case JournalEventKind::kCheckinRejected: {
+      case JournalEventKind::kRoundOpen:
+        round_index_[e.round] = rounds_.size();
+        rounds_.push_back(RoundState{RoundRecord{}, line});
+        FoldRound(rounds_.back().record, e);
+        return;
+      case JournalEventKind::kCheckinRejected:
         // Selector rejections carry no round; master/aggregator ones do.
-        if (rec.round.value == 0) break;
-        RoundState* round = TouchRound(line, rec);
-        if (round != nullptr) ++round->timeline.checkins_rejected;
+        if (e.round.value == 0) return;
         break;
-      }
-      case JournalEventKind::kRoundCommit: {
-        RoundState* round = TouchRound(line, rec);
-        if (round == nullptr) break;
-        round->timeline.committed = true;
-        round->timeline.contributors = static_cast<std::size_t>(
-            analytics::DetailInt(rec.detail, "contributors", 0));
-        const auto min_report = static_cast<std::size_t>(analytics::DetailInt(
-            rec.detail, "min_report",
-            static_cast<std::int64_t>(round->timeline.min_report)));
-        if (round->timeline.contributors < min_report) {
-          Violate("commit-below-goal", line, rec,
-                  "committed with " +
-                      std::to_string(round->timeline.contributors) +
-                      " contributors; needs " + std::to_string(min_report));
-        }
-        analytics::DetailField(rec.detail, "codec", &round->timeline.codec);
-        std::string wire;
-        if (analytics::DetailField(rec.detail, "wire_bytes", &wire)) {
-          round->timeline.has_commit_wire_bytes = true;
-          round->timeline.commit_wire_bytes = static_cast<std::uint64_t>(
-              analytics::DetailInt(rec.detail, "wire_bytes", 0));
-          // Commit accounting must equal the sum of journaled accepts: the
-          // aggregators ship cumulative accepted bytes with every progress
-          // message, so even a crashed cohort's accepts stay counted.
-          if (round->timeline.commit_wire_bytes !=
-              round->timeline.accepted_wire_bytes) {
-            Violate("wire-bytes-mismatch", line, rec,
-                    "commit wire_bytes=" +
-                        std::to_string(round->timeline.commit_wire_bytes) +
-                        " but journaled accepts sum to " +
-                        std::to_string(round->timeline.accepted_wire_bytes));
-          }
-        }
+      case JournalEventKind::kReportAccepted:
+        sessions_[e.session].report_accepted = true;
         break;
-      }
-      case JournalEventKind::kRoundAbandoned: {
-        RoundState* round = TouchRound(line, rec);
-        if (round == nullptr) break;
-        std::string outcome;
-        analytics::DetailField(rec.detail, "outcome", &outcome);
-        round->timeline.outcome = outcome;
-        std::string reason;
-        if (analytics::DetailField(rec.detail, "reason", &reason)) {
-          // The reason value runs to the next space; keep the free-form tail.
-          const std::size_t at = rec.detail.find("reason=");
-          round->timeline.abort_reason = rec.detail.substr(at + 7);
-        }
+      case JournalEventKind::kPhase:
+      case JournalEventKind::kReportRejected:
+      case JournalEventKind::kRoundCommit:
+      case JournalEventKind::kRoundAbandoned:
+      case JournalEventKind::kRoundOutcome:
         break;
-      }
-      case JournalEventKind::kRoundOutcome: {
-        RoundState* round = TouchRound(line, rec);
-        if (round == nullptr) break;
-        std::string outcome;
-        analytics::DetailField(rec.detail, "outcome", &outcome);
-        round->timeline.outcome = outcome;
-        std::string reason;
-        if (round->timeline.abort_reason.empty() &&
-            analytics::DetailField(rec.detail, "reason", &reason)) {
-          round->timeline.abort_reason = reason;
-        }
-        break;
-      }
-      case JournalEventKind::kSimRoundStart:
-      case JournalEventKind::kSimRoundComplete:
-        break;  // modeling-sim markers; no protocol invariants
       default:
-        break;
+        return;  // selector admissions, modeling-sim markers
+    }
+    RoundState* round = TouchRound(line, e);
+    if (round == nullptr) return;
+    RoundRecord& r = round->record;
+    if (e.kind == JournalEventKind::kPhase) {
+      const int last = r.phases.empty() ? -1 : PhaseOrder(r.phases.back().phase);
+      if (PhaseOrder(e.a) <= last) {
+        Violate("phase-order", line, e,
+                std::string("phase '") + analytics::PhaseName(e.a) +
+                    "' out of order (after " +
+                    (r.phases.empty()
+                         ? "<none>"
+                         : analytics::PhaseName(r.phases.back().phase)) +
+                    ")");
+      }
+    }
+    if (e.kind == JournalEventKind::kReportAccepted && e.a != 1) {
+      // Plaintext accepts must land inside the reporting window; secagg
+      // commits are exempt (phases 2/3 legitimately outlive the flush).
+      const auto closing = std::find_if(
+          r.phases.rbegin(), r.phases.rend(),
+          [](const RoundRecord::PhaseEntry& p) { return p.phase == 3; });
+      if (closing != r.phases.rend() && e.t > closing->at) {
+        Violate("accept-after-close", line, e,
+                "report accepted after the round's closing phase");
+      }
+    }
+    FoldRound(r, e);
+    if (e.kind != JournalEventKind::kRoundCommit) return;
+    if (r.contributors < e.b) {
+      Violate("commit-below-goal", line, e,
+              "committed with " + std::to_string(r.contributors) +
+                  " contributors; needs " + std::to_string(e.b));
+    }
+    // Commit accounting must equal the sum of journaled accepts: the
+    // aggregators ship cumulative accepted bytes with every progress
+    // message, so even a crashed cohort's accepts stay counted.
+    if (r.has_commit_wire_bytes &&
+        r.commit_wire_bytes != r.accepted_wire_bytes) {
+      Violate("wire-bytes-mismatch", line, e,
+              "commit wire_bytes=" + std::to_string(r.commit_wire_bytes) +
+                  " but journaled accepts sum to " +
+                  std::to_string(r.accepted_wire_bytes));
     }
   }
 
-  void IngestDeviceEvent(std::size_t line, const JournalRecord& rec,
+  void IngestDeviceEvent(std::size_t line, const LifecycleEvent& e,
                          SessionEvent se) {
-    SessionState& st = sessions_[rec.session];
-    st.device = rec.device;
-    if (st.last_line != 0 && rec.sim_time < st.last_time) {
-      Violate("out-of-order", line, rec,
+    SessionState& st = sessions_[e.session];
+    st.device = e.device;
+    if (st.last_line != 0 && e.t < st.last_time) {
+      Violate("out-of-order", line, e,
               "session event precedes line " + std::to_string(st.last_line) +
                   " in sim time");
     }
-    st.last_time = rec.sim_time;
+    st.last_time = e.t;
     st.last_line = line;
     if (st.closed) {
-      Violate("device-transition", line, rec,
+      Violate("device-transition", line, e,
               std::string("'") + analytics::SessionEventGlyph(se) +
                   "' after session_end");
     } else if (st.events.empty()) {
       if (se != SessionEvent::kCheckin) {
-        Violate("device-transition", line, rec,
+        Violate("device-transition", line, e,
                 std::string("session opens with '") +
                     analytics::SessionEventGlyph(se) + "' instead of '-'");
       }
     } else if (!LegalTransition(st.events.back(), se)) {
-      Violate("device-transition", line, rec,
+      Violate("device-transition", line, e,
               std::string("illegal '") +
                   analytics::SessionEventGlyph(st.events.back()) + "' -> '" +
                   analytics::SessionEventGlyph(se) + "'");
@@ -336,28 +276,10 @@ class Analyzer {
     if (se == SessionEvent::kUploadCompleted && !st.report_accepted) {
       // Cross-join with the server log: a device-side '^' must have a
       // matching aggregator report_accepted earlier in the journal.
-      Violate("orphan-upload", line, rec,
+      Violate("orphan-upload", line, e,
               "upload_complete with no server report_accepted");
     }
     st.events.push_back(se);
-  }
-
-  void Finish() {
-    for (const auto& [session, st] : sessions_) {
-      if (!st.closed && !st.events.empty()) ++report_.sessions_open;
-    }
-    report_.rounds.reserve(rounds_.size());
-    for (RoundState& round : rounds_) {
-      // Phase durations: to the next phase, or to the round's last event.
-      auto& phases = round.timeline.phases;
-      for (std::size_t i = 0; i < phases.size(); ++i) {
-        const SimTime end = i + 1 < phases.size()
-                                ? phases[i + 1].entered_at
-                                : round.timeline.last_event_at;
-        phases[i].duration = end - phases[i].entered_at;
-      }
-      report_.rounds.push_back(std::move(round.timeline));
-    }
   }
 
   AnalysisReport report_;
@@ -366,50 +288,20 @@ class Analyzer {
   std::map<RoundId, std::size_t> round_index_;
 };
 
-}  // namespace
-
-AnalysisReport AnalyzeJournal(std::string_view text) {
-  return Analyzer().Run(text);
-}
-
-namespace {
-
-// A diagnostic-bundle directory stands in for its flight-recorder dump, so
-// `fl_analyze <bundle-dir>` works the same as `fl_analyze <journal>`.
-std::string ResolveJournalPath(const std::string& path) {
+// Reads a journal, or the flight_recorder.log of a diagnostic-bundle
+// directory, so `fl_analyze <bundle-dir>` works like `fl_analyze <journal>`.
+Result<std::string> ReadJournalText(const std::string& path) {
+  std::string resolved = path;
   struct stat st{};
   if (::stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode)) {
-    return path + "/flight_recorder.log";
+    resolved += "/flight_recorder.log";
   }
-  return path;
-}
-
-}  // namespace
-
-Result<AnalysisReport> AnalyzeJournalFile(const std::string& path) {
-  const std::string resolved = ResolveJournalPath(path);
   std::ifstream in(resolved, std::ios::binary);
-  if (!in) {
-    return UnavailableError("cannot open journal: " + resolved);
-  }
+  if (!in) return UnavailableError("cannot open journal: " + resolved);
   std::ostringstream buf;
   buf << in.rdbuf();
-  return AnalyzeJournal(buf.str());
+  return buf.str();
 }
-
-Result<CriticalPathReport> AnalyzeCriticalPathFile(const std::string& path,
-                                                   RoundId round) {
-  const std::string resolved = ResolveJournalPath(path);
-  std::ifstream in(resolved, std::ios::binary);
-  if (!in) {
-    return UnavailableError("cannot open journal: " + resolved);
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return AnalyzeCriticalPath(buf.str(), round);
-}
-
-namespace {
 
 // Per-session scratch while walking one round's device records.
 struct DeviceBuild {
@@ -423,168 +315,119 @@ struct DeviceBuild {
 
 }  // namespace
 
+AnalysisReport AnalyzeJournal(std::string_view text) {
+  return Analyzer().Run(text);
+}
+
+Result<AnalysisReport> AnalyzeJournalFile(const std::string& path) {
+  FL_ASSIGN_OR_RETURN(const std::string text, ReadJournalText(path));
+  return AnalyzeJournal(text);
+}
+
+Result<CriticalPathReport> AnalyzeCriticalPathFile(const std::string& path,
+                                                   RoundId round) {
+  FL_ASSIGN_OR_RETURN(const std::string text, ReadJournalText(path));
+  return AnalyzeCriticalPath(text, round);
+}
+
 CriticalPathReport AnalyzeCriticalPath(std::string_view text, RoundId round) {
-  // Parse every record up front and re-sort by sim time: flight-recorder
-  // dumps interleave per-thread rings in capture order, not event order.
-  std::vector<JournalRecord> records;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    std::string_view line =
-        text.substr(pos, eol == std::string_view::npos ? text.size() - pos
-                                                       : eol - pos);
-    if (!line.empty() && line.front() != '#') {
-      auto rec = JournalRecord::Parse(line);
-      if (rec.ok()) records.push_back(std::move(*rec));
+  // Re-sort by sim time: flight-recorder dumps interleave per-thread rings
+  // in capture order, not event order.
+  std::vector<analytics::LifecycleLine> events;
+  ForEachLine(text, [&](std::size_t, std::string_view line) {
+    auto parsed = analytics::ParseLifecycleLine(line);
+    if (parsed.ok() && parsed->event.round == round) {
+      events.push_back(std::move(parsed).value());
     }
-    if (eol == std::string_view::npos) break;
-    pos = eol + 1;
-  }
-  std::stable_sort(records.begin(), records.end(),
-                   [](const JournalRecord& a, const JournalRecord& b) {
-                     return a.sim_time < b.sim_time;
+  });
+  std::stable_sort(events.begin(), events.end(),
+                   [](const analytics::LifecycleLine& a,
+                      const analytics::LifecycleLine& b) {
+                     return a.event.t < b.event.t;
                    });
 
   CriticalPathReport rep;
   rep.round = round;
+  RoundRecord r;
   std::map<SessionId, DeviceBuild> devices;
   std::vector<SimTime> accept_times;
-  SimTime opened_at{};
   SimTime last_event_at{};
-  bool has_reporting_at = false;
-  bool ended = false;
-
-  for (const JournalRecord& rec : records) {
-    if (rec.round != round) continue;
-    last_event_at = rec.sim_time;
+  for (const analytics::LifecycleLine& line : events) {
+    const LifecycleEvent& e = line.event;
+    last_event_at = e.t;
+    if (analytics::IsRoundFact(e)) FoldRound(r, e);
     SessionEvent se;
-    if (analytics::SessionEventForJournal(rec.event, &se)) {
-      DeviceBuild& b = devices[rec.session];
-      b.d.session = rec.session;
-      b.d.device = rec.device;
-      switch (se) {
-        case SessionEvent::kDownloadedPlan:
-          b.d.configured_at = rec.sim_time;
-          break;
-        case SessionEvent::kTrainingStarted:
-          b.d.train_started = true;
-          b.train_start_at = rec.sim_time;
-          break;
-        case SessionEvent::kTrainingCompleted:
-          b.d.trained = true;
-          b.d.train_duration = rec.sim_time - b.train_start_at;
-          break;
-        case SessionEvent::kUploadStarted:
-          b.upload_start_at = rec.sim_time;
-          break;
-        case SessionEvent::kUploadCompleted:
-          b.d.uploaded = true;
-          b.d.upload_duration = rec.sim_time - b.upload_start_at;
-          break;
-        case SessionEvent::kUploadRejected:
-          b.rejected_late = true;
-          break;
-        case SessionEvent::kInterrupted:
-          b.interrupted = true;
-          break;
-        case SessionEvent::kError:
-          b.error = true;
-          break;
-        case SessionEvent::kCheckin:
-          break;  // pre-assignment; carries no round in practice
-      }
+    const bool device_event = analytics::SessionEventForJournal(e.kind, &se);
+    const bool late = e.kind == JournalEventKind::kReportRejected &&
+                      e.reason == analytics::FlightReason::kLate;
+    if (!device_event && !late &&
+        e.kind != JournalEventKind::kReportAccepted) {
       continue;
     }
-    switch (rec.event) {
-      case JournalEventKind::kRoundOpen:
-        rep.found = true;
-        opened_at = rec.sim_time;
-        rep.goal = static_cast<std::size_t>(
-            analytics::DetailInt(rec.detail, "goal", 0));
-        rep.min_report = static_cast<std::size_t>(
-            analytics::DetailInt(rec.detail, "min_report", 0));
+    DeviceBuild& b = devices[e.session];
+    b.d.session = e.session;
+    if (device_event || b.d.device.value == 0) b.d.device = e.device;
+    if (late) b.rejected_late = true;
+    if (e.kind == JournalEventKind::kReportAccepted) {
+      b.d.accepted = true;
+      b.d.accepted_at = e.t;
+      accept_times.push_back(e.t);
+    }
+    if (!device_event) continue;
+    switch (se) {
+      case SessionEvent::kDownloadedPlan:
+        b.d.configured_at = e.t;
         break;
-      case JournalEventKind::kPhase: {
-        std::string phase;
-        analytics::DetailField(rec.detail, "phase", &phase);
-        rep.phases.push_back(
-            RoundTimeline::PhaseSpan{phase, rec.sim_time, Duration{}});
-        if (phase == "reporting") {
-          rep.reporting_at = rec.sim_time;
-          has_reporting_at = true;
-        }
+      case SessionEvent::kTrainingStarted:
+        b.d.train_started = true;
+        b.train_start_at = e.t;
         break;
-      }
-      case JournalEventKind::kReportAccepted: {
-        DeviceBuild& b = devices[rec.session];
-        b.d.session = rec.session;
-        if (b.d.device.value == 0) b.d.device = rec.device;
-        b.d.accepted = true;
-        b.d.accepted_at = rec.sim_time;
-        accept_times.push_back(rec.sim_time);
+      case SessionEvent::kTrainingCompleted:
+        b.d.trained = true;
+        b.d.train_duration = e.t - b.train_start_at;
         break;
-      }
-      case JournalEventKind::kReportRejected: {
-        std::string reason;
-        analytics::DetailField(rec.detail, "reason", &reason);
-        if (reason == "late") {
-          DeviceBuild& b = devices[rec.session];
-          b.d.session = rec.session;
-          if (b.d.device.value == 0) b.d.device = rec.device;
-          b.rejected_late = true;
-        }
+      case SessionEvent::kUploadStarted:
+        b.upload_start_at = e.t;
         break;
-      }
-      case JournalEventKind::kRoundCommit:
-        if (rep.outcome.empty()) rep.outcome = "committed";
-        rep.round_end_at = rec.sim_time;
-        ended = true;
+      case SessionEvent::kUploadCompleted:
+        b.d.uploaded = true;
+        b.d.upload_duration = e.t - b.upload_start_at;
         break;
-      case JournalEventKind::kRoundAbandoned: {
-        std::string outcome;
-        if (analytics::DetailField(rec.detail, "outcome", &outcome)) {
-          rep.outcome = outcome;
-        }
-        const std::size_t at = rec.detail.find("reason=");
-        if (at != std::string::npos) {
-          rep.abort_reason = rec.detail.substr(at + 7);
-        }
-        rep.round_end_at = rec.sim_time;
-        ended = true;
+      case SessionEvent::kUploadRejected:
+        b.rejected_late = true;
         break;
-      }
-      case JournalEventKind::kRoundOutcome: {
-        std::string outcome;
-        if (analytics::DetailField(rec.detail, "outcome", &outcome)) {
-          rep.outcome = outcome;
-        }
-        std::string reason;
-        if (rep.abort_reason.empty() &&
-            analytics::DetailField(rec.detail, "reason", &reason) &&
-            reason != "none") {
-          rep.abort_reason = reason;
-        }
-        rep.round_end_at = rec.sim_time;
-        ended = true;
+      case SessionEvent::kInterrupted:
+        b.interrupted = true;
         break;
-      }
-      default:
+      case SessionEvent::kError:
+        b.error = true;
         break;
+      case SessionEvent::kCheckin:
+        break;  // pre-assignment; carries no round in practice
     }
   }
 
-  if (!ended) rep.round_end_at = last_event_at;
-  if (!has_reporting_at) rep.reporting_at = opened_at;
-
-  // Phase durations: to the next phase, or to the round's end.
-  for (std::size_t i = 0; i < rep.phases.size(); ++i) {
-    const SimTime end = i + 1 < rep.phases.size()
-                            ? rep.phases[i + 1].entered_at
-                            : rep.round_end_at;
-    rep.phases[i].duration = end - rep.phases[i].entered_at;
-    if (rep.phases[i].duration >= rep.bounding_duration) {
-      rep.bounding_phase = rep.phases[i].name;
-      rep.bounding_duration = rep.phases[i].duration;
+  rep.found = r.opened;
+  rep.goal = r.goal;
+  rep.min_report = r.min_report;
+  if (r.has_outcome) {
+    rep.outcome = protocol::RoundOutcomeName(r.outcome);
+  } else if (r.committed) {
+    rep.outcome = "committed";
+  }
+  // A hand-written `reason=none` names no reason here.
+  if (r.abort_reason != "none") rep.abort_reason = r.abort_reason;
+  // The round ends at its commit/abandon/outcome, else at its last event.
+  rep.round_end_at = r.committed || r.has_outcome ? r.ended_at : last_event_at;
+  rep.reporting_at = r.opened_at;
+  for (const RoundRecord::PhaseEntry& p : r.phases) {
+    if (p.phase == 2) rep.reporting_at = p.at;
+  }
+  rep.phases = PhaseSpans(r, rep.round_end_at);
+  for (const PhaseSpan& phase : rep.phases) {
+    if (phase.duration >= rep.bounding_duration) {
+      rep.bounding_phase = phase.name;
+      rep.bounding_duration = phase.duration;
     }
   }
 
@@ -640,14 +483,7 @@ std::string RenderCriticalPath(const CriticalPathReport& report) {
   }
   out << "\n  goal=" << report.goal << " min_report=" << report.min_report
       << " accepts=" << report.accepts << '\n';
-  for (const auto& phase : report.phases) {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "    %-14s %s  +%.1fs\n",
-                  phase.name.c_str(),
-                  FormatSimTime(phase.entered_at).c_str(),
-                  phase.duration.Seconds());
-    out << buf;
-  }
+  RenderPhaseSpans(report.phases, out);
   if (!report.bounding_phase.empty()) {
     char buf[96];
     std::snprintf(buf, sizeof(buf), "  bounding phase: %s (+%.1fs)\n",
@@ -705,21 +541,16 @@ std::string RenderCriticalPath(const CriticalPathReport& report) {
 std::string RenderRoundTimelines(const AnalysisReport& report) {
   std::ostringstream out;
   out << "Rounds (" << report.rounds.size() << "):\n";
-  for (const RoundTimeline& round : report.rounds) {
+  for (const RoundRecord& round : report.rounds) {
     out << "  round " << round.round.value << " opened "
         << FormatSimTime(round.opened_at);
-    if (!round.outcome.empty()) out << "  outcome=" << round.outcome;
+    if (round.has_outcome) {
+      out << "  outcome=" << protocol::RoundOutcomeName(round.outcome);
+    }
     if (round.committed) out << "  contributors=" << round.contributors;
     if (round.goal != 0) out << "  goal=" << round.goal;
     out << '\n';
-    for (const auto& phase : round.phases) {
-      char buf[96];
-      std::snprintf(buf, sizeof(buf), "    %-14s %s  +%.1fs\n",
-                    phase.name.c_str(),
-                    FormatSimTime(phase.entered_at).c_str(),
-                    phase.duration.Seconds());
-      out << buf;
-    }
+    RenderPhaseSpans(PhaseSpans(round, round.last_event_at), out);
     out << "    reports: " << round.reports_accepted << " accepted, "
         << round.reports_rejected << " rejected (" << round.stragglers
         << " stragglers); checkins rejected: " << round.checkins_rejected

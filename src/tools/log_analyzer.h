@@ -20,6 +20,7 @@
 
 #include "src/analytics/events.h"
 #include "src/analytics/journal.h"
+#include "src/analytics/round_record.h"
 #include "src/common/status.h"
 
 namespace fl::tools {
@@ -35,35 +36,11 @@ struct InvariantViolation {
   std::string message;
 };
 
-// One server round reconstructed from master/coordinator events.
-struct RoundTimeline {
-  RoundId round;
-  SimTime opened_at;
-  // Phases in journal order (selection, configuration, reporting, closing).
-  struct PhaseSpan {
-    std::string name;
-    SimTime entered_at;
-    Duration duration;  // to the next phase (or last event of the round)
-  };
-  std::vector<PhaseSpan> phases;
-  SimTime last_event_at;
-  std::size_t goal = 0;
-  std::size_t min_report = 0;
-  std::size_t reports_accepted = 0;
-  std::size_t reports_rejected = 0;  // all reasons
-  std::size_t stragglers = 0;        // report_rejected reason=late ('#')
-  std::size_t checkins_rejected = 0; // master-side "round full"/abandon
-  bool committed = false;
-  std::size_t contributors = 0;
-  std::string outcome;  // coordinator verdict ("committed", "failed", ...)
-  std::string abort_reason;  // round_abandoned / failure attribution
-  // Traffic attribution: per-accept wire_bytes summed from the aggregator
-  // records, plus the total the master journaled at commit (they must
-  // match — the "wire-bytes-mismatch" invariant).
-  std::uint64_t accepted_wire_bytes = 0;
-  bool has_commit_wire_bytes = false;
-  std::uint64_t commit_wire_bytes = 0;
-  std::string codec;  // round codec name from the commit record
+// One phase of a round and how long it lasted.
+struct PhaseSpan {
+  std::string name;
+  SimTime entered_at;
+  Duration duration;  // to the next phase, or to the end the view chooses
 };
 
 struct AnalysisReport {
@@ -76,7 +53,9 @@ struct AnalysisReport {
   // rule FleetStats applies at session_end, so a journal replay of a run
   // reproduces the in-process tally exactly.
   analytics::SessionShapeTally tally;
-  std::vector<RoundTimeline> rounds;
+  // One record per round_open, in journal order, folded by the same
+  // FoldRound() the live reducers run.
+  std::vector<analytics::RoundRecord> rounds;
   std::vector<InvariantViolation> violations;
 };
 
@@ -91,8 +70,9 @@ Result<AnalysisReport> AnalyzeJournalFile(const std::string& path);
 // --------------------------------------------------------------------------
 // Critical-path attribution: what bounded one round's latency?
 //
-// Reconstructed from the same journal text (a real journal or a flight-
-// recorder dump): phase spans say which window dominated; within reporting,
+// Read from the round's RoundRecord, folded from the same journal text (a
+// real journal or a flight-recorder dump), plus the round's device events:
+// phase spans say which window dominated; within reporting,
 // the goal wait (reporting start -> the accept that satisfied min_report)
 // is separated from the aggregation wait (last accept -> round end); and
 // every configured device is classified by fate, so the straggler that
@@ -105,8 +85,9 @@ struct CriticalPathReport {
   std::string outcome;   // "", "committed", "abandoned_reporting", ...
   std::string abort_reason;
 
-  // Phase spans (journal order) and the dominating one.
-  std::vector<RoundTimeline::PhaseSpan> phases;
+  // Phase spans (journal order, the last one ending at round_end_at) and
+  // the dominating one.
+  std::vector<PhaseSpan> phases;
   std::string bounding_phase;
   Duration bounding_duration{};
 
@@ -149,8 +130,8 @@ struct CriticalPathReport {
   DeviceLatency critical_device;
 };
 
-// Second-pass targeted analysis of one round. `text` is the same journal
-// text AnalyzeJournal takes; records are re-sorted by sim time first, so
+// Targeted analysis of one round. `text` is the same journal text
+// AnalyzeJournal takes; its events are re-sorted by sim time first, so
 // unordered flight-recorder dumps analyze identically to real journals.
 CriticalPathReport AnalyzeCriticalPath(std::string_view text, RoundId round);
 
@@ -161,8 +142,9 @@ Result<CriticalPathReport> AnalyzeCriticalPathFile(const std::string& path,
 // Human-readable rendering for `fl_analyze --critical-path`.
 std::string RenderCriticalPath(const CriticalPathReport& report);
 
-// Renderers for the CLI: per-round timelines, the Table 1 shape table, and
-// the violation list. RenderAnalysisReport stitches all three together.
+// Renderers for the CLI: per-round timelines (a round's last phase ends at
+// its last journaled server event), the Table 1 shape table, and the
+// violation list. RenderAnalysisReport stitches all three together.
 std::string RenderRoundTimelines(const AnalysisReport& report);
 std::string RenderShapeTable(const AnalysisReport& report,
                              std::size_t max_rows = 10);

@@ -4,9 +4,11 @@
 // FlightDumpText() taken right after it; mutations are bit flips,
 // truncation, splicing two corpora, huge / negative integers in place of a
 // numeric token, and stray backslashes. Targets are JournalRecord::Parse,
-// AnalyzeJournal and AnalyzeCriticalPath with their renderers. Invariants:
-// nothing crashes (run under ASan + UBSan in CI); unmutated lines round-trip
-// through Serialize(Parse(line)); and every journaled LifecycleEvent kind
+// ParseLifecycleLine, AnalyzeJournal and AnalyzeCriticalPath with their
+// renderers. Invariants: nothing crashes (run under ASan + UBSan in CI);
+// unmutated lines round-trip through Serialize(Parse(line)) and through
+// Render(ParseLifecycleLine(line)); a mutated line either renders back
+// byte for byte or fails to parse; and every journaled LifecycleEvent kind
 // round-trips render → parse for the fields it carries, in both the journal
 // and the flight-ring projection.
 #include <gtest/gtest.h>
@@ -198,6 +200,10 @@ TEST(JournalFuzzTest, UnmutatedLinesRoundTrip) {
       const auto rec = JournalRecord::Parse(line);
       ASSERT_TRUE(rec.ok()) << line;
       EXPECT_EQ(rec->Serialize(), line);
+      const auto event = ParseLifecycleLine(line);
+      ASSERT_TRUE(event.ok()) << line << ": " << event.status().ToString();
+      EXPECT_EQ(RenderJournalRecord(event->event, event->wall_us).Serialize(),
+                line);
       ++checked;
     }
   }
@@ -213,6 +219,7 @@ TEST(JournalFuzzTest, MutatedCorporaNeverCrashTheParsers) {
   const std::vector<std::string> dump_lines = Lines(corpora.flight_dump);
   Rng rng(0x6a6f75726e616cULL);  // "journal"
   std::size_t parsed = 0;
+  std::size_t rendered_back = 0;
   for (int iter = 0; iter < 500; ++iter) {
     const bool from_dump = rng.UniformInt(3) == 0;
     const std::string base =
@@ -222,6 +229,15 @@ TEST(JournalFuzzTest, MutatedCorporaNeverCrashTheParsers) {
     const std::string text = Mutate(base, other, rng);
 
     for (const std::string& line : Lines(text)) {
+      // The event parser is the renderer's inverse: what it accepts renders
+      // back to the same bytes.
+      const auto event = ParseLifecycleLine(line);
+      if (event.ok()) {
+        ++rendered_back;
+        EXPECT_EQ(
+            RenderJournalRecord(event->event, event->wall_us).Serialize(),
+            line);
+      }
       const auto rec = JournalRecord::Parse(line);
       if (!rec.ok()) continue;
       ++parsed;
@@ -237,6 +253,7 @@ TEST(JournalFuzzTest, MutatedCorporaNeverCrashTheParsers) {
     EXPECT_FALSE(tools::RenderCriticalPath(path).empty());
   }
   EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rendered_back, 0u);
 }
 
 // One event per journaled kind, with distinct argument values.
@@ -296,86 +313,85 @@ std::vector<LifecycleEvent> SampleEvents() {
   return out;
 }
 
-// The k=v fields `e` carries in the journal (ring_only = false) or in the
-// flight-ring projection, checked against a parsed detail string.
-void ExpectCarriedFields(const LifecycleEvent& e, const std::string& detail,
+// The fields `e` carries in the journal (ring_only = false) or in the
+// flight-ring projection, checked on the event parsed back from its line.
+void ExpectCarriedFields(const LifecycleEvent& e, const LifecycleEvent& p,
                          bool ring_only) {
   SCOPED_TRACE(std::string(JournalEventName(e.kind)) +
-               (ring_only ? " (ring)" : " (journal)") + ": " + detail);
-  const auto num = [&](const char* key) { return DetailInt(detail, key, -1); };
-  const auto field = [&](const char* key) {
-    std::string v;
-    return DetailField(detail, key, &v) ? v : std::string("<absent>");
+               (ring_only ? " (ring)" : " (journal)"));
+  EXPECT_EQ(p.t, e.t);
+  EXPECT_EQ(p.source, e.source);
+  EXPECT_EQ(p.kind, e.kind);
+  EXPECT_EQ(p.device, e.device);
+  EXPECT_EQ(p.session, e.session);
+  EXPECT_EQ(p.round, e.round);
+  // What only the journal carries reads as 0 / empty from the ring.
+  const auto journal = [ring_only](std::uint64_t v) {
+    return ring_only ? 0 : v;
   };
   switch (e.kind) {
     case JournalEventKind::kSessionEnd:
-      EXPECT_EQ(num("completed"), 1);
+      EXPECT_EQ(p.a, 1u);
       break;
     case JournalEventKind::kCheckinRejected:
     case JournalEventKind::kReportRejected:
-      EXPECT_EQ(field("reason"), FlightReasonName(e.reason));
+      EXPECT_EQ(p.reason, e.reason);
       break;
     case JournalEventKind::kRoundOpen:
-      EXPECT_EQ(num("goal"), 11);
-      EXPECT_EQ(num("min_report"), 22);
-      EXPECT_EQ(num("task"), ring_only ? -1 : 33);
-      EXPECT_EQ(num("target"), ring_only ? -1 : 44);
+      EXPECT_EQ(p.a, 11u);
+      EXPECT_EQ(p.b, 22u);
+      EXPECT_EQ(p.c, journal(33));
+      EXPECT_EQ(p.d, journal(44));
       break;
     case JournalEventKind::kPhase:
-      EXPECT_EQ(field("phase"), "reporting");
-      EXPECT_EQ(num("aggregators"), ring_only ? -1 : 22);
+      EXPECT_STREQ(PhaseName(p.a), "reporting");
+      EXPECT_EQ(p.b, journal(22));
       break;
     case JournalEventKind::kReportAccepted:
-      if (e.a == 1) {
-        EXPECT_EQ(field("mode"), "secagg");
-        EXPECT_EQ(num("wire_bytes"), ring_only ? -1 : 22);
-      } else {
-        EXPECT_EQ(field("weight"), ring_only ? "<absent>" : "40.000000");
-        EXPECT_EQ(num("wire_bytes"), ring_only ? -1 : 22);
-        EXPECT_EQ(field("codec"), ring_only ? "<absent>" : "topk0.25+q8");
+      EXPECT_EQ(p.a, e.a);
+      EXPECT_EQ(p.b, journal(22));
+      if (e.a == 0) {
+        EXPECT_EQ(p.weight, ring_only ? 0.0 : 40.0);
+        EXPECT_EQ(p.note, ring_only ? "" : "topk0.25+q8");
       }
       break;
     case JournalEventKind::kRoundCommit:
-      EXPECT_EQ(num("contributors"), 11);
-      EXPECT_EQ(num("min_report"), 22);
-      EXPECT_EQ(num("wire_bytes"), ring_only ? -1 : 33);
-      EXPECT_EQ(field("codec"), ring_only ? "<absent>" : "float32");
+      EXPECT_EQ(p.a, 11u);
+      EXPECT_EQ(p.b, 22u);
+      EXPECT_EQ(p.c, journal(33));
+      EXPECT_EQ(p.note, ring_only ? "" : "float32");
       break;
     case JournalEventKind::kRoundAbandoned:
-      EXPECT_EQ(field("outcome"), "abandoned_reporting");
-      EXPECT_EQ(detail.substr(detail.find("reason=")),
-                ring_only ? "reason=below min_report"
-                          : "reason=only 3 reports; need 5");
+      EXPECT_EQ(p.outcome, protocol::RoundOutcome::kAbandonedReporting);
+      EXPECT_EQ(ReasonText(p), ring_only ? "below min_report"
+                                         : "only 3 reports; need 5");
       break;
     case JournalEventKind::kRoundOutcome:
-      EXPECT_EQ(field("outcome"), protocol::RoundOutcomeName(e.outcome));
-      if (e.outcome == protocol::RoundOutcome::kCommitted) {
-        EXPECT_EQ(num("contributors"), 11);
-        EXPECT_EQ(field("reason"), "<absent>");
-      } else {
-        EXPECT_EQ(num("contributors"), -1);
-        EXPECT_EQ(field("reason"), "master_lost");
-      }
+      EXPECT_EQ(p.outcome, e.outcome);
+      EXPECT_EQ(p.reason, e.reason);
+      EXPECT_EQ(p.a,
+                e.outcome == protocol::RoundOutcome::kCommitted ? 11u : 0u);
       break;
     case JournalEventKind::kSimRoundStart:
-      EXPECT_EQ(num("want"), 11);
-      break;
     case JournalEventKind::kSimRoundComplete:
-      EXPECT_EQ(num("got"), 11);
+      EXPECT_EQ(p.a, 11u);
       break;
     default:  // device session events and checkin_accepted carry ids only
-      EXPECT_EQ(detail, "");
+      EXPECT_EQ(p.a, 0u);
+      EXPECT_EQ(p.fields, 0u);
       break;
   }
 }
 
-void ExpectSameHeader(const JournalRecord& rec, const LifecycleEvent& e) {
-  EXPECT_EQ(rec.sim_time, e.t);
-  EXPECT_EQ(rec.source, e.source);
-  EXPECT_EQ(rec.event, e.kind);
-  EXPECT_EQ(rec.device, e.device);
-  EXPECT_EQ(rec.session, e.session);
-  EXPECT_EQ(rec.round, e.round);
+// Parses `line` back into its event, checks that it renders to the same
+// bytes and that it carries `e`'s fields.
+void ExpectRoundTrip(const LifecycleEvent& e, const std::string& line,
+                     bool ring_only) {
+  const auto parsed = ParseLifecycleLine(line);
+  ASSERT_TRUE(parsed.ok()) << line << ": " << parsed.status().ToString();
+  EXPECT_EQ(RenderJournalRecord(parsed->event, parsed->wall_us).Serialize(),
+            line);
+  ExpectCarriedFields(e, parsed->event, ring_only);
 }
 
 TEST(JournalFuzzTest, EveryLifecycleKindRoundTripsRenderAndParse) {
@@ -383,19 +399,8 @@ TEST(JournalFuzzTest, EveryLifecycleKindRoundTripsRenderAndParse) {
   for (const LifecycleEvent& e : SampleEvents()) {
     ASSERT_TRUE(IsJournaled(e.kind));
     // Journal form: the rendered line parses back field for field.
-    JournalRecord rec;
-    rec.sim_time = e.t;
-    rec.source = e.source;
-    rec.event = e.kind;
-    rec.device = e.device;
-    rec.session = e.session;
-    rec.round = e.round;
-    AppendDetail(e, /*ring_only=*/false, &rec.detail);
-    const auto parsed = JournalRecord::Parse(rec.Serialize());
-    ASSERT_TRUE(parsed.ok()) << rec.Serialize();
-    ExpectSameHeader(*parsed, e);
-    EXPECT_EQ(parsed->detail, rec.detail);
-    ExpectCarriedFields(e, parsed->detail, /*ring_only=*/false);
+    ExpectRoundTrip(e, RenderJournalRecord(e, 0).Serialize(),
+                    /*ring_only=*/false);
 
     // Ring form: Emit() writes the projection; the dump decodes it.
     telemetry::FlightRecorder::Global().Clear();
@@ -404,10 +409,7 @@ TEST(JournalFuzzTest, EveryLifecycleKindRoundTripsRenderAndParse) {
     ASSERT_EQ(slots.size(), 1u);
     JournalRecord from_ring;
     ASSERT_TRUE(JournalRecordFromFlight(slots[0], &from_ring));
-    const auto ring_parsed = JournalRecord::Parse(from_ring.Serialize());
-    ASSERT_TRUE(ring_parsed.ok()) << from_ring.Serialize();
-    ExpectSameHeader(*ring_parsed, e);
-    ExpectCarriedFields(e, ring_parsed->detail, /*ring_only=*/true);
+    ExpectRoundTrip(e, from_ring.Serialize(), /*ring_only=*/true);
   }
   // Reducer-only kinds never reach the ring.
   telemetry::FlightRecorder::Global().Clear();

@@ -100,18 +100,44 @@ TEST(JournalNamesTest, SessionEventMappingMirrorsTableOne) {
       SessionEventForJournal(JournalEventKind::kRoundCommit, &unused));
 }
 
-TEST(DetailFieldTest, ExtractsKeysFromTokenList) {
-  const std::string detail = "reason=late goal=12 note=free form tail";
-  std::string v;
-  ASSERT_TRUE(DetailField(detail, "reason", &v));
-  EXPECT_EQ(v, "late");
-  ASSERT_TRUE(DetailField(detail, "note", &v));
-  EXPECT_EQ(v, "free");  // values run to the next space
-  EXPECT_FALSE(DetailField(detail, "missing", &v));
-  EXPECT_FALSE(DetailField(detail, "reas", &v));  // no prefix matches
-  EXPECT_EQ(DetailInt(detail, "goal", -1), 12);
-  EXPECT_EQ(DetailInt(detail, "reason", -1), -1);  // non-numeric
-  EXPECT_EQ(DetailInt(detail, "missing", 7), 7);
+TEST(LifecycleLineTest, ReadsTypedFieldsAndFreeFormReason) {
+  const auto open = ParseLifecycleLine(
+      "5 6 master round_open 0 0 9 task=1 goal=12 target=16 min_report=10");
+  ASSERT_TRUE(open.ok()) << open.status().ToString();
+  EXPECT_EQ(open->event.kind, JournalEventKind::kRoundOpen);
+  EXPECT_EQ(open->event.round, RoundId{9});
+  EXPECT_EQ(open->event.a, 12u);
+  EXPECT_EQ(open->event.b, 10u);
+  EXPECT_EQ(open->event.c, 1u);
+  EXPECT_EQ(open->event.d, 16u);
+  EXPECT_EQ(open->wall_us, 6);
+
+  // The reason runs to the end of the line; the note outlives the parse.
+  LifecycleLine abandoned;
+  {
+    const auto parsed = ParseLifecycleLine(
+        "7 8 master round_abandoned 0 0 9 outcome=abandoned_reporting "
+        "reason=only 3 reports; need 5");
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    abandoned = *parsed;
+  }
+  EXPECT_EQ(abandoned.event.outcome,
+            protocol::RoundOutcome::kAbandonedReporting);
+  EXPECT_EQ(abandoned.event.note, "only 3 reports; need 5");
+  EXPECT_EQ(ReasonText(abandoned.event), "only 3 reports; need 5");
+
+  // Only lines the renderer writes parse: unknown keys, non-canonical
+  // numbers and out-of-order fields are errors.
+  for (const char* bad : {
+           "5 6 master round_open 0 0 9 goal=12 min_report=10 color=red",
+           "5 6 master round_open 0 0 9 goal=012 min_report=10",
+           "5 6 master round_open 0 0 9 min_report=10 goal=12",
+           "5 6 aggregator report_accepted 1 2 9 weight=1.0",
+           "5 6 coordinator round_outcome 0 0 9 outcome=won",
+           "5 6 master phase 0 0 9 phase=selection  ",
+       }) {
+    EXPECT_FALSE(ParseLifecycleLine(bad).ok()) << bad;
+  }
 }
 
 TEST(JournalSinkTest, WritesHeaderAndRecordsAndGatesEnabled) {

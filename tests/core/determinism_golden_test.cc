@@ -21,6 +21,7 @@
 
 #include <cstdio>
 #include <functional>
+#include <map>
 #include <string>
 
 #include "src/analytics/journal.h"
@@ -115,11 +116,13 @@ FleetPins PinFleet(const FleetStats& stats) {
 }
 
 // Runs the golden fleet for two simulated hours with a journal open, calls
-// `inspect` on the finished system, then replays the journal offline.
+// `inspect` on the finished system, then replays the journal offline and
+// hands the replay to `replayed`.
 RunDigest RunGoldenFleet(
     const protocol::RoundConfig& round,
     const std::function<void(FLSystem&)>& before_start = {},
-    const std::function<void(FLSystem&)>& inspect = {}) {
+    const std::function<void(FLSystem&)>& inspect = {},
+    const std::function<void(const tools::AnalysisReport&)>& replayed = {}) {
   // Unique per process: tests in this file run concurrently under
   // `ctest -j`, and a shared path lets one process's Close()+remove()
   // truncate the other's in-flight journal.
@@ -172,6 +175,7 @@ RunDigest RunGoldenFleet(
     EXPECT_EQ(replay->parse_errors, 0u);
     EXPECT_TRUE(replay->violations.empty())
         << tools::RenderViolations(*replay);
+    if (replayed) replayed(*replay);
   }
   std::remove(path.c_str());
   return digest;
@@ -221,7 +225,7 @@ TEST(DeterminismGoldenTest, ReducersAgreeOnParticipantsAndUploadBytes) {
       GoldenRound(),
       [](FLSystem& system) { system.round_ledger().set_enabled(true); },
       [&](FLSystem& system) {
-        for (const ops::RoundRecord& r : system.round_ledger().Recent()) {
+        for (const analytics::RoundRecord& r : system.round_ledger().Recent()) {
           ledger_completed += r.completed;
           ledger_dropped += r.dropped;
           ++ledger_rounds;
@@ -246,6 +250,55 @@ TEST(DeterminismGoldenTest, ReducersAgreeOnParticipantsAndUploadBytes) {
   EXPECT_EQ(counter("fl_server_participants_dropped_total"), 40u);
   EXPECT_EQ(counter("fl_server_participants_completed_total"), 1530u);
   EXPECT_EQ(counter("fl_server_upload_bytes_total"), 436518u);
+}
+
+// FleetStats, the /rounds ledger and fl_analyze fold the same events through
+// the one FoldRound(), so every finished round's live record equals the
+// record rebuilt from the journal alone, on every field the journal
+// carries. Only participant outcomes that are never journaled (device drops,
+// aggregator-closed participants) are live-only. The selection and round
+// durations come from the record's spans on both sides; the pinned round-log
+// CRC shows they equal the times the coordinator reports.
+TEST(DeterminismGoldenTest, LiveRoundRecordsEqualJournalReplay) {
+  std::vector<analytics::RoundRecord> live;
+  std::vector<analytics::RoundRecord> ledger;
+  std::vector<analytics::RoundRecord> replayed;
+  RunGoldenFleet(
+      GoldenRound(),
+      [](FLSystem& system) { system.round_ledger().set_enabled(true); },
+      [&](FLSystem& system) {
+        live.assign(system.stats().round_log().begin(),
+                    system.stats().round_log().end());
+        ledger = system.round_ledger().Recent();
+      },
+      [&](const tools::AnalysisReport& report) { replayed = report.rounds; });
+  ASSERT_EQ(live.size(), 153u);
+
+  // The ledger keeps the same records, newest first.
+  ASSERT_EQ(ledger.size(), live.size());
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    EXPECT_EQ(ledger[live.size() - 1 - i], live[i]) << "round " << i;
+  }
+
+  std::map<RoundId, analytics::RoundRecord> by_id;
+  std::size_t finished = 0;
+  for (analytics::RoundRecord& r : replayed) {
+    if (r.finished_at.millis != 0) ++finished;
+    by_id[r.round] = r;
+  }
+  EXPECT_EQ(finished, live.size());
+  const auto journaled = [](analytics::RoundRecord r) {
+    r.completed = r.aborted = r.dropped = r.rejected_late = 0;
+    return r;
+  };
+  for (const analytics::RoundRecord& r : live) {
+    SCOPED_TRACE("round " + std::to_string(r.round.value));
+    const auto it = by_id.find(r.round);
+    ASSERT_NE(it, by_id.end());
+    EXPECT_EQ(journaled(it->second), journaled(r));
+    EXPECT_TRUE(r.has_timing);
+    EXPECT_GT(r.round_duration, r.selection_duration);
+  }
 }
 
 // fl_analyze --check beyond the plain path: the golden fleet's journal under

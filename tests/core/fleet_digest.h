@@ -47,7 +47,7 @@ inline std::uint32_t JournalCrc(const std::string& path,
 inline std::uint32_t RoundLogCrc(const FleetStats& stats) {
   std::ostringstream rounds;
   for (const auto& r : stats.round_log()) {
-    rounds << r.round.value << ' ' << r.at.millis << ' '
+    rounds << r.round.value << ' ' << r.finished_at.millis << ' '
            << static_cast<int>(r.outcome) << ' ' << r.contributors << ' '
            << r.selection_duration.millis << ' ' << r.round_duration.millis
            << '\n';

@@ -81,7 +81,7 @@ TEST(FleetStatsTest, ParticipantOutcomesBucketPerRound) {
             .kind = JournalEventKind::kDeviceDrop,
             .device = DeviceId{4},
             .round = r});
-  const auto& counts = stats.per_round().at(r);
+  const auto counts = stats.per_round().at(r);
   EXPECT_EQ(counts.completed, 1u);
   EXPECT_EQ(counts.aborted, 2u);  // late + aborted fold together (Fig. 7)
   EXPECT_EQ(counts.dropped, 1u);

@@ -68,7 +68,7 @@ TEST(RoundLedgerTest, StagesParticipantsAndTimingUntilOutcome) {
                     Millis(250), Millis(1500)));
   const auto recent = ledger.Recent();
   ASSERT_EQ(recent.size(), 1u);
-  const RoundRecord& r = recent[0];
+  const analytics::RoundRecord& r = recent[0];
   EXPECT_EQ(r.round.value, 7u);
   EXPECT_EQ(r.finished_at.millis, 7);
   EXPECT_EQ(r.outcome, RoundOutcome::kCommitted);

@@ -63,7 +63,7 @@ std::string CleanJournal() {
   j += Line(5, JournalSource::kDevice, JournalEventKind::kUploadStart, kDev,
             kSess, kRound);
   j += Line(6, JournalSource::kAggregator, JournalEventKind::kReportAccepted,
-            kDev, kSess, kRound, "weight=1.0");
+            kDev, kSess, kRound, "weight=1.000000");
   j += Line(6, JournalSource::kDevice, JournalEventKind::kUploadComplete,
             kDev, kSess, kRound);
   j += Line(6, JournalSource::kDevice, JournalEventKind::kSessionEnd, kDev,
@@ -92,16 +92,18 @@ TEST(LogAnalyzerTest, CleanJournalHasNoViolations) {
   EXPECT_EQ(report.sessions_closed, 1u);
   EXPECT_EQ(report.sessions_open, 0u);
   ASSERT_EQ(report.rounds.size(), 1u);
-  const RoundTimeline& round = report.rounds[0];
+  const analytics::RoundRecord& round = report.rounds[0];
   EXPECT_TRUE(round.committed);
   EXPECT_EQ(round.contributors, 1u);
-  EXPECT_EQ(round.outcome, "committed");
+  EXPECT_EQ(round.outcome, protocol::RoundOutcome::kCommitted);
   EXPECT_EQ(round.reports_accepted, 1u);
   ASSERT_EQ(round.phases.size(), 4u);
-  EXPECT_EQ(round.phases[0].name, "selection");
-  EXPECT_EQ(round.phases[3].name, "closing");
+  EXPECT_STREQ(analytics::PhaseName(round.phases[0].phase), "selection");
+  EXPECT_STREQ(analytics::PhaseName(round.phases[3].phase), "closing");
   // selection: t=0 -> configuration t=2.
-  EXPECT_EQ(round.phases[0].duration.millis, 2);
+  EXPECT_EQ((round.phases[1].at - round.phases[0].at).millis, 2);
+  EXPECT_EQ(round.selection_duration.millis, 2);
+  EXPECT_EQ(round.round_duration.millis, 7);
   EXPECT_NEAR(report.tally.Fraction("-v[]+^"), 1.0, 1e-12);
 }
 
@@ -146,7 +148,7 @@ TEST(LogAnalyzerTest, UploadWithoutServerAcceptIsOrphan) {
   std::string j = CleanJournal();
   const std::string accept =
       Line(6, JournalSource::kAggregator, JournalEventKind::kReportAccepted,
-           kDev, kSess, kRound, "weight=1.0");
+           kDev, kSess, kRound, "weight=1.000000");
   const std::size_t at = j.find(accept);
   ASSERT_NE(at, std::string::npos);
   j.erase(at, accept.size());
@@ -158,7 +160,7 @@ TEST(LogAnalyzerTest, UploadWithoutServerAcceptIsOrphan) {
 TEST(LogAnalyzerTest, PlaintextAcceptAfterCloseFlagged) {
   std::string j = CleanJournal();
   j += Line(9, JournalSource::kAggregator, JournalEventKind::kReportAccepted,
-            kDev + 1, kSess + 1, kRound, "weight=1.0");
+            kDev + 1, kSess + 1, kRound, "weight=1.000000");
   EXPECT_TRUE(HasRule(AnalyzeJournal(j), "accept-after-close"));
 
   // The secure aggregation commit phase legitimately outlives the flush.
@@ -191,7 +193,7 @@ TEST(LogAnalyzerTest, PhaseRegressionFlagged) {
 TEST(LogAnalyzerTest, EventForUnopenedRoundFlagged) {
   std::string j = CleanJournal();
   j += Line(9, JournalSource::kAggregator, JournalEventKind::kReportAccepted,
-            9, 99, 424242, "weight=1.0");
+            9, 99, 424242, "weight=1.000000");
   EXPECT_TRUE(HasRule(AnalyzeJournal(j), "unknown-round"));
 }
 
