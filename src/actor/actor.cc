@@ -2,7 +2,6 @@
 
 #include "src/profiler/profiler.h"
 #include "src/telemetry/telemetry.h"
-#include "src/telemetry/trace.h"
 
 namespace fl::actor {
 namespace {
@@ -92,8 +91,7 @@ void ActorSystem::Send(ActorId from, ActorId to, std::any payload) {
     const auto it = actors_.find(to);
     if (it == actors_.end() || it->second->dead) return;  // drop: dead letter
     entry = it->second;
-    entry->mailbox.push_back(Envelope{from, to, std::move(payload),
-                                      telemetry::CurrentTraceContext()});
+    entry->mailbox.push_back(Envelope{from, to, std::move(payload)});
     depth = entry->mailbox.size();
   }
   if (telemetry::Enabled()) {
@@ -104,15 +102,10 @@ void ActorSystem::Send(ActorId from, ActorId to, std::any payload) {
 
 void ActorSystem::SendAfter(Duration d, ActorId from, ActorId to,
                             std::any payload) {
-  // Capture by value; delivery checks liveness at fire time. The trace
-  // context is captured now — the timer fires on a neutral stack, and the
-  // deferred message is causally the sender's, not the event loop's.
-  context_.PostAfter(
-      d, [this, from, to, p = std::move(payload),
-          ctx = telemetry::CurrentTraceContext()]() mutable {
-        const telemetry::ScopedTraceContext scope(ctx);
-        Send(from, to, std::move(p));
-      });
+  // Capture by value; delivery checks liveness at fire time.
+  context_.PostAfter(d, [this, from, to, p = std::move(payload)]() mutable {
+    Send(from, to, std::move(p));
+  });
 }
 
 void ActorSystem::ScheduleDrain(ActorId id, const std::shared_ptr<Entry>& entry) {
@@ -163,9 +156,7 @@ void ActorSystem::Drain(const std::shared_ptr<Entry>& entry) {
       t0 = telemetry::WallMicros();
     }
     {
-      const telemetry::ScopedTraceContext scope(env.trace);
-      const profiler::ScopedActor profile_scope(entry->profile_tag,
-                                                env.trace.round);
+      const profiler::ScopedActor profile_scope(entry->profile_tag);
       entry->actor->OnMessage(env);
     }
     if (dispatch != nullptr) {

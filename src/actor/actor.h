@@ -28,7 +28,6 @@
 #include "src/common/status.h"
 #include "src/profiler/profiler.h"
 #include "src/telemetry/metrics.h"
-#include "src/telemetry/trace_context.h"
 
 namespace fl::actor {
 
@@ -38,10 +37,6 @@ struct Envelope {
   ActorId from;
   ActorId to;
   std::any payload;
-  // Causal context captured from the sender at Send() time; installed as
-  // the thread's ambient context around the receiver's OnMessage so spans
-  // and flight records on both sides link into one tree.
-  telemetry::TraceContext trace;
 };
 
 // Base class for all actors. Subclasses implement OnMessage; handlers run

@@ -2,14 +2,8 @@
 
 #include <unistd.h>
 
-#include <utility>
-
 namespace fl::analytics {
 namespace {
-
-// Mirrors the tracer's span codes (src/telemetry/trace.cc).
-constexpr std::uint8_t kFlightSpanSource = 250;
-constexpr std::uint8_t kFlightSpanBegin = 1;
 
 bool IsJournalKind(std::uint8_t source, std::uint8_t kind) {
   return source <= static_cast<std::uint8_t>(JournalSource::kSim) &&
@@ -85,46 +79,26 @@ constexpr std::size_t kMaxLine = 320;
 constexpr std::size_t kMaxDetail = 160;
 
 // One dump line, newline included, for `f`: the journal line for journal
-// kinds, a `#span` comment for tracer spans, nothing (0) otherwise. No
-// allocation or locking, so the crash path shares it with FlightDumpText().
+// kinds, nothing (0) otherwise. No allocation or locking, so the crash path
+// shares it with FlightDumpText().
 std::size_t FormatLine(const telemetry::FlightRecord& f, char* buf) {
+  if (!IsJournalKind(f.source, f.kind)) return 0;
   char* p = buf;
-  if (IsJournalKind(f.source, f.kind)) {
-    PutU64(&p, f.sim_ms);
+  PutU64(&p, f.sim_ms);
+  *p++ = ' ';
+  PutU64(&p, f.wall_us);
+  *p++ = ' ';
+  PutStr(&p, JournalSourceName(static_cast<JournalSource>(f.source)));
+  *p++ = ' ';
+  PutStr(&p, JournalEventName(static_cast<JournalEventKind>(f.kind)));
+  for (const std::uint64_t id : {f.device, f.session, f.round}) {
     *p++ = ' ';
-    PutU64(&p, f.wall_us);
-    *p++ = ' ';
-    PutStr(&p, JournalSourceName(static_cast<JournalSource>(f.source)));
-    *p++ = ' ';
-    PutStr(&p, JournalEventName(static_cast<JournalEventKind>(f.kind)));
-    for (const std::uint64_t id : {f.device, f.session, f.round}) {
-      *p++ = ' ';
-      PutU64(&p, id);
-    }
-    const std::size_t n =
-        WriteDetail(EventFromFlight(f), p + 1, kMaxDetail);
-    if (n > 0) {
-      *p = ' ';
-      p += n + 1;
-    }
-  } else if (f.source == kFlightSpanSource) {
-    PutStr(&p, f.kind == kFlightSpanBegin ? "#span begin " : "#span end ");
-    PutU64(&p, f.sim_ms);
-    *p++ = ' ';
-    PutU64(&p, f.wall_us);
-    PutStr(&p, " name_hash=");
-    PutU64(&p, f.aux_a);
-    PutStr(&p, " span_lo=");
-    PutU64(&p, f.aux_b);
-    const std::pair<const char*, std::uint64_t> ids[] = {
-        {" round=", f.round}, {" session=", f.session}, {" device=", f.device}};
-    for (const auto& [key, id] : ids) {
-      if (id == 0) continue;
-      PutStr(&p, key);
-      PutU64(&p, id);
-    }
-  } else {
-    return 0;
+    PutU64(&p, id);
+  }
+  const std::size_t n = WriteDetail(EventFromFlight(f), p + 1, kMaxDetail);
+  if (n > 0) {
+    *p = ' ';
+    p += n + 1;
   }
   *p++ = '\n';
   return static_cast<std::size_t>(p - buf);

@@ -48,14 +48,13 @@ inline void RecordFlight(SimTime t, JournalSource source,
 }
 
 // Decodes one flight record back into a journal record (detail rendered
-// from aux_a/aux_b per kind). Returns false for non-journal records (span
-// begin/end from the tracer, unknown codes).
+// from aux_a/aux_b per kind). Returns false for non-journal records
+// (unknown codes).
 bool JournalRecordFromFlight(const telemetry::FlightRecord& rec,
                              JournalRecord* out);
 
-// Every valid slot, seq-ordered, rendered as `#fl-journal v1` text. Span
-// records become `#span ...` comment lines (parsers skip '#'). Allocates;
-// for the in-process bundle path.
+// Every valid journal slot, seq-ordered, rendered as `#fl-journal v1` text.
+// Allocates; for the in-process bundle path.
 std::string FlightDumpText();
 
 // Async-signal-safe dump: no allocation, no locking, records in arbitrary

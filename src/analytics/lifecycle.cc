@@ -5,6 +5,7 @@
 #include <charconv>
 
 #include "src/analytics/flight_dump.h"
+#include "src/telemetry/trace.h"
 
 namespace fl::analytics {
 namespace {
@@ -411,6 +412,104 @@ void ServerMetrics::On(const LifecycleEvent& e) {
       } else {
         rounds_abandoned_->Add();
       }
+      break;
+    default:
+      break;
+  }
+}
+
+namespace {
+
+// RecordSpans' span ids: the kind in the top byte, the round or session id
+// below it, clear of the ids Tracer::Begin counts up from 1.
+enum SpanKind : std::uint64_t {
+  kRoundSpan = 1,
+  kPhaseSpan = 2,  // + phase index: selection, configuration, reporting
+  kSessionSpan = 5,
+  kTrainSpan = 6,
+  kUploadSpan = 7,
+};
+
+std::uint64_t SpanId(std::uint64_t kind, std::uint64_t id) {
+  return kind << 56 | (id & ((std::uint64_t{1} << 56) - 1));
+}
+
+void OpenSpan(std::uint64_t id, const char* name, const LifecycleEvent& e,
+              std::uint64_t parent, bool flow_parent = false) {
+  telemetry::SpanRecord span;
+  span.id = id;
+  span.parent = parent;
+  span.name = name;
+  span.sim_start = e.t;
+  span.ctx_round = e.round.value;
+  span.ctx_session = e.session.value;
+  span.ctx_device = e.device.value;
+  span.flow_parent = flow_parent;
+  telemetry::Tracer::Global().Open(std::move(span));
+}
+
+}  // namespace
+
+void RecordSpans(const LifecycleEvent& e) {
+  if (!telemetry::Enabled()) return;
+  auto& tracer = telemetry::Tracer::Global();
+  const std::uint64_t round = SpanId(kRoundSpan, e.round.value);
+  const std::uint64_t session = SpanId(kSessionSpan, e.session.value);
+  const auto phase = [&](std::uint64_t index) {
+    return SpanId(kPhaseSpan + index, e.round.value);
+  };
+  switch (e.kind) {
+    case JournalEventKind::kRoundOpen:
+      OpenSpan(round, "round", e, telemetry::Tracer::kNoParent);
+      tracer.AddAttr(round, "round", std::to_string(e.round.value));
+      tracer.AddAttr(round, "task", std::to_string(e.c));
+      OpenSpan(phase(0), "phase:selection", e, round);
+      break;
+    case JournalEventKind::kPhase:
+      if (e.a == 1) {
+        tracer.End(phase(0), e.t);
+        OpenSpan(phase(1), "phase:configuration", e, round);
+        tracer.AddAttr(phase(1), "devices", std::to_string(e.b));
+      } else if (e.a == 2) {
+        tracer.AddAttr(phase(1), "aggregators", std::to_string(e.b));
+        tracer.End(phase(1), e.t);
+        OpenSpan(phase(2), "phase:reporting", e, round);
+      }
+      break;
+    case JournalEventKind::kRoundCommit:
+    case JournalEventKind::kRoundAbandoned:
+    case JournalEventKind::kRoundOutcome:  // a no-op unless the master died
+      tracer.End(phase(0), e.t);
+      tracer.End(phase(2), e.t);
+      tracer.AddAttr(round, "outcome", protocol::RoundOutcomeName(e.outcome));
+      tracer.AddAttr(round, "contributors", std::to_string(e.a));
+      tracer.End(round, e.t);
+      break;
+    case JournalEventKind::kPlanDownloaded:
+      OpenSpan(session, "device_session", e, round, /*flow_parent=*/true);
+      tracer.AddAttr(session, "device", std::to_string(e.device.value));
+      tracer.AddAttr(session, "round", std::to_string(e.round.value));
+      break;
+    case JournalEventKind::kTrainStart:
+      OpenSpan(SpanId(kTrainSpan, e.session.value), "device_train", e,
+               session);
+      break;
+    case JournalEventKind::kTrainComplete:
+      tracer.End(SpanId(kTrainSpan, e.session.value), e.t);
+      break;
+    case JournalEventKind::kUploadStart:
+      OpenSpan(SpanId(kUploadSpan, e.session.value), "device_upload", e,
+               session);
+      break;
+    case JournalEventKind::kUploadComplete:
+    case JournalEventKind::kUploadRejected:
+      tracer.End(SpanId(kUploadSpan, e.session.value), e.t);
+      break;
+    case JournalEventKind::kSessionEnd:
+      tracer.End(SpanId(kTrainSpan, e.session.value), e.t);
+      tracer.End(SpanId(kUploadSpan, e.session.value), e.t);
+      tracer.AddAttr(session, "completed", e.a != 0 ? "1" : "0");
+      tracer.End(session, e.t);
       break;
     default:
       break;

@@ -9,6 +9,7 @@
 //   * reducers — FleetStats, ops::RoundLedger, ServerMetrics — fold it into
 //     their counters, series and round records (FoldRound,
 //     src/analytics/round_record.h);
+//   * RecordSpans pairs it into the tracer's round, phase and device spans;
 //   * fl_analyze parses journal lines back into it (ParseLifecycleLine) and
 //     folds the same round records offline.
 //
@@ -208,5 +209,18 @@ class ServerMetrics {
   telemetry::Histogram* selection_seconds_;
   telemetry::Histogram* round_seconds_;
 };
+
+// Tracer reducer: pairs lifecycle events into spans (telemetry::Tracer) —
+//   round (attrs round, task, outcome, contributors): round_open → commit,
+//     abandon, or the coordinator's outcome when the master was lost;
+//   phase:selection, phase:configuration (devices, aggregators) and
+//     phase:reporting: the round's phase events, under the round span;
+//   device_session (device, round, completed): 'v' → session_end, under the
+//     round span as a cross-actor flow link;
+//   device_train ('[' → ']') and device_upload ('+' → '^' or '#'), under
+//     the session span; session_end closes whatever is still open.
+// Span ids derive from the round and session ids, so the reducer keeps no
+// state. One branch per event while telemetry is off.
+void RecordSpans(const LifecycleEvent& e);
 
 }  // namespace fl::analytics

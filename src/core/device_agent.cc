@@ -5,7 +5,6 @@
 
 #include "src/fedavg/codec.h"
 #include "src/profiler/profiler.h"
-#include "src/telemetry/trace.h"
 
 namespace fl::core {
 namespace {
@@ -160,7 +159,6 @@ void DeviceAgent::BeginSession(const std::string& population) {
   s.generation = gen;
   s.checkin_at = services_->queue->now();
   s.population = population;
-  s.ctx = telemetry::TraceContext{0, s.id.value, profile_.id.value, 0};
   scheduler_.OnSessionStarted(population, services_->queue->now());
   SetState(DeviceState::kAttesting);
 
@@ -184,8 +182,6 @@ void DeviceAgent::BeginSession(const std::string& population) {
     req.population = population;
     req.runtime_version = profile_.os_version;
     req.attestation = token;
-    // Selector-side records for this check-in carry the device context.
-    const telemetry::ScopedTraceContext scope(session_->ctx);
     const bool ok = services_->frontend->CheckIn(req, MakeLink(gen));
     if (!ok) {
       // Attestation rejected (or no selectors): long back-off.
@@ -292,21 +288,6 @@ void DeviceAgent::OnAssigned(std::uint64_t gen,
   // (critical-path attribution joins configured devices on the round id).
   AddTrace(SessionEvent::kDownloadedPlan);
 
-  // Complete the causal context with the round and the server's config span
-  // (carried across the event queue in the assignment), then open the
-  // session-lifetime span as a context child — the cross-actor flow link.
-  s.ctx.round = assignment.round.value;
-  s.ctx.parent_span = assignment.trace.parent_span;
-  if (telemetry::Enabled()) {
-    const telemetry::ScopedTraceContext scope(s.ctx);
-    s.session_span = telemetry::Tracer::Global().Begin(
-        "device_session", services_->queue->now());
-    auto& tracer = telemetry::Tracer::Global();
-    tracer.AddAttr(s.session_span, "device", std::to_string(profile_.id.value));
-    tracer.AddAttr(s.session_span, "round", std::to_string(s.round.value));
-  }
-  if (s.session_span != 0) s.ctx.parent_span = s.session_span;
-
   auto plan = plan::FLPlan::Deserialize(*assignment.plan_bytes);
   auto global = Checkpoint::Deserialize(*assignment.model_bytes);
   if (!plan.ok() || !global.ok()) {
@@ -366,11 +347,6 @@ void DeviceAgent::StartTraining(std::uint64_t gen) {
   Session& s = *session_;
   AddTrace(SessionEvent::kTrainingStarted);
   s.training = true;
-  if (telemetry::Enabled()) {
-    const telemetry::ScopedTraceContext scope(s.ctx);
-    s.train_span = telemetry::Tracer::Global().Begin("device_train",
-                                                     services_->queue->now());
-  }
 
   // The computation itself is pure; its wall-clock cost is simulated.
   const profiler::ScopedPhase profile_scope(profiler::Phase::kTraining,
@@ -405,10 +381,6 @@ void DeviceAgent::FinishTraining(std::uint64_t gen) {
   s.training = false;
   s.trained = true;
   AddTrace(SessionEvent::kTrainingCompleted);
-  if (s.train_span != 0) {
-    telemetry::Tracer::Global().End(s.train_span, services_->queue->now());
-    s.train_span = 0;
-  }
   if (s.secagg) {
     MaybeSendMaskedInput(gen);
   } else {
@@ -420,11 +392,6 @@ void DeviceAgent::BeginUpload(std::uint64_t gen) {
   Session& s = *session_;
   AddTrace(SessionEvent::kUploadStarted);
   s.uploading = true;
-  if (telemetry::Enabled()) {
-    const telemetry::ScopedTraceContext scope(s.ctx);
-    s.upload_span = telemetry::Tracer::Global().Begin("device_upload",
-                                                      services_->queue->now());
-  }
 
   const profiler::ScopedPhase profile_scope(profiler::Phase::kReporting,
                                             s.round.value);
@@ -473,8 +440,6 @@ void DeviceAgent::BeginUpload(std::uint64_t gen) {
   services_->queue->After(
       t.duration, [this, gen, report = std::move(report)]() mutable {
     if (!Active(gen)) return;
-    // Aggregator-side accept/reject records link back to this session.
-    const telemetry::ScopedTraceContext scope(session_->ctx);
     services_->frontend->Report(session_->aggregator, std::move(report));
     // Ack timeout: a dead Aggregator means silence.
     services_->queue->After(services_->config->ack_timeout, [this, gen] {
@@ -492,10 +457,6 @@ void DeviceAgent::OnReportAck(std::uint64_t gen, const server::ReportAck& ack) {
   s.reported_ok = ack.accepted;
   AddTrace(ack.accepted ? SessionEvent::kUploadCompleted
                         : SessionEvent::kUploadRejected);
-  if (s.upload_span != 0) {
-    telemetry::Tracer::Global().End(s.upload_span, services_->queue->now());
-    s.upload_span = 0;
-  }
   // Pace steering: the server tells reporting devices when to come back
   // (Sec. 2.2 Reporting).
   const SimTime when =
@@ -534,8 +495,6 @@ void DeviceAgent::SendSecAggUpload(std::uint64_t gen, std::uint64_t bytes,
   }
   services_->queue->After(t.duration, [this, gen, send = std::move(send)] {
     if (!Active(gen)) return;
-    // SecAgg control messages carry the session context to the aggregator.
-    const telemetry::ScopedTraceContext scope(session_->ctx);
     send();
   });
 }
@@ -672,14 +631,6 @@ void DeviceAgent::EndSession(bool completed) {
                .b = session_->assigned ? static_cast<std::uint64_t>(
                                              (now - session_->checkin_at).millis)
                                        : 0});
-  // Close any spans the session still holds (abandon/interrupt paths).
-  auto& tracer = telemetry::Tracer::Global();
-  if (session_->train_span != 0) tracer.End(session_->train_span, now);
-  if (session_->upload_span != 0) tracer.End(session_->upload_span, now);
-  if (session_->session_span != 0) {
-    tracer.AddAttr(session_->session_span, "completed", completed ? "1" : "0");
-    tracer.End(session_->session_span, now);
-  }
   session_.reset();
   ++generation_;
   scheduler_.OnSessionEnded();

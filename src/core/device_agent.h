@@ -22,7 +22,6 @@
 #include "src/server/frontend.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/network.h"
-#include "src/telemetry/trace_context.h"
 
 namespace fl::core {
 
@@ -89,14 +88,6 @@ class DeviceAgent {
     std::uint64_t generation = 0;
     SimTime checkin_at;
     std::string population;
-    // Causal context: seeded at check-in (device + session), completed on
-    // assignment (round + the server's config span as parent). Installed
-    // around every frontend call so server-side spans/flight records link
-    // back to this session.
-    telemetry::TraceContext ctx;
-    std::uint64_t session_span = 0;  // "device_session", open while assigned
-    std::uint64_t train_span = 0;
-    std::uint64_t upload_span = 0;
     // Populated on assignment.
     bool assigned = false;
     RoundId round;

@@ -75,10 +75,11 @@ FLSystem::~FLSystem() {
 }
 
 void FLSystem::On(const analytics::LifecycleEvent& e) {
-  // The registry (telemetry on), the Fig. 5–9 / Table 1 analytics, then the
-  // /rounds ledger (ops plane up), whose abandon hook may capture a bundle
-  // that reads the other two.
+  // The registry and the tracer's spans (telemetry on), the Fig. 5–9 /
+  // Table 1 analytics, then the /rounds ledger (ops plane up), whose abandon
+  // hook may capture a bundle that reads the others.
   metrics_.On(e);
+  analytics::RecordSpans(e);
   stats_->On(e);
   round_ledger_->On(e);
 }

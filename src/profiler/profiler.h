@@ -193,19 +193,15 @@ class ScopedPhase {
 // RAII actor-type scope, installed by the actor runtime around OnMessage.
 class ScopedActor {
  public:
-  ScopedActor(ActorTag actor, std::uint64_t round = 0) {
+  explicit ScopedActor(ActorTag actor) {
 #ifndef FL_PROFILER_DISABLED
     if (Enabled()) {
       active_ = true;
       saved_ = internal::g_tag;
       internal::g_tag.actor = static_cast<std::uint8_t>(actor);
-      if (round != 0) {
-        internal::g_tag.round = static_cast<std::uint32_t>(round);
-      }
     }
 #else
     (void)actor;
-    (void)round;
 #endif
   }
   ~ScopedActor() {

@@ -5,7 +5,6 @@
 
 #include "src/common/logging.h"
 #include "src/fedavg/codec.h"
-#include "src/telemetry/trace_context.h"
 
 namespace fl::server {
 namespace {
@@ -165,10 +164,6 @@ void AggregatorActor::HandleConfigure(const MsgConfigureDevices& msg) {
     DeviceEntry entry;
     entry.link = link;
     TaskAssignment assignment;
-    // The master installed the round's context around this configure message;
-    // hand it across the event-queue boundary so the device-side session
-    // span links under the round span.
-    assignment.trace = telemetry::CurrentTraceContext();
     assignment.round = init_.round;
     assignment.task = init_.task;
     assignment.aggregator = id();

@@ -77,8 +77,13 @@ void CoordinatorActor::OnMessage(const actor::Envelope& env) {
   } else if (const auto* m = Cast<MsgSelectorStatus>(env)) {
     selector_waiting_[m->selector] = m->waiting;
   } else if (const auto* m = Cast<MsgRoundComplete>(env)) {
+    // Committing a round is that round's work (fl_analyze --profile --round).
+    const profiler::ScopedPhase round_scope(profiler::Phase::kConfiguration,
+                                            m->round.value);
     HandleComplete(*m);
   } else if (const auto* m = Cast<MsgRoundAbandoned>(env)) {
+    const profiler::ScopedPhase round_scope(profiler::Phase::kConfiguration,
+                                            m->round.value);
     HandleAbandoned(*m);
   } else if (const auto* m = Cast<MsgUpdateRoundConfig>(env)) {
     for (TaskState& task : tasks_) {

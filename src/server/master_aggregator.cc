@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/server/aggregator.h"
-#include "src/telemetry/trace.h"
 
 namespace fl::server {
 namespace {
@@ -46,8 +45,6 @@ void MasterAggregatorActor::RejectLink(DeviceLink& link,
 
 void MasterAggregatorActor::OnStart() {
   started_at_ = Now();
-  OpenRoundSpans();
-  const telemetry::ScopedTraceContext scope(RoundCtx());
   EmitRound({.kind = JournalEventKind::kRoundOpen,
              .a = init_.config.goal_count,
              .b = init_.config.MinReportCount(),
@@ -128,54 +125,12 @@ void MasterAggregatorActor::HandleForwarded(std::vector<DeviceLink> links) {
   }
 }
 
-void MasterAggregatorActor::OpenRoundSpans() {
-  if (!telemetry::Enabled()) return;
-  auto& tracer = telemetry::Tracer::Global();
-  round_span_ = tracer.Begin("round", Now(), telemetry::Tracer::kNoParent);
-  tracer.AddAttr(round_span_, "round", std::to_string(init_.round.value));
-  tracer.AddAttr(round_span_, "task", std::to_string(init_.task.value));
-  selection_span_ = tracer.Begin("phase:selection", Now(), round_span_);
-}
-
-void MasterAggregatorActor::CloseRoundSpans(const char* outcome,
-                                            std::size_t contributors) {
-  if (round_span_ == 0) return;
-  auto& tracer = telemetry::Tracer::Global();
-  if (selection_span_ != 0) {
-    tracer.End(selection_span_, Now());
-    selection_span_ = 0;
-  }
-  if (reporting_span_ != 0) {
-    tracer.End(reporting_span_, Now());
-    reporting_span_ = 0;
-  }
-  tracer.AddAttr(round_span_, "outcome", outcome);
-  tracer.AddAttr(round_span_, "contributors", std::to_string(contributors));
-  tracer.End(round_span_, Now());
-  round_span_ = 0;
-}
-
 void MasterAggregatorActor::BeginReporting() {
   phase_ = Phase::kReporting;
   configured_at_ = Now();
-  // Aggregator spawns, configure messages, and the reporting-deadline timer
-  // below all inherit this round's context.
-  const telemetry::ScopedTraceContext scope(RoundCtx());
   EmitRound({.kind = JournalEventKind::kPhase,
              .a = 1,
              .b = pending_links_.size()});
-  // The configuration phase (plan/model push to the cohort) is a single
-  // simulated instant here: the span pair still marks the boundary between
-  // the Sec. 2.2 windows in the trace.
-  std::uint64_t config_span = 0;
-  if (round_span_ != 0) {
-    auto& tracer = telemetry::Tracer::Global();
-    tracer.End(selection_span_, Now());
-    selection_span_ = 0;
-    config_span = tracer.Begin("phase:configuration", Now(), round_span_);
-    tracer.AddAttr(config_span, "devices",
-                   std::to_string(pending_links_.size()));
-  }
   // Dynamic fan-out: one Aggregator per devices_per_aggregator slice.
   const std::size_t per = std::max<std::size_t>(
       1, init_.config.devices_per_aggregator);
@@ -206,13 +161,6 @@ void MasterAggregatorActor::BeginReporting() {
     Send(agg, std::move(cfg));
   }
   pending_links_.clear();
-  if (config_span != 0) {
-    auto& tracer = telemetry::Tracer::Global();
-    tracer.AddAttr(config_span, "aggregators",
-                   std::to_string(aggregators_.size()));
-    tracer.End(config_span, Now());
-    reporting_span_ = tracer.Begin("phase:reporting", Now(), round_span_);
-  }
   EmitRound({.kind = JournalEventKind::kPhase,
              .a = 2,
              .b = aggregators_.size()});
@@ -240,7 +188,6 @@ void MasterAggregatorActor::FlushAll() {
   if (flushed_) return;
   flushed_ = true;
   phase_ = Phase::kClosing;
-  const telemetry::ScopedTraceContext scope(RoundCtx());
   EmitRound({.kind = JournalEventKind::kPhase, .a = 3, .b = total_accepted_});
   for (const auto& [agg, st] : aggregators_) {
     if (!st.done) Send(agg, MsgFlush{});
@@ -293,7 +240,6 @@ void MasterAggregatorActor::HandleAggregatorDeath(ActorId who) {
 void MasterAggregatorActor::MaybeFinishRound() {
   if (phase_ != Phase::kClosing || results_outstanding_ > 0) return;
   phase_ = Phase::kDone;
-  const telemetry::ScopedTraceContext scope(RoundCtx());
   const std::size_t contributors = combined_->contributions();
   if (contributors >= init_.config.MinReportCount()) {
     MsgRoundComplete done;
@@ -303,7 +249,6 @@ void MasterAggregatorActor::MaybeFinishRound() {
     done.metrics = combined_->metrics();
     done.selection_duration = configured_at_ - started_at_;
     done.round_duration = Now() - started_at_;
-    CloseRoundSpans("committed", contributors);
     // wire_bytes sums the per-aggregator cumulative accepted upload bytes
     // (crashed cohorts included), so it equals the sum of the journaled
     // per-accept wire_bytes — fl_analyze checks that as an invariant.
@@ -328,9 +273,6 @@ void MasterAggregatorActor::Abandon(protocol::RoundOutcome outcome,
                                     const std::string& reason,
                                     analytics::FlightReason flight_reason) {
   phase_ = Phase::kDone;
-  const telemetry::ScopedTraceContext scope(RoundCtx());
-  CloseRoundSpans(protocol::RoundOutcomeName(outcome),
-                  combined_->contributions());
   EmitRound({.kind = JournalEventKind::kRoundAbandoned,
              .a = combined_->contributions(),
              .reason = flight_reason,

@@ -48,10 +48,6 @@ class MasterAggregatorActor final : public actor::Actor {
 
   void HandleForwarded(std::vector<DeviceLink> links);
   void BeginReporting();
-  // Opens the round/phase spans (telemetry on) — Sec. 2.2's Selection →
-  // Configuration → Reporting windows become nested Perfetto slices.
-  void OpenRoundSpans();
-  void CloseRoundSpans(const char* outcome, std::size_t contributors);
   void HandleProgress(const MsgReportingProgress& msg);
   void HandleAggregatorResult(const MsgAggregatorResult& msg);
   void HandleAggregatorDeath(ActorId who);
@@ -64,11 +60,6 @@ class MasterAggregatorActor final : public actor::Actor {
   // Turns a forwarded device away with a pace-steered retry window.
   void RejectLink(DeviceLink& link, analytics::FlightReason reason,
                   const char* why);
-  // This round's causal context, installed around every send so timers,
-  // aggregator spawns, and coordinator messages carry the round + its span.
-  telemetry::TraceContext RoundCtx() const {
-    return telemetry::TraceContext{init_.round.value, 0, 0, round_span_};
-  }
 
   Init init_;
   Phase phase_ = Phase::kSelection;
@@ -89,13 +80,6 @@ class MasterAggregatorActor final : public actor::Actor {
   std::size_t total_accepted_ = 0;
   bool flushed_ = false;
 
-  std::optional<fedavg::FedAvgAccumulator> combined_;
-
-  // Telemetry span ids (0 = not recording). The round span covers the whole
-  // actor lifetime; exactly one phase span is open at a time under it.
-  std::uint64_t round_span_ = 0;
-  std::uint64_t selection_span_ = 0;
-  std::uint64_t reporting_span_ = 0;
-};
+  std::optional<fedavg::FedAvgAccumulator> combined_;};
 
 }  // namespace fl::server

@@ -25,7 +25,6 @@
 #include "src/protocol/pace_steering.h"
 #include "src/protocol/round_config.h"
 #include "src/secagg/types.h"
-#include "src/telemetry/trace_context.h"
 
 namespace fl::server {
 
@@ -51,10 +50,6 @@ struct TaskAssignment {
   std::optional<fedavg::SecAggVectorSpec> secagg_spec;
   // Plain-path update codec for this round (all stages default OFF).
   protocol::WireCodecConfig codec;
-  // Causal context of the configuring server side (round + config span):
-  // DeviceLink callbacks cross the event queue as plain closures, so the
-  // context travels explicitly here instead of in an actor envelope.
-  telemetry::TraceContext trace;
 };
 
 // "If a device is not selected for participation, the server responds with

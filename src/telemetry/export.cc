@@ -54,7 +54,7 @@ std::string ChromeTraceJson(const std::vector<SpanRecord>& spans) {
   }
 
   // Span begin timestamps by id, for drawing flow arrows from parent spans
-  // to context-linked children recorded on other actors/threads.
+  // to children linked across actors (SpanRecord::flow_parent).
   std::unordered_map<std::uint64_t, std::size_t> by_id;
   by_id.reserve(spans.size());
   for (std::size_t i = 0; i < spans.size(); ++i) by_id.emplace(spans[i].id, i);
@@ -101,7 +101,7 @@ std::string ChromeTraceJson(const std::vector<SpanRecord>& spans) {
       AppendJsonString(out, v);
     }
     out += "}}";
-    // Perfetto flow arrow parent → child for cross-actor context links:
+    // Perfetto flow arrow parent → child for cross-actor links:
     // a flow-start ("s") on the parent span's track at its begin time and a
     // flow-finish ("f", bp:"e") at this span's begin. Keyed by the child
     // span id, which is unique per link.

@@ -1,29 +1,6 @@
 #include "src/telemetry/trace.h"
 
-#include "src/telemetry/flight_recorder.h"
-#include "src/telemetry/trace_context.h"
-
 namespace fl::telemetry {
-namespace {
-
-// Flight-recorder codes for span records. Kept clear of the journal-source
-// range (src/analytics/flight_dump.h) so a dump can tell them apart.
-constexpr std::uint8_t kFlightSpanSource = 250;
-constexpr std::uint8_t kFlightSpanBegin = 1;
-constexpr std::uint8_t kFlightSpanEnd = 2;
-
-// FNV-1a over the span name: lets the flight dump label span records
-// without storing strings in the fixed-width slots.
-std::uint32_t NameHash(const std::string& name) {
-  std::uint32_t h = 2166136261u;
-  for (char c : name) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 16777619u;
-  }
-  return h;
-}
-
-}  // namespace
 
 Tracer& Tracer::Global() {
   static Tracer* const tracer = new Tracer();  // leaked: process lifetime
@@ -35,51 +12,27 @@ std::vector<std::uint64_t>& Tracer::ThreadStack() {
   return stack;
 }
 
+std::uint64_t Tracer::Open(SpanRecord span) {
+  span.wall_start_us = WallMicros();
+  span.tid = static_cast<std::uint32_t>(ThreadOrdinal());
+  const std::scoped_lock lock(mu_);
+  if (span.id == 0) span.id = next_id_++;
+  const std::uint64_t id = span.id;
+  open_.try_emplace(id, std::move(span));
+  return id;
+}
+
 std::uint64_t Tracer::Begin(std::string name, SimTime sim_now,
                             std::uint64_t parent) {
-  const TraceContext& ctx = CurrentTraceContext();
-  bool flow_parent = false;
   if (parent == kInheritParent) {
     const auto& stack = ThreadStack();
-    if (!stack.empty()) {
-      parent = stack.back();
-    } else if (ctx.parent_span != 0) {
-      // Orphan span on a thread with an ambient context (a message handler
-      // or device callback): parent it under the causal span from the
-      // sending side and mark it for a Perfetto flow arrow.
-      parent = ctx.parent_span;
-      flow_parent = true;
-    } else {
-      parent = kNoParent;
-    }
+    parent = stack.empty() ? kNoParent : stack.back();
   }
-  const std::int64_t wall = WallMicros();
-  const std::uint32_t tid = static_cast<std::uint32_t>(ThreadOrdinal());
-  std::uint64_t id;
-  {
-    const std::scoped_lock lock(mu_);
-    id = next_id_++;
-    SpanRecord rec;
-    rec.id = id;
-    rec.parent = parent;
-    rec.name = std::move(name);
-    rec.sim_start = sim_now;
-    rec.wall_start_us = wall;
-    rec.tid = tid;
-    rec.ctx_round = ctx.round;
-    rec.ctx_session = ctx.session;
-    rec.ctx_device = ctx.device;
-    rec.flow_parent = flow_parent;
-    const auto it = open_.emplace(id, std::move(rec)).first;
-    if (FlightRecorderEnabled()) {
-      FlightRecorder::Global().Record(
-          kFlightSpanSource, kFlightSpanBegin,
-          static_cast<std::uint64_t>(sim_now.millis), ctx.device, ctx.session,
-          ctx.round, NameHash(it->second.name),
-          static_cast<std::uint16_t>(id & 0xffffu));
-    }
-  }
-  return id;
+  SpanRecord span;
+  span.parent = parent;
+  span.name = std::move(name);
+  span.sim_start = sim_now;
+  return Open(std::move(span));
 }
 
 void Tracer::AddAttr(std::uint64_t span, std::string key, std::string value) {
@@ -98,13 +51,6 @@ void Tracer::End(std::uint64_t span, SimTime sim_now) {
   open_.erase(it);
   rec.sim_end = sim_now;
   rec.wall_end_us = wall;
-  if (FlightRecorderEnabled()) {
-    FlightRecorder::Global().Record(
-        kFlightSpanSource, kFlightSpanEnd,
-        static_cast<std::uint64_t>(sim_now.millis), rec.ctx_device,
-        rec.ctx_session, rec.ctx_round, NameHash(rec.name),
-        static_cast<std::uint16_t>(span & 0xffffu));
-  }
   if (completed_.size() >= kMaxCompleted) {
     ++dropped_;
     return;

@@ -3,16 +3,17 @@
 // attributes (round / session / device ids) — exported as Chrome
 // `trace_event` JSON loadable in Perfetto (src/telemetry/export.h).
 //
-// Two usage styles:
+// Two ways in:
+//  * Open() with a SpanRecord whose id, parent and sim time the caller
+//    chose — for a view that derives its spans from records it reads. The
+//    round, phase and device-session spans of the fleet are such a view of
+//    the lifecycle stream (analytics::RecordSpans), so the FL system itself
+//    opens no span.
 //  * ScopedSpan — RAII for code whose lifetime is a C++ scope (the parallel
 //    round engine's per-round and per-client-update work). These are
 //    wall-clock spans; nesting parents are tracked per thread, so
 //    concurrent workers build correct trees, and cross-thread children can
 //    name their parent explicitly.
-//  * Manual Begin()/End() with an explicit parent and SimTime — for
-//    event-driven code whose span crosses many actor messages (a round's
-//    Selection → Configuration → Reporting phases live across dozens of
-//    envelopes on the discrete-event queue).
 //
 // Instrumentation sites gate on telemetry::Enabled(); the disabled path of
 // ScopedSpan is one branch with no locking or allocation (name is a
@@ -40,11 +41,10 @@ struct SpanRecord {
   SimTime sim_end{};
   std::int64_t wall_start_us = 0;
   std::int64_t wall_end_us = 0;
-  std::uint32_t tid = 0;  // ThreadOrdinal() of the beginning thread
-  // Causal context (src/telemetry/trace_context.h) captured at Begin; zero
-  // when none was installed. `flow_parent` is set when the parent link came
-  // from the ambient context rather than the same-thread span stack — the
-  // exporter draws these as Perfetto flow arrows across actor boundaries.
+  std::uint32_t tid = 0;  // ThreadOrdinal() of the opening thread
+  // The round / session / device the span belongs to (0 = none).
+  // `flow_parent` marks a parent on another actor (a device session under
+  // its round); the exporter draws these links as Perfetto flow arrows.
   std::uint64_t ctx_round = 0;
   std::uint64_t ctx_session = 0;
   std::uint64_t ctx_device = 0;
@@ -54,16 +54,21 @@ struct SpanRecord {
 
 class Tracer {
  public:
-  // Explicit "no parent" for manual spans.
+  // Explicit "no parent".
   static constexpr std::uint64_t kNoParent = 0;
   // Inherit the calling thread's innermost open ScopedSpan (if any).
   static constexpr std::uint64_t kInheritParent = ~0ull;
 
   static Tracer& Global();
 
-  // Opens a span; returns its id (never 0). Instrumentation sites check
-  // Enabled() first; calling Begin directly always records, which is what
-  // lets tests and exporters drive the tracer deterministically.
+  // Opens `span` as given (name, parent, sim_start, ids, attributes) and
+  // stamps its wall start and thread. An id of 0 takes the next free id,
+  // counting up from 1; a caller that picks its own ids keeps them clear of
+  // that range. Returns the id; an id already open is left as it is.
+  // Instrumentation sites check Enabled() first; calling the tracer
+  // directly always records, which lets tests drive it deterministically.
+  std::uint64_t Open(SpanRecord span);
+  // Open() under the next free id.
   std::uint64_t Begin(std::string name, SimTime sim_now = SimTime{},
                       std::uint64_t parent = kInheritParent);
   // Attaches an attribute to an open span; ignored after End.

@@ -74,6 +74,18 @@ TEST_F(ActorTest, SendAfterDelaysDelivery) {
   EXPECT_EQ(system.Get<Recorder>(id)->values.size(), 1u);
 }
 
+TEST_F(ActorTest, SendAfterClosureFitsTheTaskBuffer) {
+  // An envelope is its routing ids and its payload, nothing more.
+  EXPECT_EQ(sizeof(Envelope), 2 * sizeof(ActorId) + sizeof(std::any));
+  const ActorId id = system.Spawn<Recorder>("rec");
+  const std::uint64_t before = queue.stats().heap_callbacks;
+  system.SendAfter(Seconds(5), ActorId{}, id, Ping{1});
+  queue.Run();
+  // Neither the timer nor the drain it posts spills to the heap.
+  EXPECT_EQ(queue.stats().heap_callbacks, before);
+  EXPECT_EQ(system.Get<Recorder>(id)->values, (std::vector<int>{1}));
+}
+
 TEST_F(ActorTest, SendToDeadActorIsDropped) {
   const ActorId id = system.Spawn<Recorder>("rec");
   system.Stop(id);

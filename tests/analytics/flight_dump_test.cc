@@ -63,12 +63,12 @@ TEST_F(FlightDumpTest, CommittedOutcomeCarriesContributors) {
   EXPECT_EQ(rec.detail, "outcome=committed contributors=25");
 }
 
-TEST_F(FlightDumpTest, SpanRecordsAreNotJournalRecords) {
-  telemetry::FlightRecord span;
-  span.source = 250;  // kFlightSpanSource (trace.cc)
-  span.kind = 1;
+TEST_F(FlightDumpTest, NonJournalSourcesAreNotJournalRecords) {
+  telemetry::FlightRecord other;
+  other.source = static_cast<std::uint8_t>(JournalSource::kSim) + 1;
+  other.kind = static_cast<std::uint8_t>(JournalEventKind::kTrainStart);
   JournalRecord rec;
-  EXPECT_FALSE(JournalRecordFromFlight(span, &rec));
+  EXPECT_FALSE(JournalRecordFromFlight(other, &rec));
 }
 
 TEST_F(FlightDumpTest, DumpTextParsesBackAsJournalRecords) {

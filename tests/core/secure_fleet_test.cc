@@ -7,16 +7,20 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 
 #include "src/analytics/journal.h"
 #include "src/core/fl_system.h"
+#include "src/data/blobs.h"
 #include "src/data/text.h"
 #include "src/graph/model_zoo.h"
+#include "src/telemetry/trace.h"
 #include "src/tools/log_analyzer.h"
 #include "tests/core/fleet_digest.h"
 
@@ -139,6 +143,55 @@ TEST(SecureFleetTest, PlainFleetStartsNoComputePool) {
                          graph::BuildNextWordModel(64, 3, 16, 64, model_rng),
                          {}, {}, rc);
   EXPECT_EQ(system.compute_pool(), nullptr);
+}
+
+// A secure device journals '+' when it sends its masked input and '^' when
+// that input is acked, so its session spans the upload like a plain one.
+TEST(SecureFleetTest, SecureSessionsSpanTheirMaskedUpload) {
+  if (!telemetry::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
+  telemetry::SetEnabled(true);
+  telemetry::Tracer::Global().Clear();
+  FLSystemConfig config = SecureFleetConfig();
+  config.population.device_count = 60;
+  protocol::RoundConfig rc = SecureLmRound();
+  rc.goal_count = 8;
+  rc.devices_per_aggregator = 8;
+  {
+    FLSystem system(config);
+    Rng model_rng(11);
+    system.AddTrainingTask("secure_lr",
+                           graph::BuildLogisticRegression(8, 4, model_rng),
+                           {}, {}, rc, Seconds(30));
+    auto blobs = std::make_shared<data::BlobsWorkload>(
+        data::BlobsParams{.classes = 4, .feature_dim = 8}, 5);
+    system.ProvisionData([blobs](const sim::DeviceProfile& profile,
+                                 DeviceAgent& agent, Rng&, SimTime now) {
+      agent.GetOrCreateStore("default").AddBatch(
+          blobs->UserExamples(profile.id.value, 40, now));
+    });
+    system.Start();
+    system.RunFor(Hours(1));
+    ASSERT_GT(system.stats().rounds_committed(), 0u);
+  }
+  const auto spans = telemetry::Tracer::Global().Completed();
+  telemetry::Tracer::Global().Clear();
+  telemetry::SetEnabled(false);
+
+  std::map<std::uint64_t, std::size_t> uploads;  // by parent session span
+  std::size_t completed = 0;
+  for (const auto& s : spans) {
+    if (s.name == "device_upload") ++uploads[s.parent];
+  }
+  for (const auto& s : spans) {
+    if (s.name != "device_session") continue;
+    const bool done = std::find(s.attrs.begin(), s.attrs.end(),
+                                std::pair<std::string, std::string>(
+                                    "completed", "1")) != s.attrs.end();
+    if (!done) continue;
+    ++completed;
+    EXPECT_EQ(uploads[s.id], 1u) << "session " << s.ctx_session;
+  }
+  EXPECT_GT(completed, 0u);
 }
 
 }  // namespace
