@@ -35,6 +35,89 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
+void ThreadPool::EnqueueLocked(std::function<void()> task) {
+  if (!queue_wait_observer_) {
+    tasks_.push(std::move(task));
+    return;
+  }
+  // Queue-wait telemetry: time from enqueue to a worker picking the task
+  // up. A task that turns out to have nothing left to do still reports —
+  // that delay is real scheduling latency.
+  const auto enqueued = std::chrono::steady_clock::now();
+  tasks_.push([this, enqueued, task = std::move(task)] {
+    queue_wait_observer_(std::chrono::duration_cast<std::chrono::microseconds>(
+                             std::chrono::steady_clock::now() - enqueued)
+                             .count());
+    task();
+  });
+}
+
+ThreadPool::Handle ThreadPool::Submit(std::function<void()> task) {
+  auto state = std::make_shared<Submitted>();
+  state->task = std::move(task);
+  if (!workers_.empty()) {
+    {
+      std::lock_guard<std::mutex> lk(queue_mu_);
+      EnqueueLocked([state] { RunIfUnclaimed(*state); });
+    }
+    queue_cv_.notify_one();
+  }
+  return Handle(std::move(state));
+}
+
+void ThreadPool::RunIfUnclaimed(Submitted& s) {
+  std::function<void()> task;
+  {
+    std::lock_guard<std::mutex> lk(s.mu);
+    if (s.stage != Submitted::Stage::kQueued) return;
+    s.stage = Submitted::Stage::kRunning;
+    task = std::move(s.task);
+  }
+  std::exception_ptr error;
+  try {
+    task();
+  } catch (...) {
+    error = std::current_exception();
+  }
+  task = nullptr;  // the task's captures die on the thread that ran it
+  {
+    std::lock_guard<std::mutex> lk(s.mu);
+    s.error = error;
+    s.stage = Submitted::Stage::kDone;
+  }
+  s.done_cv.notify_all();
+}
+
+ThreadPool::Handle& ThreadPool::Handle::operator=(Handle&& other) noexcept {
+  if (this != &other) {
+    Cancel();
+    state_ = std::move(other.state_);
+  }
+  return *this;
+}
+
+void ThreadPool::Handle::Cancel() {
+  if (state_ == nullptr) return;
+  std::function<void()> dropped;
+  {
+    std::lock_guard<std::mutex> lk(state_->mu);
+    if (state_->stage == Submitted::Stage::kQueued) {
+      state_->stage = Submitted::Stage::kDone;
+      dropped = std::move(state_->task);
+    }
+  }
+  state_.reset();
+}
+
+void ThreadPool::Handle::Wait() {
+  if (state_ == nullptr) return;
+  const std::shared_ptr<Submitted> s = std::move(state_);
+  RunIfUnclaimed(*s);
+  std::unique_lock<std::mutex> lk(s->mu);
+  s->done_cv.wait(lk, [&] { return s->stage == Submitted::Stage::kDone; });
+  if (s->error) std::rethrow_exception(s->error);
+}
+
 void ThreadPool::RunIterations(ForState& s) {
   for (;;) {
     std::size_t i;
@@ -78,21 +161,7 @@ void ThreadPool::ParallelFor(std::size_t n,
   {
     std::lock_guard<std::mutex> lk(queue_mu_);
     for (std::size_t h = 0; h < helpers; ++h) {
-      if (queue_wait_observer_) {
-        // Queue-wait telemetry: time from enqueue to a worker picking the
-        // task up. A helper that starts after the loop already drained
-        // still reports — that delay is real scheduling latency.
-        const auto enqueued = std::chrono::steady_clock::now();
-        tasks_.emplace([this, state, enqueued] {
-          queue_wait_observer_(
-              std::chrono::duration_cast<std::chrono::microseconds>(
-                  std::chrono::steady_clock::now() - enqueued)
-                  .count());
-          RunIterations(*state);
-        });
-      } else {
-        tasks_.emplace([state] { RunIterations(*state); });
-      }
+      EnqueueLocked([state] { RunIterations(*state); });
     }
   }
   queue_cv_.notify_all();

@@ -3,7 +3,8 @@
 // parallel fan-out that mirrors the paper's Aggregator tree (Sec. 4.2):
 // independent work items execute concurrently, results are merged by the
 // caller in a fixed order so a given (seed, thread-count) pair is
-// reproducible regardless of scheduling.
+// reproducible regardless of scheduling. Submit hands over one task whose
+// result the caller collects later (a fleet device's training job).
 //
 // Distinct from actor::ThreadPoolContext on purpose: the actor context is a
 // fire-and-forget task executor for message-driven actors; this pool is a
@@ -15,6 +16,7 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -23,10 +25,14 @@
 namespace fl::common {
 
 class ThreadPool {
+  struct Submitted;  // a Submit()ted task's shared state (below)
+
  public:
   // Spawns `threads` workers (0 is allowed: ParallelFor then runs inline on
-  // the calling thread).
+  // the calling thread, and Submit()ted tasks run in Handle::Wait).
   explicit ThreadPool(std::size_t threads);
+  // Joins the workers once they have drained the queue; a Submit()ted task
+  // whose handle was dropped is skipped, not run.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -42,13 +48,43 @@ class ThreadPool {
   // skipped and the first exception is rethrown here.
   void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  // Observer for queue wait: called once per pool task ParallelFor enqueues,
-  // with the microseconds between enqueue and the moment a worker dequeued
-  // it (telemetry feeds this into its thread-pool queue-wait histogram).
-  // Not synchronized against in-flight ParallelFor calls — install it while
-  // the pool is quiescent (right after construction). The observer itself
-  // may be invoked from several workers concurrently. Null (the default)
-  // costs one branch per ParallelFor.
+  // One Submit()ted task. Whoever claims it first runs it: a worker, or the
+  // thread that calls Wait(). Move-only; a default-constructed handle holds
+  // no task.
+  class Handle {
+   public:
+    Handle() = default;
+    Handle(Handle&&) noexcept = default;
+    Handle& operator=(Handle&& other) noexcept;
+    // Dropping an unclaimed task cancels it without blocking; a claimed one
+    // runs to completion on its worker.
+    ~Handle() { Cancel(); }
+
+    // Runs the task on the calling thread if no worker has claimed it yet,
+    // else blocks until its worker finishes; the handle is empty afterwards.
+    // Rethrows what the task threw. Returns at once on an empty handle.
+    void Wait();
+
+   private:
+    friend class ThreadPool;
+    explicit Handle(std::shared_ptr<Submitted> state)
+        : state_(std::move(state)) {}
+    void Cancel();
+    std::shared_ptr<Submitted> state_;
+  };
+
+  // Queues `task` for a worker and returns at once. The task must own what
+  // it reads and writes (say, a shared_ptr to its inputs and result): its
+  // handle may be dropped, or the pool destroyed, before it runs.
+  Handle Submit(std::function<void()> task);
+
+  // Observer for queue wait: called once per pool task ParallelFor or
+  // Submit enqueues, with the microseconds between enqueue and the moment a
+  // worker dequeued it (telemetry feeds this into its thread-pool queue-wait
+  // histogram). Not synchronized against in-flight ParallelFor or Submit
+  // calls — install it while the pool is quiescent (right after
+  // construction). The observer itself may be invoked from several workers
+  // concurrently. Null (the default) costs one branch per enqueue.
   void SetQueueWaitObserver(std::function<void(std::int64_t)> observer) {
     queue_wait_observer_ = std::move(observer);
   }
@@ -65,7 +101,25 @@ class ThreadPool {
     std::exception_ptr error;
   };
 
+  // A Submit()ted task and who has it. A worker and Handle::Wait race to
+  // move it from kQueued to kRunning; Handle's destructor moves an
+  // unclaimed task straight to kDone.
+  struct Submitted {
+    enum class Stage { kQueued, kRunning, kDone };
+    std::mutex mu;
+    std::condition_variable done_cv;
+    Stage stage = Stage::kQueued;
+    std::function<void()> task;  // released once claimed or cancelled
+    std::exception_ptr error;
+  };
+
   static void RunIterations(ForState& s);
+  // Runs the task if it is still queued; returns once it has run here or
+  // someone else has it.
+  static void RunIfUnclaimed(Submitted& s);
+  // Appends to the worker queue, timing the wait if an observer is set.
+  // Caller holds queue_mu_.
+  void EnqueueLocked(std::function<void()> task);
   void WorkerLoop();
 
   std::mutex queue_mu_;

@@ -294,9 +294,6 @@ void DeviceAgent::OnAssigned(std::uint64_t gen,
     FailSession("plan/model deserialization failed");
     return;
   }
-  s.plan = std::move(plan).value();
-  s.global = std::move(global).value();
-
   s.codec = assignment.codec;
   s.secagg = assignment.secagg_spec;
   if (s.secagg) {
@@ -333,7 +330,7 @@ void DeviceAgent::OnAssigned(std::uint64_t gen,
     });
   }
 
-  StartTraining(gen);
+  StartTraining(gen, std::move(plan).value(), std::move(global).value());
 }
 
 void DeviceAgent::CatchUpData() {
@@ -343,31 +340,43 @@ void DeviceAgent::CatchUpData() {
   }
 }
 
-void DeviceAgent::StartTraining(std::uint64_t gen) {
+void DeviceAgent::StartTraining(std::uint64_t gen, plan::FLPlan plan,
+                                Checkpoint global) {
   Session& s = *session_;
   AddTrace(SessionEvent::kTrainingStarted);
-  s.training = true;
 
-  // The computation itself is pure; its wall-clock cost is simulated.
   const profiler::ScopedPhase profile_scope(profiler::Phase::kTraining,
                                             s.round.value);
   // The plan is the first reader of the stores: fill them first.
   CatchUpData();
-  auto result = runtime_.ExecutePlan(*s.plan, *s.global,
-                                     services_->queue->now(), rng_);
-  if (!result.ok()) {
+  auto job = runtime_.PreparePlan(std::move(plan), std::move(global),
+                                  services_->queue->now(), rng_);
+  if (!job.ok()) {
     // E.g. the example store no longer satisfies the plan's selection
     // criteria — a model-issue '*' right after '[' (Sec. 5's "-v[*").
-    FailSession(result.status().ToString());
+    FailSession(job.status().ToString());
     return;
   }
-  s.metrics = result->metrics;
-  s.examples_used = result->examples_used;
-  if (result->update.has_value()) {
-    s.update = std::move(result->update);
-  }
   const Duration compute = device::EstimateComputeDuration(
-      *s.plan, s.examples_used, profile_);
+      job->plan, job->examples.size(), profile_);
+
+  // The computation is pure and its wall-clock cost is simulated, so it
+  // runs on the compute pool while the loop moves on; the job owns its
+  // inputs, so a session that ends first just drops it.
+  s.plan_run.result =
+      std::make_shared<std::optional<Result<device::TaskExecution>>>();
+  auto run = [job = std::move(job).value(), result = s.plan_run.result,
+              round = s.round.value]() mutable {
+    const profiler::ScopedPhase worker_scope(profiler::Phase::kTraining,
+                                             round);
+    *result = job.Run();
+    job = {};  // the inputs are freed inside the training tag too
+  };
+  if (services_->compute_pool != nullptr) {
+    s.plan_run.done = services_->compute_pool->Submit(std::move(run));
+  } else {
+    run();
+  }
   services_->queue->After(compute, [this, gen] {
     if (!Active(gen)) return;
     FinishTraining(gen);
@@ -378,7 +387,15 @@ void DeviceAgent::FinishTraining(std::uint64_t gen) {
   Session& s = *session_;
   const profiler::ScopedPhase profile_scope(profiler::Phase::kTraining,
                                             s.round.value);
-  s.training = false;
+  s.plan_run.done.Wait();
+  Result<device::TaskExecution> result = std::move(**s.plan_run.result);
+  s.plan_run.result.reset();
+  if (!result.ok()) {
+    FailSession(result.status().ToString());
+    return;
+  }
+  s.metrics = result->metrics;
+  s.update = std::move(result->update);
   s.trained = true;
   AddTrace(SessionEvent::kTrainingCompleted);
   if (s.secagg) {

@@ -12,6 +12,7 @@
 
 #include "src/analytics/events.h"
 #include "src/analytics/lifecycle.h"
+#include "src/common/thread_pool.h"
 #include "src/core/config.h"
 #include "src/core/fleet_stats.h"
 #include "src/device/attestation.h"
@@ -55,8 +56,8 @@ class DeviceAgent {
     // session end) goes through analytics::Emit() into this sink.
     analytics::LifecycleSink* events = nullptr;
     const FLSystemConfig* config = nullptr;
-    // Fork-join pool for SecAgg mask expansion (null: serial); handed to
-    // each session's SecAggClient.
+    // The fleet's compute pool (null: serial). Runs each session's plan job
+    // and fans out its SecAggClient's mask expansion.
     common::ThreadPool* compute_pool = nullptr;
     const DataSchedule* data = nullptr;
   };
@@ -83,6 +84,14 @@ class DeviceAgent {
   void Start();
 
  private:
+  // A session's plan job from StartTraining to FinishTraining: queued on the
+  // compute pool (or already run, when the fleet has none) and the slot its
+  // result lands in.
+  struct PlanRun {
+    std::shared_ptr<std::optional<Result<device::TaskExecution>>> result;
+    common::ThreadPool::Handle done;
+  };
+
   struct Session {
     SessionId id;
     std::uint64_t generation = 0;
@@ -92,16 +101,13 @@ class DeviceAgent {
     bool assigned = false;
     RoundId round;
     ActorId aggregator;
-    std::optional<plan::FLPlan> plan;
-    std::optional<Checkpoint> global;
     SimTime participation_deadline;
-    bool training = false;
+    PlanRun plan_run;
     bool trained = false;
     bool uploading = false;
     bool reported_ok = false;
     std::optional<fedavg::ClientUpdateResult> update;
     fedavg::ClientMetrics metrics;
-    std::size_t examples_used = 0;
     // Plain-path update codec for this round (from the assignment).
     protocol::WireCodecConfig codec;
     // Secure aggregation.
@@ -132,7 +138,9 @@ class DeviceAgent {
   // Runs every provisioner call that came due since the last one this
   // device ran, in order, each with its original due time.
   void CatchUpData();
-  void StartTraining(std::uint64_t gen);
+  // Runs the plan's checks, store query and RNG draws here; the training
+  // itself becomes a job that FinishTraining collects.
+  void StartTraining(std::uint64_t gen, plan::FLPlan plan, Checkpoint global);
   void FinishTraining(std::uint64_t gen);
   void BeginUpload(std::uint64_t gen);
   void MaybeSendMaskedInput(std::uint64_t gen);

@@ -14,10 +14,19 @@ namespace fl::core {
 namespace {
 constexpr std::uint64_t kNetworkSeedSalt = 0x6e657477726bULL;   // "networ"
 constexpr std::uint64_t kAttestSeedSalt = 0x61747465737421ULL;  // "attest!"
-// SecAgg mask work per Aggregator, in u32 words, below which FLSystem
-// starts no compute pool (see AddTask).
+// Per-round work below which FLSystem starts no compute pool (see AddTask):
+// SecAgg mask words per Aggregator, and one client update's training work
+// in parameters x epochs x batch size.
 constexpr std::size_t kSecAggPoolMinWords = std::size_t{1} << 15;
+constexpr std::size_t kTrainingPoolMinWork = std::size_t{1} << 17;
+std::size_t g_training_pool_min_work = kTrainingPoolMinWork;
 }  // namespace
+
+namespace internal {
+void SetTrainingPoolMinWorkForBench(std::size_t work) {
+  g_training_pool_min_work = work;
+}
+}  // namespace internal
 
 FLSystem::FLSystem(FLSystemConfig config)
     : config_(std::move(config)),
@@ -129,23 +138,39 @@ void FLSystem::AddEvaluationTask(const std::string& name,
 void FLSystem::AddTask(const std::string& name, plan::VersionedPlanSet plans,
                        const protocol::RoundConfig& round_config,
                        Duration cadence) {
-  // SecAgg masking (device side) and unmasking (Aggregator side) fan out
-  // over one pool, started by the first secure task whose per-Aggregator
-  // mask work (masked vector length x devices_per_aggregator, in u32 words)
-  // reaches kSecAggPoolMinWords; every secure task then borrows it. The
-  // cutoff is the crossover bench_secagg_scaling's cutoff sweep measures:
-  // with 3 workers on 4 cores, one cohort's MaskInput calls plus its
-  // Finalize took 1.02-1.13x the serial time at 2^14 words (8 users x
-  // 2 048) and 0.57-0.91x at 2^15 (8 x 4 096, 32 x 1 024). ParallelFor's
-  // caller takes part, so hardware_concurrency - 1 workers fill the
-  // machine; the output bits are the same with or without the pool.
+  // One compute pool serves the fleet: every device's plan job runs on it
+  // (collected at FinishTraining), and SecAgg masking (device side) and
+  // unmasking (Aggregator side) fan out over it. The first task with enough
+  // work to repay the pool's wake-ups starts it, and every later task
+  // borrows it. Enough work is either
+  //  - SecAgg mask work per Aggregator (masked vector length x
+  //    devices_per_aggregator, in u32 words) of at least kSecAggPoolMinWords.
+  //    bench_secagg_scaling's cutoff sweep measures that crossover: with 3
+  //    workers on 4 cores, one cohort's MaskInput calls plus its Finalize
+  //    took 1.02-1.13x the serial time at 2^14 words (8 users x 2 048) and
+  //    0.57-0.91x at 2^15 (8 x 4 096, 32 x 1 024); or
+  //  - one client update's training work (parameters x epochs x batch size)
+  //    of at least kTrainingPoolMinWork. bench_parallel_rounds' cutoff sweep
+  //    measures that crossover: a plain fleet whose updates ran as pool jobs
+  //    took 1.03-1.09x its serial wall time at 2^14-2^16 (a 64 -> 8 LR at 1
+  //    to 4 epochs; a thread makes every allocation on the loop dearer),
+  //    0.92-1.01x at 2^17 and 0.29-0.45x at 2^18 and above.
+  // ParallelFor's caller and Handle::Wait take part, so
+  // hardware_concurrency - 1 workers fill the machine; the output bits are
+  // the same with or without the pool.
+  const std::size_t parameters = model_store_->Latest().TotalParameters();
   const std::size_t mask_words =
-      (fedavg::KeepCount(model_store_->Latest().TotalParameters(),
-                         round_config.secagg.keep_fraction) +
-       1) *
+      (fedavg::KeepCount(parameters, round_config.secagg.keep_fraction) + 1) *
       round_config.devices_per_aggregator;
-  if (round_config.aggregation == protocol::AggregationMode::kSecure &&
-      mask_words >= kSecAggPoolMinWords && compute_pool_ == nullptr) {
+  const plan::DevicePlan& device = plans.plans().rbegin()->second.device;
+  const std::size_t training_work =
+      parameters * std::max<std::size_t>(1, device.epochs) *
+      std::max<std::size_t>(1, device.batch_size);
+  const bool secagg_work =
+      round_config.aggregation == protocol::AggregationMode::kSecure &&
+      mask_words >= kSecAggPoolMinWords;
+  if ((secagg_work || training_work >= g_training_pool_min_work) &&
+      compute_pool_ == nullptr) {
     const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
     compute_pool_ = std::make_unique<common::ThreadPool>(cores - 1);
     server_context_.compute_pool = compute_pool_.get();

@@ -125,9 +125,10 @@ class FLSystem : private analytics::LifecycleSink {
   const std::vector<ActorId>& selector_ids() const { return selector_ids_; }
   sim::EventQueue& queue() { return queue_; }
   const FLSystemConfig& config() const { return config_; }
-  // The SecAgg compute pool: hardware_concurrency - 1 workers, started by
-  // the first secure task with enough mask work to repay its wake-ups; null
-  // until then (a plain or small-model deployment starts no extra thread).
+  // The compute pool for device training jobs and SecAgg masking:
+  // hardware_concurrency - 1 workers, started by the first task with enough
+  // training or mask work to repay its wake-ups; null until then (a
+  // small-model deployment starts no extra thread).
   common::ThreadPool* compute_pool() { return compute_pool_.get(); }
 
  private:
@@ -180,5 +181,12 @@ class FLSystem : private analytics::LifecycleSink {
   };
   std::optional<AdaptiveState> adaptive_;
 };
+
+namespace internal {
+// Replaces the per-update training work at which AddTask starts the compute
+// pool, so bench_parallel_rounds' cutoff sweep can run one fleet both ways.
+// Bench-only; not synchronized, so call it before building any FLSystem.
+void SetTrainingPoolMinWorkForBench(std::size_t work);
+}  // namespace internal
 
 }  // namespace fl::core

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "src/common/status.h"
 #include "src/crypto/chacha20_internal.h"
 
 namespace fl::crypto {
@@ -196,6 +197,34 @@ void PrgAccumulate(const Key256& seed, std::uint32_t stream_id, int sign,
     }
     pos += take;
   }
+}
+
+void AddWords(std::span<std::uint32_t> acc, std::span<const std::uint32_t> in,
+              std::uint32_t mask) {
+  FL_CHECK(in.empty() || in.size() == acc.size());
+  std::uint32_t* __restrict a = acc.data();
+  const std::size_t n = acc.size();
+  const v4u m = {mask, mask, mask, mask};
+  std::size_t i = 0;
+  if (in.empty()) {
+    for (; i + 4 <= n; i += 4) {
+      v4u v;
+      std::memcpy(&v, a + i, sizeof(v));
+      v &= m;
+      std::memcpy(a + i, &v, sizeof(v));
+    }
+    for (; i < n; ++i) a[i] &= mask;
+    return;
+  }
+  const std::uint32_t* __restrict b = in.data();
+  for (; i + 4 <= n; i += 4) {
+    v4u v, w;
+    std::memcpy(&v, a + i, sizeof(v));
+    std::memcpy(&w, b + i, sizeof(w));
+    v = (v + w) & m;
+    std::memcpy(a + i, &v, sizeof(v));
+  }
+  for (; i < n; ++i) a[i] = (a[i] + b[i]) & mask;
 }
 
 // --- Scalar reference -------------------------------------------------------

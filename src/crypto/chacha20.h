@@ -46,6 +46,13 @@ std::vector<std::uint32_t> PrgWords(const Key256& seed, std::size_t count,
 void PrgAccumulate(const Key256& seed, std::uint32_t stream_id, int sign,
                    std::span<std::uint32_t> acc);
 
+// acc[i] = (acc[i] + in[i]) & mask for every i, in wrapping u32 arithmetic,
+// four words per vector op (GCC -O2 leaves the plain loop scalar). `in` is
+// as long as `acc`, or empty to only reduce `acc` by `mask`. The SecAgg
+// shard merges, masked-input sums and ring reductions run on it.
+void AddWords(std::span<std::uint32_t> acc, std::span<const std::uint32_t> in,
+              std::uint32_t mask = 0xFFFFFFFFu);
+
 // --- Scalar reference implementations (bit-exactness oracles) -------------
 // One-block RFC 8439 core with byte-serialized output — the
 // pre-fast-path implementation, retained verbatim. Tests pin the

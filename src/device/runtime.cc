@@ -4,9 +4,8 @@
 
 namespace fl::device {
 
-Result<TaskExecution> FlRuntime::ExecutePlan(const plan::FLPlan& plan,
-                                             const Checkpoint& global,
-                                             SimTime now, Rng& rng) const {
+Result<PlanJob> FlRuntime::PreparePlan(plan::FLPlan plan, Checkpoint global,
+                                       SimTime now, Rng& rng) const {
   if (plan.min_runtime_version > runtime_version_) {
     return FailedPreconditionError(
         "plan requires runtime v" + std::to_string(plan.min_runtime_version) +
@@ -16,21 +15,36 @@ Result<TaskExecution> FlRuntime::ExecutePlan(const plan::FLPlan& plan,
                       stores_->Find(plan.device.selector.store_name));
   FL_ASSIGN_OR_RETURN(std::vector<data::Example> examples,
                       store->Query(plan.device.selector, now));
+  const bool training = plan.device.kind == plan::TaskKind::kTraining;
+  if (examples.empty()) {
+    return FailedPreconditionError(training
+                                       ? "no local examples for training"
+                                       : "no local examples for evaluation");
+  }
+  PlanJob job;
+  if (training) {
+    job.orders = fedavg::DrawEpochOrders(plan.device, examples.size(), rng);
+  }
+  job.plan = std::move(plan);
+  job.global = std::move(global);
+  job.examples = std::move(examples);
+  job.runtime_version = runtime_version_;
+  return job;
+}
 
+Result<TaskExecution> PlanJob::Run() const {
   TaskExecution out;
-  out.examples_used = examples.size();
   if (plan.device.kind == plan::TaskKind::kTraining) {
-    FL_ASSIGN_OR_RETURN(
-        fedavg::ClientUpdateResult result,
-        fedavg::RunClientUpdate(plan.device, global, examples,
-                                runtime_version_, rng));
+    FL_ASSIGN_OR_RETURN(fedavg::ClientUpdateResult result,
+                        fedavg::RunClientUpdate(plan.device, global, examples,
+                                                runtime_version, orders));
     out.metrics = result.metrics;
     out.update = std::move(result);
   } else {
     FL_ASSIGN_OR_RETURN(out.metrics,
                         fedavg::RunClientEvaluation(plan.device, global,
                                                     examples,
-                                                    runtime_version_));
+                                                    runtime_version));
   }
   return out;
 }

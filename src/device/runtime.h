@@ -3,12 +3,14 @@
 // example store for data requested by the plan, and computes plan-determined
 // model updates and metrics."
 //
-// Timing/interruption are decided by the fleet simulator (the runtime is
-// pure computation); EstimateComputeDuration tells the simulator how long
-// the work takes on a given device profile.
+// Timing/interruption are decided by the fleet simulator; the computation
+// itself is a PlanJob, pure, which the simulator may run off its event loop.
+// EstimateComputeDuration tells the simulator how long the work takes on a
+// given device profile.
 #pragma once
 
 #include <optional>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/device/example_store.h"
@@ -22,7 +24,22 @@ struct TaskExecution {
   // Present for training plans; empty for evaluation plans.
   std::optional<fedavg::ClientUpdateResult> update;
   fedavg::ClientMetrics metrics;
-  std::size_t examples_used = 0;
+};
+
+// A plan's computation with everything it reads: the plan, the global
+// model, the examples the store returned and, for training, the epoch
+// orders already drawn from the device's RNG. It owns its inputs and draws
+// nothing, so it may run on any thread at any time after PreparePlan and
+// gives the same bits.
+struct PlanJob {
+  plan::FLPlan plan;
+  Checkpoint global;
+  std::vector<data::Example> examples;
+  std::vector<std::uint32_t> orders;  // training only (DrawEpochOrders)
+  std::uint32_t runtime_version = 0;
+
+  // RunClientUpdate for a training plan, RunClientEvaluation otherwise.
+  Result<TaskExecution> Run() const;
 };
 
 class FlRuntime {
@@ -32,12 +49,13 @@ class FlRuntime {
 
   std::uint32_t runtime_version() const { return runtime_version_; }
 
-  // Queries the store per the plan's selection criteria and runs the plan.
-  // Fails (kFailedPrecondition) when the device lacks data or runs a
-  // runtime older than the plan requires.
-  Result<TaskExecution> ExecutePlan(const plan::FLPlan& plan,
-                                    const Checkpoint& global, SimTime now,
-                                    Rng& rng) const;
+  // The part of running a plan that reads device state: checks the plan
+  // against the runtime, queries the store per the plan's selection
+  // criteria and, for training, draws the epoch orders from `rng`. Fails
+  // (kFailedPrecondition) when the device lacks data or runs a runtime
+  // older than the plan requires; kNotFound when the store is missing.
+  Result<PlanJob> PreparePlan(plan::FLPlan plan, Checkpoint global,
+                              SimTime now, Rng& rng) const;
 
  private:
   std::uint32_t runtime_version_;

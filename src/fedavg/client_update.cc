@@ -29,6 +29,10 @@ graph::Feeds GatherFeeds(const plan::DevicePlan& device_plan, std::size_t b,
   return feeds;
 }
 
+std::size_t EpochCount(const plan::DevicePlan& device_plan) {
+  return std::max<std::size_t>(1, device_plan.epochs);
+}
+
 }  // namespace
 
 graph::Feeds BuildFeeds(const plan::DevicePlan& device_plan,
@@ -39,6 +43,20 @@ graph::Feeds BuildFeeds(const plan::DevicePlan& device_plan,
                      });
 }
 
+std::vector<std::uint32_t> DrawEpochOrders(const plan::DevicePlan& device_plan,
+                                           std::size_t example_count,
+                                           Rng& shuffle_rng) {
+  std::vector<std::uint32_t> order(example_count);
+  std::iota(order.begin(), order.end(), 0u);
+  std::vector<std::uint32_t> orders;
+  orders.reserve(EpochCount(device_plan) * example_count);
+  for (std::size_t epoch = 0; epoch < EpochCount(device_plan); ++epoch) {
+    shuffle_rng.Shuffle(order);
+    orders.insert(orders.end(), order.begin(), order.end());
+  }
+  return orders;
+}
+
 Result<ClientUpdateResult> RunClientUpdate(
     const plan::DevicePlan& device_plan, const Checkpoint& global,
     std::span<const data::Example> examples, std::uint32_t runtime_version,
@@ -46,11 +64,23 @@ Result<ClientUpdateResult> RunClientUpdate(
   if (examples.empty()) {
     return FailedPreconditionError("no local examples for training");
   }
+  const std::vector<std::uint32_t> orders =
+      DrawEpochOrders(device_plan, examples.size(), shuffle_rng);
+  return RunClientUpdate(device_plan, global, examples, runtime_version,
+                         orders);
+}
+
+Result<ClientUpdateResult> RunClientUpdate(
+    const plan::DevicePlan& device_plan, const Checkpoint& global,
+    std::span<const data::Example> examples, std::uint32_t runtime_version,
+    std::span<const std::uint32_t> orders) {
+  if (examples.empty()) {
+    return FailedPreconditionError("no local examples for training");
+  }
+  FL_CHECK_MSG(orders.size() == EpochCount(device_plan) * examples.size(),
+               "epoch orders do not match the examples");
   const graph::Executor exec(runtime_version);
   Checkpoint w = global;  // w_init stays in `global`
-
-  std::vector<std::size_t> order(examples.size());
-  std::iota(order.begin(), order.end(), 0);
 
   ClientUpdateResult out;
   double loss_sum = 0, acc_sum = 0;
@@ -58,9 +88,9 @@ Result<ClientUpdateResult> RunClientUpdate(
 
   const std::size_t batch_size = std::max<std::size_t>(1, device_plan.batch_size);
 
-  for (std::size_t epoch = 0; epoch < std::max<std::size_t>(1, device_plan.epochs);
-       ++epoch) {
-    shuffle_rng.Shuffle(order);
+  for (std::size_t base = 0; base < orders.size(); base += examples.size()) {
+    const std::span<const std::uint32_t> order =
+        orders.subspan(base, examples.size());
     for (std::size_t start = 0; start < order.size(); start += batch_size) {
       const std::size_t end = std::min(order.size(), start + batch_size);
       const graph::Feeds feeds = GatherFeeds(

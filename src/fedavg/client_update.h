@@ -12,6 +12,7 @@
 #pragma once
 
 #include <span>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/common/status.h"
@@ -36,9 +37,25 @@ struct ClientUpdateResult {
   ClientMetrics metrics;
 };
 
-// Runs the plan's training loop on `examples` starting from `global`.
-// `runtime_version` selects the device's executor version — version
-// mismatches surface here exactly as they would on an old phone.
+// The example orders the training loop visits, epoch-major: epochs x
+// `example_count` indices, each epoch a reshuffle of the one before (the
+// first of 0 .. n-1). The draws depend only on the count, never on the
+// examples, so a caller can draw them before the data is at hand.
+std::vector<std::uint32_t> DrawEpochOrders(const plan::DevicePlan& device_plan,
+                                           std::size_t example_count,
+                                           Rng& shuffle_rng);
+
+// Runs the plan's training loop on `examples` starting from `global`,
+// visiting them in `orders` (from DrawEpochOrders). Pure: it reads only its
+// arguments, so it may run on any thread. `runtime_version` selects the
+// device's executor version — version mismatches surface here exactly as
+// they would on an old phone.
+Result<ClientUpdateResult> RunClientUpdate(
+    const plan::DevicePlan& device_plan, const Checkpoint& global,
+    std::span<const data::Example> examples, std::uint32_t runtime_version,
+    std::span<const std::uint32_t> orders);
+
+// Draws the orders from `shuffle_rng`, then trains.
 Result<ClientUpdateResult> RunClientUpdate(
     const plan::DevicePlan& device_plan, const Checkpoint& global,
     std::span<const data::Example> examples, std::uint32_t runtime_version,

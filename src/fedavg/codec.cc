@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
 #include <string>
 
@@ -150,21 +151,31 @@ EncodedUpdate EncodeUpdate(std::span<const float> update,
   std::vector<std::uint32_t> indices;
   std::vector<float> kept;
   if (topk) {
+    // The k largest magnitudes, ties broken toward the lower index: select
+    // the k-th largest magnitude on a copy, count the magnitudes strictly
+    // above it, then keep every coordinate above it plus the first ties in
+    // one ascending pass, so the indices come out sorted.
     const std::size_t k = KeepCount(values.size(), config.topk_fraction);
-    indices.resize(values.size());
-    std::iota(indices.begin(), indices.end(), 0u);
-    std::nth_element(indices.begin(),
-                     indices.begin() + static_cast<std::ptrdiff_t>(k - 1),
-                     indices.end(),
-                     [values](std::uint32_t a, std::uint32_t b) {
-                       const float ma = std::abs(values[a]);
-                       const float mb = std::abs(values[b]);
-                       return ma != mb ? ma > mb : a < b;
-                     });
-    indices.resize(k);
-    std::sort(indices.begin(), indices.end());
+    std::vector<float> magnitude(values.size());
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      magnitude[i] = std::abs(values[i]);
+    }
+    const auto kth = magnitude.begin() + static_cast<std::ptrdiff_t>(k - 1);
+    std::nth_element(magnitude.begin(), kth, magnitude.end(),
+                     std::greater<float>());
+    const float threshold = *kth;
+    std::size_t ties = k - static_cast<std::size_t>(std::count_if(
+                               magnitude.begin(), kth,
+                               [threshold](float m) { return m > threshold; }));
+    indices.reserve(k);
     kept.reserve(k);
-    for (std::uint32_t idx : indices) kept.push_back(values[idx]);
+    for (std::size_t i = 0; i < values.size() && kept.size() < k; ++i) {
+      const float m = std::abs(values[i]);
+      if (m < threshold || (m == threshold && ties == 0)) continue;
+      if (m == threshold) --ties;
+      indices.push_back(static_cast<std::uint32_t>(i));
+      kept.push_back(values[i]);
+    }
     values = kept;
   }
 

@@ -238,21 +238,12 @@ Result<MaskedInput> SecAggClient::MaskInput(
         expand_into(peers[p], std::span<std::uint32_t>(acc));
       }
     });
-    std::uint32_t* __restrict masked = out.masked.data();
-    for (const auto& acc : shard_acc) {
-      const std::uint32_t* __restrict m = acc.data();
-      for (std::size_t i = 0; i < vector_length_; ++i) masked[i] += m[i];
-    }
+    for (const auto& acc : shard_acc) crypto::AddWords(out.masked, acc);
   }
   // Reduce to the wire ring: mod-2^r reduction commutes with the u32 mask
   // arithmetic above, so the server's sum (reduced once at finalize) is
   // unchanged while each word ships as only ceil(r/8) bytes.
-  if (ring_mask_ != 0xFFFFFFFFu) {
-    std::uint32_t* __restrict masked = out.masked.data();
-    for (std::size_t i = 0; i < vector_length_; ++i) {
-      masked[i] &= ring_mask_;
-    }
-  }
+  if (ring_mask_ != 0xFFFFFFFFu) crypto::AddWords(out.masked, {}, ring_mask_);
   committed_ = true;
   return out;
 }

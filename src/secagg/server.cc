@@ -103,16 +103,11 @@ Status SecAggServer::CollectMaskedInput(const MaskedInput& input) {
     return InvalidArgumentError("masked vector length mismatch");
   }
   // Online accumulation — the individual masked vector is folded in and
-  // discarded (no per-device log exists, Sec. 4.2). The restrict-qualified
-  // pointers rule out aliasing, but GCC at -O2 still compiles this loop to
-  // one scalar 32-bit add per word (no paddd in server.cc.o): -O2's
-  // very-cheap vectorizer cost model skips loops whose trip count needs a
-  // scalar epilogue.
-  std::uint32_t* __restrict acc = masked_sum_.data();
-  const std::uint32_t* __restrict in = input.masked.data();
-  for (std::size_t i = 0; i < vector_length_; ++i) {
-    acc[i] += in[i];
-  }
+  // discarded (no per-device log exists, Sec. 4.2) — with the vector add
+  // kernel: GCC at -O2 compiles the plain loop to one scalar 32-bit add per
+  // word, since -O2's very-cheap vectorizer cost model skips loops whose
+  // trip count needs a scalar epilogue.
+  crypto::AddWords(masked_sum_, input.masked);
   u2_.insert(input.index);
   return Status::Ok();
 }
@@ -278,20 +273,13 @@ Result<std::vector<std::uint32_t>> SecAggServer::Finalize() {
         apply(tasks[i], std::span<std::uint32_t>(shard_acc[s]));
       }
     });
-    std::uint32_t* __restrict out = sum.data();
-    for (std::size_t s = 0; s < shards; ++s) {
-      const std::uint32_t* __restrict part = shard_acc[s].data();
-      for (std::size_t i = 0; i < vector_length_; ++i) out[i] += part[i];
-    }
+    for (const auto& part : shard_acc) crypto::AddWords(sum, part);
   }
 
   // Reduce the unmasked sum to the wire ring. All mask arithmetic above ran
   // in u32; because 2^r divides 2^32, one reduction at the end equals
   // reducing every operand along the way.
-  if (ring_mask_ != 0xFFFFFFFFu) {
-    std::uint32_t* __restrict out = sum.data();
-    for (std::size_t i = 0; i < vector_length_; ++i) out[i] &= ring_mask_;
-  }
+  if (ring_mask_ != 0xFFFFFFFFu) crypto::AddWords(sum, {}, ring_mask_);
 
   phase_ = Phase::kDone;
   return sum;

@@ -53,8 +53,10 @@ std::string ChromeTraceJson(const std::vector<SpanRecord>& spans) {
     }
   }
 
-  // Span begin timestamps by id, for drawing flow arrows from parent spans
-  // to children linked across actors (SpanRecord::flow_parent).
+  // Span index by id: a parent outside the exported set (say, the round of
+  // a run that stopped mid-round) is written as "0", so the span is a root;
+  // a parent inside it anchors the flow arrows drawn to children linked
+  // across actors (SpanRecord::flow_parent).
   std::unordered_map<std::uint64_t, std::size_t> by_id;
   by_id.reserve(spans.size());
   for (std::size_t i = 0; i < spans.size(); ++i) by_id.emplace(spans[i].id, i);
@@ -66,6 +68,8 @@ std::string ChromeTraceJson(const std::vector<SpanRecord>& spans) {
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
   for (const SpanRecord& s : spans) {
+    const auto parent = by_id.find(s.parent);
+    const std::uint64_t parent_id = parent == by_id.end() ? 0 : s.parent;
     const std::int64_t ts = start_ts(s);
     const std::int64_t end =
         use_sim ? s.sim_end.millis * 1000 : s.wall_end_us;
@@ -83,7 +87,7 @@ std::string ChromeTraceJson(const std::vector<SpanRecord>& spans) {
     out += ",\"args\":{\"span_id\":\"";
     out += std::to_string(s.id);
     out += "\",\"parent\":\"";
-    out += std::to_string(s.parent);
+    out += std::to_string(parent_id);
     out += '"';
     if (s.ctx_round != 0) {
       out += ",\"ctx_round\":\"" + std::to_string(s.ctx_round) + '"';
@@ -105,25 +109,22 @@ std::string ChromeTraceJson(const std::vector<SpanRecord>& spans) {
     // a flow-start ("s") on the parent span's track at its begin time and a
     // flow-finish ("f", bp:"e") at this span's begin. Keyed by the child
     // span id, which is unique per link.
-    if (s.flow_parent && s.parent != 0) {
-      const auto pit = by_id.find(s.parent);
-      if (pit != by_id.end()) {
-        const SpanRecord& p = spans[pit->second];
-        out += ",{\"name\":\"ctx\",\"cat\":\"fl\",\"ph\":\"s\",\"id\":";
-        out += std::to_string(s.id);
-        out += ",\"ts\":";
-        out += std::to_string(start_ts(p));
-        out += ",\"pid\":0,\"tid\":";
-        out += std::to_string(p.tid);
-        out += "},{\"name\":\"ctx\",\"cat\":\"fl\",\"ph\":\"f\",\"bp\":\"e\","
-               "\"id\":";
-        out += std::to_string(s.id);
-        out += ",\"ts\":";
-        out += std::to_string(ts);
-        out += ",\"pid\":0,\"tid\":";
-        out += std::to_string(s.tid);
-        out += '}';
-      }
+    if (s.flow_parent && parent_id != 0) {
+      const SpanRecord& p = spans[parent->second];
+      out += ",{\"name\":\"ctx\",\"cat\":\"fl\",\"ph\":\"s\",\"id\":";
+      out += std::to_string(s.id);
+      out += ",\"ts\":";
+      out += std::to_string(start_ts(p));
+      out += ",\"pid\":0,\"tid\":";
+      out += std::to_string(p.tid);
+      out += "},{\"name\":\"ctx\",\"cat\":\"fl\",\"ph\":\"f\",\"bp\":\"e\","
+             "\"id\":";
+      out += std::to_string(s.id);
+      out += ",\"ts\":";
+      out += std::to_string(ts);
+      out += ",\"pid\":0,\"tid\":";
+      out += std::to_string(s.tid);
+      out += '}';
     }
   }
   out += "]}";

@@ -134,14 +134,19 @@ TEST(SecureFleetTest, ParallelSecAggMatchesSerialDigest) {
   }
 }
 
+// The mask-work rule counts secure tasks only: a plain task with the same
+// model and Aggregator size, whose training work (8 321 parameters x 1
+// epoch x batch 1) is below the training cutoff, starts no pool.
 TEST(SecureFleetTest, PlainFleetStartsNoComputePool) {
   FLSystem system(SecureFleetConfig());
   Rng model_rng(11);
   protocol::RoundConfig rc = SecureLmRound();
   rc.aggregation = protocol::AggregationMode::kSimple;
+  plan::TrainingHyperparams hyper;
+  hyper.batch_size = 1;
   system.AddTrainingTask("plain_lm",
                          graph::BuildNextWordModel(64, 3, 16, 64, model_rng),
-                         {}, {}, rc);
+                         hyper, {}, rc);
   EXPECT_EQ(system.compute_pool(), nullptr);
 }
 

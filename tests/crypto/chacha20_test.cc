@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 namespace fl::crypto {
 namespace {
@@ -292,6 +293,39 @@ TEST(PrgTest, AccumulateMatchesSeparateExpandAndApply) {
       PrgAccumulate(b, 0, -1, acc);
       EXPECT_EQ(acc, expect) << kernel << " count=" << count;
     });
+  }
+}
+
+TEST(AddWordsTest, MatchesTheScalarLoopAtEveryLengthAndMask) {
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  const auto next = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  for (int trial = 0; trial < 300; ++trial) {
+    // Lengths 0..70 cover every tail after the 4-word vector body; a few
+    // longer ones cover the body itself.
+    const std::size_t n =
+        trial < 240 ? static_cast<std::size_t>(trial % 71) : next() % 5000;
+    const std::uint32_t mask =
+        trial % 3 == 0 ? 0xFFFFFFFFu
+                       : (std::uint32_t{1} << (1 + next() % 31)) - 1u;
+    std::vector<std::uint32_t> acc(n), in(n);
+    for (auto& w : acc) w = static_cast<std::uint32_t>(next());
+    for (auto& w : in) w = static_cast<std::uint32_t>(next());
+
+    std::vector<std::uint32_t> sum = acc, reduced = acc;
+    for (std::size_t i = 0; i < n; ++i) sum[i] = (sum[i] + in[i]) & mask;
+    for (std::size_t i = 0; i < n; ++i) reduced[i] &= mask;
+
+    std::vector<std::uint32_t> got = acc;
+    AddWords(got, in, mask);
+    EXPECT_EQ(got, sum) << "n=" << n << " mask=" << mask;
+    got = acc;
+    AddWords(got, {}, mask);
+    EXPECT_EQ(got, reduced) << "n=" << n << " mask=" << mask;
   }
 }
 

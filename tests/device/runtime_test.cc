@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "src/data/blobs.h"
 #include "src/graph/model_zoo.h"
 #include "src/graph/registry.h"
@@ -29,6 +31,15 @@ struct RuntimeFixture : public ::testing::Test {
     return plan::MakeTrainingPlan(model, "t", hyper, {});
   }
 
+  // PreparePlan, then the job on this thread.
+  static Result<TaskExecution> Execute(const FlRuntime& runtime,
+                                       const plan::FLPlan& p,
+                                       const Checkpoint& global, Rng& r) {
+    FL_ASSIGN_OR_RETURN(PlanJob job,
+                        runtime.PreparePlan(p, global, SimTime{1}, r));
+    return job.Run();
+  }
+
   graph::Model model;
   ExampleStoreRegistry registry;
   InMemoryExampleStore* store_ptr = nullptr;
@@ -38,10 +49,10 @@ struct RuntimeFixture : public ::testing::Test {
 TEST_F(RuntimeFixture, ExecutesTrainingPlan) {
   FlRuntime runtime(graph::kCurrentRuntimeVersion, &registry);
   const auto result =
-      runtime.ExecutePlan(TrainingPlan(), model.init_params, SimTime{1}, rng);
+      Execute(runtime, TrainingPlan(), model.init_params, rng);
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_TRUE(result->update.has_value());
-  EXPECT_EQ(result->examples_used, 40u);
+  EXPECT_EQ(result->metrics.example_count, 40u);
   EXPECT_FLOAT_EQ(result->update->weight, 40.0f);
   EXPECT_GT(result->update->weighted_delta.Flatten().size(), 0u);
   EXPECT_GT(result->metrics.batches, 0u);
@@ -51,7 +62,7 @@ TEST_F(RuntimeFixture, ExecutesEvaluationPlanWithoutUpdate) {
   FlRuntime runtime(graph::kCurrentRuntimeVersion, &registry);
   const plan::FLPlan eval = plan::MakeEvaluationPlan(model, "e", {});
   const auto result =
-      runtime.ExecutePlan(eval, model.init_params, SimTime{1}, rng);
+      Execute(runtime, eval, model.init_params, rng);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_FALSE(result->update.has_value());
   EXPECT_EQ(result->metrics.example_count, 40u);
@@ -63,7 +74,7 @@ TEST_F(RuntimeFixture, OldRuntimeRejectsNewPlan) {
   const graph::Model lm = graph::BuildNextWordModel(8, 2, 3, 4, model_rng);
   const plan::FLPlan p = plan::MakeTrainingPlan(lm, "lm", {}, {});
   const auto result =
-      old_runtime.ExecutePlan(p, lm.init_params, SimTime{1}, rng);
+      Execute(old_runtime, p, lm.init_params, rng);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), ErrorCode::kFailedPrecondition);
 }
@@ -73,7 +84,7 @@ TEST_F(RuntimeFixture, MissingStoreReported) {
   plan::FLPlan p = TrainingPlan();
   p.device.selector.store_name = "nonexistent";
   const auto result =
-      runtime.ExecutePlan(p, model.init_params, SimTime{1}, rng);
+      Execute(runtime, p, model.init_params, rng);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), ErrorCode::kNotFound);
 }
@@ -83,7 +94,7 @@ TEST_F(RuntimeFixture, InsufficientDataReported) {
   plan::FLPlan p = TrainingPlan();
   p.device.selector.min_examples = 1000;
   const auto result =
-      runtime.ExecutePlan(p, model.init_params, SimTime{1}, rng);
+      Execute(runtime, p, model.init_params, rng);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), ErrorCode::kFailedPrecondition);
 }
@@ -93,7 +104,7 @@ TEST_F(RuntimeFixture, TrainingImprovesLocalLoss) {
   plan::FLPlan p = TrainingPlan();
   p.device.epochs = 10;
   const auto result =
-      runtime.ExecutePlan(p, model.init_params, SimTime{1}, rng);
+      Execute(runtime, p, model.init_params, rng);
   ASSERT_TRUE(result.ok());
   // Apply the (normalized) update and evaluate: loss should improve.
   Checkpoint after = model.init_params;
@@ -103,10 +114,49 @@ TEST_F(RuntimeFixture, TrainingImprovesLocalLoss) {
   const plan::FLPlan eval = plan::MakeEvaluationPlan(model, "e", {});
   Rng rng2(43);
   const auto before_m =
-      runtime.ExecutePlan(eval, model.init_params, SimTime{1}, rng2);
-  const auto after_m = runtime.ExecutePlan(eval, after, SimTime{1}, rng2);
+      Execute(runtime, eval, model.init_params, rng2);
+  const auto after_m = Execute(runtime, eval, after, rng2);
   ASSERT_TRUE(before_m.ok() && after_m.ok());
   EXPECT_LT(after_m->metrics.mean_loss, before_m->metrics.mean_loss);
+}
+
+TEST_F(RuntimeFixture, EmptySelectionFailsBeforeAnyDraw) {
+  FlRuntime runtime(graph::kCurrentRuntimeVersion, &registry);
+  plan::FLPlan p = TrainingPlan();
+  p.device.selector.min_examples = 0;
+  p.device.selector.max_example_age = Millis(1);  // every example is older
+  Rng probe = rng;
+  const auto job =
+      runtime.PreparePlan(p, model.init_params, SimTime{Hours(1).millis}, rng);
+  ASSERT_FALSE(job.ok());
+  EXPECT_EQ(job.status().code(), ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(rng.Next(), probe.Next());  // the device RNG was not touched
+}
+
+// The prepared job draws the same orders RunClientUpdate's Rng overload
+// draws, and gives the same bits on another thread, after the device RNG
+// has moved on.
+TEST_F(RuntimeFixture, PreparedJobMatchesRunClientUpdateOnAnyThread) {
+  FlRuntime runtime(graph::kCurrentRuntimeVersion, &registry);
+  const plan::FLPlan p = TrainingPlan();
+  const auto examples = store_ptr->Query(p.device.selector, SimTime{1});
+  ASSERT_TRUE(examples.ok());
+  Rng direct_rng = rng;
+  const auto direct =
+      fedavg::RunClientUpdate(p.device, model.init_params, *examples,
+                              graph::kCurrentRuntimeVersion, direct_rng);
+  ASSERT_TRUE(direct.ok()) << direct.status();
+
+  auto job = runtime.PreparePlan(p, model.init_params, SimTime{1}, rng);
+  ASSERT_TRUE(job.ok()) << job.status();
+  EXPECT_EQ(rng.Next(), direct_rng.Next());  // same draws, same count
+  Result<TaskExecution> off_thread = InternalError("not run");
+  std::thread worker([&] { off_thread = job->Run(); });
+  worker.join();
+  ASSERT_TRUE(off_thread.ok()) << off_thread.status();
+  EXPECT_EQ(off_thread->update->weighted_delta.Flatten(),
+            direct->weighted_delta.Flatten());
+  EXPECT_EQ(off_thread->metrics.mean_loss, direct->metrics.mean_loss);
 }
 
 TEST(ComputeDurationTest, ScalesWithWorkAndSpeed) {

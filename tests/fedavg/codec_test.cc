@@ -9,8 +9,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <set>
 
+#include "src/common/crc32.h"
 #include "src/common/fixed_point.h"
 #include "src/common/rng.h"
 
@@ -84,6 +86,47 @@ TEST(CodecTest, TopKKeepsLargestMagnitudesAndZeroFills) {
       EXPECT_EQ((*dec)[i], 0.0f) << i;
     }
   }
+}
+
+// Top-k over vectors drawn from five magnitudes, so most of the k-th
+// magnitude's coordinates tie: the kept set is the k largest magnitudes,
+// ties broken toward the lower index, and the encoded bytes of every case
+// (dense and int8) are pinned by one CRC.
+TEST(CodecTest, TopKOverTiedMagnitudesKeepsLowestIndicesAndIsPinned) {
+  Rng rng(2025);
+  const float levels[] = {0.0f, 0.25f, 0.5f, 1.0f, 2.0f};
+  std::vector<std::uint8_t> all_bytes;
+  for (std::size_t n : {1u, 2u, 3u, 7u, 8u, 64u, 255u, 1000u, 4097u}) {
+    for (double topk : {0.01, 0.1, 0.25, 0.5, 0.9}) {
+      std::vector<float> update(n);
+      for (float& x : update) {
+        x = levels[rng.UniformInt(5)];
+        if (rng.UniformInt(2) == 1) x = -x;
+      }
+      std::vector<std::uint32_t> order(n);
+      std::iota(order.begin(), order.end(), 0u);
+      std::stable_sort(order.begin(), order.end(),
+                       [&](std::uint32_t a, std::uint32_t b) {
+                         return std::abs(update[a]) > std::abs(update[b]);
+                       });
+      std::vector<float> expected(n, 0.0f);
+      for (std::size_t i = 0; i < KeepCount(n, topk); ++i) {
+        expected[order[i]] = update[order[i]];
+      }
+      for (std::uint8_t bits : {32, 8}) {
+        const EncodedUpdate enc =
+            EncodeUpdate(update, Config(false, topk, bits), n);
+        all_bytes.insert(all_bytes.end(), enc.payload.begin(),
+                         enc.payload.end());
+        if (bits != 32) continue;
+        auto dec = DecodeUpdate(enc.payload);
+        ASSERT_TRUE(dec.ok()) << dec.status().ToString();
+        EXPECT_EQ(*dec, expected) << "n=" << n << " topk=" << topk;
+      }
+    }
+  }
+  EXPECT_EQ(all_bytes.size(), 54247u);
+  EXPECT_EQ(Crc32(all_bytes), 0x858823cdu);
 }
 
 TEST(CodecTest, QuantizationErrorBoundedByOneLevel) {

@@ -199,6 +199,35 @@ TEST_F(TraceTest, ChromeTraceJsonMatchesExpectedStructure) {
   EXPECT_EQ(events, 3u);
 }
 
+// A run that stops mid-round exports the round's finished phase spans but
+// not the round itself: they are written as roots, with no flow arrow.
+TEST(ChromeTraceTest, SpanWhoseParentIsNotExportedIsARoot) {
+  SpanRecord phase;
+  phase.id = 7;
+  phase.parent = 42;  // an open round: not in the exported set
+  phase.flow_parent = true;
+  phase.name = "phase:selection";
+  phase.sim_start = SimTime{1000};
+  phase.sim_end = SimTime{2000};
+  SpanRecord child;
+  child.id = 8;
+  child.parent = 7;
+  child.name = "device_session";
+  child.sim_start = SimTime{1500};
+  child.sim_end = SimTime{1800};
+
+  const std::string json = ChromeTraceJson({phase, child});
+  EXPECT_EQ(json.find("\"parent\":\"42\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"span_id\":\"7\",\"parent\":\"0\""),
+            std::string::npos)
+      << json;
+  // A parent that is exported is kept.
+  EXPECT_NE(json.find("\"span_id\":\"8\",\"parent\":\"7\""),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.find("\"ph\":\"s\""), std::string::npos) << json;
+}
+
 TEST_F(TraceTest, ClearResetsOpenAndCompleted) {
   auto& tracer = Tracer::Global();
   const auto a = tracer.Begin("open_forever");
