@@ -151,10 +151,11 @@ void FLSystem::AddTask(const std::string& name, plan::VersionedPlanSet plans,
   //    0.57-0.91x at 2^15 (8 x 4 096, 32 x 1 024); or
   //  - one client update's training work (parameters x epochs x batch size)
   //    of at least kTrainingPoolMinWork. bench_parallel_rounds' cutoff sweep
-  //    measures that crossover: a plain fleet whose updates ran as pool jobs
-  //    took 1.03-1.09x its serial wall time at 2^14-2^16 (a 64 -> 8 LR at 1
-  //    to 4 epochs; a thread makes every allocation on the loop dearer),
-  //    0.92-1.01x at 2^17 and 0.29-0.45x at 2^18 and above.
+  //    measures that crossover on a plain fleet (a 64 -> 8 LR at 1 to 32
+  //    epochs). Over four runs, pooled took 0.66-1.09x its serial wall time
+  //    at 2^14-2^16, faster in only 3 of those 12 medians (a second thread
+  //    makes every allocation on the loop dearer); 0.50-1.01x at 2^17; and
+  //    0.29-0.45x at 2^18 and above.
   // ParallelFor's caller and Handle::Wait take part, so
   // hardware_concurrency - 1 workers fill the machine; the output bits are
   // the same with or without the pool.
