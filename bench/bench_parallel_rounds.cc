@@ -5,13 +5,14 @@
 // Aggregator (Sec. 4.2); here the same reduction tree runs in-process with
 // one accumulator shard per worker thread.
 //
-// A second sweep sizes FLSystem's compute-pool cutoff for device training:
-// one plain fleet whose 64 -> 8 logistic regression trains for 1 to 32
-// epochs, so only the training work per update (parameters x epochs x batch
-// size) grows, run with its client updates on the event loop and again as
-// compute-pool jobs. Each run is a forked child, so the serial run's
-// allocator has never seen a second thread. The cutoff is the training work
-// from which the pooled fleet is faster.
+// A second sweep, run first because its children must fork before this
+// process starts a thread, sizes FLSystem's compute-pool cutoff for device
+// training. It runs one plain fleet whose 64 -> 8 logistic regression
+// trains for 1 to 32 epochs, so only the training work per update
+// (parameters x epochs x batch size) grows, with its client updates on the
+// event loop and again as compute-pool jobs. Each run is a forked child, so
+// the serial run's allocator has never seen a second thread. The cutoff is
+// the training work from which the pooled fleet is faster.
 //
 // Results go to stdout and, machine-readable, to BENCH_parallel_rounds.json
 // in the current directory (threads, seconds, rounds/sec, client updates/s,
