@@ -9,10 +9,12 @@
 // process starts a thread, sizes FLSystem's compute-pool cutoff for device
 // training. It runs one plain fleet whose 64 -> 8 logistic regression
 // trains for 1 to 32 epochs, so only the training work per update
-// (parameters x epochs x batch size) grows, with its client updates on the
-// event loop and again as compute-pool jobs. Each run is a forked child, so
-// the serial run's allocator has never seen a second thread. The cutoff is
-// the training work from which the pooled fleet is faster.
+// (parameters x epochs x batch size) grows, and then a 1 024 -> 8 one for
+// 1 to 8 epochs, whose parameters also widen the loop's per-example work
+// (generating and querying examples). Each runs with its client updates on
+// the event loop and again as compute-pool jobs. Each run is a forked
+// child, so the serial run's allocator has never seen a second thread. The
+// cutoff is the work from which the pooled fleet is faster.
 //
 // Results go to stdout and, machine-readable, to BENCH_parallel_rounds.json
 // in the current directory (threads, seconds, rounds/sec, client updates/s,
@@ -46,6 +48,7 @@ struct SweepPoint {
 };
 
 struct CutoffPoint {
+  std::size_t features = 0;
   std::size_t epochs = 0;
   std::size_t work = 0;  // parameters x epochs x batch size
   std::size_t rounds = 0;
@@ -63,11 +66,12 @@ struct FleetRun {
   std::size_t rounds = 0;
 };
 
-// Two simulated hours of a 3 000-device plain fleet training a 64 -> 8
-// logistic regression for `epochs` epochs (40 examples per device, batch
-// 32), in a forked child whose pool cutoff is `min_work`. Devices train at
-// 200 examples/s, so the epochs barely move the simulated schedule.
-FleetRun TimeFleetInChild(std::size_t epochs, std::size_t min_work) {
+// Two simulated hours of a 3 000-device plain fleet training a `features`
+// -> 8 logistic regression for `epochs` epochs (40 examples per device,
+// batch 32), in a forked child whose pool cutoff is `min_work`. Devices
+// train at 200 examples/s, so the epochs barely move the simulated schedule.
+FleetRun TimeFleetInChild(std::size_t features, std::size_t epochs,
+                          std::size_t min_work) {
   int fds[2];
   FL_CHECK(::pipe(fds) == 0);
   std::fflush(stdout);
@@ -98,10 +102,11 @@ FleetRun TimeFleetInChild(std::size_t epochs, std::size_t min_work) {
     hyper.learning_rate = 0.1f;
     hyper.epochs = epochs;
     system.AddTrainingTask("train",
-                           graph::BuildLogisticRegression(64, 8, model_rng),
+                           graph::BuildLogisticRegression(features, 8,
+                                                          model_rng),
                            hyper, {}, rc, Seconds(30));
     auto blobs = std::make_shared<data::BlobsWorkload>(
-        data::BlobsParams{.classes = 8, .feature_dim = 64}, 5);
+        data::BlobsParams{.classes = 8, .feature_dim = features}, 5);
     system.ProvisionData([blobs](const sim::DeviceProfile& profile,
                                  core::DeviceAgent& agent, Rng&, SimTime now) {
       agent.GetOrCreateStore("default").AddBatch(
@@ -134,15 +139,17 @@ FleetRun TimeFleetInChild(std::size_t epochs, std::size_t min_work) {
 
 // Serial and pooled runs alternate over `reps` pairs so drift on a shared
 // host hits both; both must commit the same rounds.
-CutoffPoint CutoffCost(std::size_t epochs, std::size_t reps) {
+CutoffPoint CutoffCost(std::size_t features, std::size_t epochs,
+                       std::size_t reps) {
   constexpr std::size_t kNever = ~std::size_t{0};
   CutoffPoint p;
+  p.features = features;
   p.epochs = epochs;
-  p.work = (64 * 8 + 8) * epochs * 32;
+  p.work = (features * 8 + 8) * epochs * 32;
   std::vector<double> serial, pooled;
   for (std::size_t r = 0; r < reps; ++r) {
-    const FleetRun s = TimeFleetInChild(epochs, kNever);
-    const FleetRun q = TimeFleetInChild(epochs, 0);
+    const FleetRun s = TimeFleetInChild(features, epochs, kNever);
+    const FleetRun q = TimeFleetInChild(features, epochs, 0);
     FL_CHECK(s.rounds > 0 && s.rounds == q.rounds);
     p.rounds = s.rounds;
     serial.push_back(s.run_s);
@@ -166,15 +173,19 @@ int main() {
   // starts a thread. ---
   std::vector<CutoffPoint> cutoff;
   for (std::size_t epochs : {1u, 2u, 4u, 8u, 16u, 32u}) {
-    cutoff.push_back(CutoffCost(epochs, 5));
+    cutoff.push_back(CutoffCost(64, epochs, 5));
   }
-  std::printf("\nTraining pool cutoff sweep (3 000-device plain fleet, 64 -> 8 "
-              "LR, 2 sim-h, median of 5 paired runs):\n");
-  std::printf("%7s %9s %7s %10s %10s %8s\n", "epochs", "work", "rounds",
-              "serial s", "pooled s", "ratio");
+  for (std::size_t epochs : {1u, 2u, 4u, 8u}) {
+    cutoff.push_back(CutoffCost(1024, epochs, 5));
+  }
+  std::printf("\nTraining pool cutoff sweep (3 000-device plain fleet, "
+              "features -> 8 LR, 2 sim-h, median of 5 paired runs):\n");
+  std::printf("%8s %7s %9s %7s %10s %10s %8s\n", "features", "epochs", "work",
+              "rounds", "serial s", "pooled s", "ratio");
   for (const CutoffPoint& p : cutoff) {
-    std::printf("%7zu %9zu %7zu %10.3f %10.3f %8.3f\n", p.epochs, p.work,
-                p.rounds, p.serial_s, p.pooled_s, p.pooled_s / p.serial_s);
+    std::printf("%8zu %7zu %9zu %7zu %10.3f %10.3f %8.3f\n", p.features,
+                p.epochs, p.work, p.rounds, p.serial_s, p.pooled_s,
+                p.pooled_s / p.serial_s);
   }
 
   // nextword-convergence-sized: Markov keyboard corpus, embedding+tanh LM.
@@ -265,6 +276,7 @@ int main() {
   json.EndArray().BeginArray("pool_cutoff_sweep");
   for (const CutoffPoint& p : cutoff) {
     json.BeginObject()
+        .Field("features", p.features)
         .Field("epochs", p.epochs)
         .Field("training_work", p.work)
         .Field("rounds_committed", p.rounds)

@@ -35,6 +35,18 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
+bool ThreadPool::RunOneQueued() {
+  std::function<void()> task;
+  {
+    std::lock_guard<std::mutex> lk(queue_mu_);
+    if (tasks_.empty()) return false;
+    task = std::move(tasks_.front());
+    tasks_.pop();
+  }
+  task();
+  return true;
+}
+
 void ThreadPool::EnqueueLocked(std::function<void()> task) {
   if (!queue_wait_observer_) {
     tasks_.push(std::move(task));
@@ -56,6 +68,7 @@ ThreadPool::Handle ThreadPool::Submit(std::function<void()> task) {
   auto state = std::make_shared<Submitted>();
   state->task = std::move(task);
   if (!workers_.empty()) {
+    state->pool = this;
     {
       std::lock_guard<std::mutex> lk(queue_mu_);
       EnqueueLocked([state] { RunIfUnclaimed(*state); });
@@ -113,6 +126,15 @@ void ThreadPool::Handle::Wait() {
   if (state_ == nullptr) return;
   const std::shared_ptr<Submitted> s = std::move(state_);
   RunIfUnclaimed(*s);
+  // A worker has it: rather than sleep, take on work the workers have not
+  // reached yet.
+  for (;;) {
+    {
+      std::lock_guard<std::mutex> lk(s->mu);
+      if (s->stage == Submitted::Stage::kDone) break;
+    }
+    if (s->pool == nullptr || !s->pool->RunOneQueued()) break;
+  }
   std::unique_lock<std::mutex> lk(s->mu);
   s->done_cv.wait(lk, [&] { return s->stage == Submitted::Stage::kDone; });
   if (s->error) std::rethrow_exception(s->error);

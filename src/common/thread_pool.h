@@ -61,8 +61,10 @@ class ThreadPool {
     ~Handle() { Cancel(); }
 
     // Runs the task on the calling thread if no worker has claimed it yet,
-    // else blocks until its worker finishes; the handle is empty afterwards.
+    // else runs other queued pool tasks until its worker finishes, and
+    // blocks only when the queue is empty; the handle is empty afterwards.
     // Rethrows what the task threw. Returns at once on an empty handle.
+    // Must not race the pool's destruction.
     void Wait();
 
    private:
@@ -111,6 +113,7 @@ class ThreadPool {
     Stage stage = Stage::kQueued;
     std::function<void()> task;  // released once claimed or cancelled
     std::exception_ptr error;
+    ThreadPool* pool = nullptr;  // whose queue Wait() helps drain
   };
 
   static void RunIterations(ForState& s);
@@ -120,6 +123,9 @@ class ThreadPool {
   // Appends to the worker queue, timing the wait if an observer is set.
   // Caller holds queue_mu_.
   void EnqueueLocked(std::function<void()> task);
+  // Pops and runs one queued task on the calling thread; false when the
+  // queue is empty.
+  bool RunOneQueued();
   void WorkerLoop();
 
   std::mutex queue_mu_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "src/fedavg/codec.h"
 #include "src/profiler/profiler.h"
 
 namespace fl::core {
@@ -23,14 +22,12 @@ crypto::Key256 RandomKey(Rng& rng) {
 
 // Coarse wire sizes for SecAgg control messages (payload + framing).
 std::uint64_t AdvertiseBytes() { return 48; }
-std::uint64_t ShareKeysBytes(const secagg::ShareKeysMessage& m) {
-  std::uint64_t b = 16;
-  for (const auto& s : m.shares) b += s.ciphertext.size() + 12;
-  return b;
+// Each is known before the job that builds the message runs.
+std::uint64_t ShareKeysBytes(const secagg::SecAggClient::ShareKeysJob& job) {
+  return 16 + job.CiphertextBytes() + 12 * job.bundles.size();
 }
-std::uint64_t MaskedBytes(const secagg::MaskedInput& m,
-                          std::uint8_t ring_bits) {
-  return 16 + secagg::MaskedVectorWireBytes(m.masked.size(), ring_bits);
+std::uint64_t MaskedBytes(std::size_t words, std::uint8_t ring_bits) {
+  return 16 + secagg::MaskedVectorWireBytes(words, ring_bits);
 }
 std::uint64_t UnmaskBytes(const secagg::UnmaskingResponse& r) {
   return 16 + 16 * (r.mask_key_shares.size() + 5 * r.self_seed_shares.size());
@@ -297,9 +294,9 @@ void DeviceAgent::OnAssigned(std::uint64_t gen,
   s.codec = assignment.codec;
   s.secagg = assignment.secagg_spec;
   if (s.secagg) {
-    s.sa_client.emplace(assignment.secagg_index, assignment.secagg_threshold,
-                        s.secagg->vector_length(), RandomKey(rng_),
-                        s.secagg->ring_bits);
+    s.sa_client = std::make_shared<secagg::SecAggClient>(
+        assignment.secagg_index, assignment.secagg_threshold,
+        s.secagg->vector_length(), RandomKey(rng_), s.secagg->ring_bits);
     s.sa_client->SetThreadPool(services_->compute_pool);
     // Round 0: advertise keys right away, overlapping with training.
     const secagg::KeyAdvertisement adv = s.sa_client->AdvertiseKeys();
@@ -359,24 +356,38 @@ void DeviceAgent::StartTraining(std::uint64_t gen, plan::FLPlan plan,
   }
   const Duration compute = device::EstimateComputeDuration(
       job->plan, job->examples.size(), profile_);
+  if (job->plan.device.kind == plan::TaskKind::kTraining) {
+    // The job also encodes the update for upload.
+    device::UploadEncoding& upload = job->upload;
+    if (s.secagg) {
+      upload.kind = device::UploadEncoding::Kind::kSecAgg;
+      upload.secagg = *s.secagg;
+    } else if (s.codec.enabled()) {
+      upload.kind = device::UploadEncoding::Kind::kCodec;
+      upload.codec = s.codec;
+      // Peek at the encode seed, do not draw it: a session interrupted
+      // before BeginUpload never draws it, so a draw here would shift every
+      // later draw on this device. BeginUpload draws it and checks.
+      Rng peek = rng_;
+      s.codec_seed = upload.codec_seed = peek.Next();
+    } else {
+      upload.kind = device::UploadEncoding::Kind::kSerialize;
+    }
+  }
 
   // The computation is pure and its wall-clock cost is simulated, so it
   // runs on the compute pool while the loop moves on; the job owns its
   // inputs, so a session that ends first just drops it.
   s.plan_run.result =
       std::make_shared<std::optional<Result<device::TaskExecution>>>();
-  auto run = [job = std::move(job).value(), result = s.plan_run.result,
-              round = s.round.value]() mutable {
+  s.plan_run.done = RunJob([job = std::move(job).value(),
+                            result = s.plan_run.result,
+                            round = s.round.value]() mutable {
     const profiler::ScopedPhase worker_scope(profiler::Phase::kTraining,
                                              round);
     *result = job.Run();
     job = {};  // the inputs are freed inside the training tag too
-  };
-  if (services_->compute_pool != nullptr) {
-    s.plan_run.done = services_->compute_pool->Submit(std::move(run));
-  } else {
-    run();
-  }
+  });
   services_->queue->After(compute, [this, gen] {
     if (!Active(gen)) return;
     FinishTraining(gen);
@@ -395,7 +406,7 @@ void DeviceAgent::FinishTraining(std::uint64_t gen) {
     return;
   }
   s.metrics = result->metrics;
-  s.update = std::move(result->update);
+  s.upload = std::move(result->upload);
   s.trained = true;
   AddTrace(SessionEvent::kTrainingCompleted);
   if (s.secagg) {
@@ -419,21 +430,20 @@ void DeviceAgent::BeginUpload(std::uint64_t gen) {
   report.metrics = s.metrics;
 
   std::uint64_t wire_bytes = 256;  // metrics-only floor (evaluation tasks)
-  if (s.update.has_value()) {
-    report.weight = s.update->weight;
+  if (s.upload.has_value()) {
+    report.weight = s.upload->weight;
     if (s.codec.enabled()) {
       // Codec path (Sec. 11, Bandwidth): the encoded payload itself travels;
-      // the Aggregator decodes and accumulates.
-      const std::vector<float> flat = s.update->weighted_delta.Flatten();
-      fedavg::EncodedUpdate wire =
-          fedavg::EncodeUpdate(flat, s.codec, rng_.Next());
-      wire_bytes = wire.WireBytes();
-      report.update_bytes = std::move(wire.payload);
+      // the Aggregator decodes and accumulates. The plan job encoded it
+      // with the seed StartTraining peeked; the draw still happens here,
+      // and a draw that slipped in between would have changed the bits.
+      const std::uint64_t seed = rng_.Next();
+      FL_CHECK_MSG(seed == s.codec_seed,
+                   "device RNG drawn between StartTraining and BeginUpload");
       report.codec_encoded = true;
-    } else {
-      report.update_bytes = s.update->weighted_delta.Serialize();
-      wire_bytes = report.update_bytes.size() + 64;
     }
+    wire_bytes = s.upload->wire_bytes;
+    report.update_bytes = std::move(s.upload->bytes);
   } else {
     report.weight = static_cast<float>(s.metrics.example_count);
   }
@@ -501,6 +511,30 @@ void DeviceAgent::OnClosed(std::uint64_t gen) {
 // Secure Aggregation client-side rounds.
 // ---------------------------------------------------------------------------
 
+common::ThreadPool::Handle DeviceAgent::RunJob(std::function<void()> job) {
+  if (services_->compute_pool != nullptr) {
+    return services_->compute_pool->Submit(std::move(job));
+  }
+  job();
+  return {};
+}
+
+secagg::SecAggClient& DeviceAgent::SecAgg() {
+  session_->sa_job.Wait();
+  return *session_->sa_client;
+}
+
+void DeviceAgent::RunSecAggJob(
+    std::function<void(secagg::SecAggClient&)> job) {
+  Session& s = *session_;
+  s.sa_job.Wait();
+  s.sa_job = RunJob([client = s.sa_client, job = std::move(job),
+                     round = s.round.value] {
+    const profiler::ScopedPhase worker_scope(profiler::Phase::kSecAgg, round);
+    job(*client);
+  });
+}
+
 void DeviceAgent::SendSecAggUpload(std::uint64_t gen, std::uint64_t bytes,
                                    std::function<void()> send) {
   const sim::TransferOutcome t =
@@ -516,20 +550,29 @@ void DeviceAgent::SendSecAggUpload(std::uint64_t gen, std::uint64_t bytes,
   });
 }
 
+// Each SecAgg reply below is prepared on the loop, which fixes its wire
+// size, so the transfer is sampled when the message arrives; the crypto
+// runs as the client's job, collected when the reply reaches the server.
+
 void DeviceAgent::OnSecAggDirectory(std::uint64_t gen,
                                     const server::SecAggDirectoryMsg& m) {
   if (!Active(gen) || !session_->sa_client) return;
   const profiler::ScopedPhase profile_scope(profiler::Phase::kSecAgg,
                                             session_->round.value);
-  auto shares = session_->sa_client->ShareKeys(m.directory);
-  if (!shares.ok()) return;
-  const std::uint64_t bytes = ShareKeysBytes(*shares);
-  SendSecAggUpload(gen, bytes, [this, msg = std::move(shares).value(),
-                                bytes]() mutable {
+  auto job = SecAgg().PrepareShareKeys(m.directory);
+  if (!job.ok()) return;
+  const std::uint64_t bytes = ShareKeysBytes(*job);
+  auto sealed = std::make_shared<std::optional<secagg::ShareKeysMessage>>();
+  RunSecAggJob([job = std::move(job).value(),
+                sealed](secagg::SecAggClient& client) mutable {
+    *sealed = client.SealShares(std::move(job));
+  });
+  SendSecAggUpload(gen, bytes, [this, sealed, bytes] {
+    session_->sa_job.Wait();
     server::SecAggShareKeysMsg out;
     out.device = profile_.id;
     out.round = session_->round;
-    out.message = std::move(msg);
+    out.message = std::move(**sealed);
     out.upload_wire_bytes = bytes;
     services_->frontend->SecAggShareKeys(session_->aggregator, out);
   });
@@ -538,9 +581,8 @@ void DeviceAgent::OnSecAggDirectory(std::uint64_t gen,
 void DeviceAgent::OnSecAggShares(std::uint64_t gen,
                                  const server::SecAggSharesMsg& m) {
   if (!Active(gen) || !session_->sa_client) return;
-  for (const secagg::EncryptedShare& s : m.shares) {
-    session_->sa_client->ReceiveShare(s);
-  }
+  secagg::SecAggClient& client = SecAgg();
+  for (const secagg::EncryptedShare& s : m.shares) client.ReceiveShare(s);
   session_->sa_u1 = m.u1;
   MaybeSendMaskedInput(gen);
 }
@@ -548,32 +590,36 @@ void DeviceAgent::OnSecAggShares(std::uint64_t gen,
 void DeviceAgent::MaybeSendMaskedInput(std::uint64_t gen) {
   Session& s = *session_;
   if (!s.trained || !s.sa_u1.has_value() || s.sa_masked_sent ||
-      !s.sa_client.has_value()) {
+      !s.sa_client) {
     return;
   }
-  if (!s.update.has_value()) return;  // evaluation tasks skip secagg
+  if (!s.upload.has_value()) return;  // evaluation tasks skip secagg
   s.sa_masked_sent = true;
   const profiler::ScopedPhase profile_scope(profiler::Phase::kSecAgg,
                                             s.round.value);
 
-  // Quantize update + trailing weight word with the assignment's spec, so
-  // device and Aggregator use identical fixed-point scales and — when the
-  // cohort sparsifies — the identical agreed coordinate subset.
-  const auto words = fedavg::EncodeSecAggInput(
-      *s.secagg, s.update->weighted_delta.Flatten(), s.update->weight);
-  if (!words.ok()) return;
-  auto masked = s.sa_client->MaskInput(*words, *s.sa_u1);
-  if (!masked.ok()) return;
+  // The plan job quantized the update + trailing weight word with the
+  // assignment's spec, so device and Aggregator use identical fixed-point
+  // scales and — when the cohort sparsifies — the identical agreed
+  // coordinate subset.
+  auto job =
+      SecAgg().PrepareMaskInput(std::move(s.upload->secagg_words), *s.sa_u1);
+  if (!job.ok()) return;
 
   AddTrace(SessionEvent::kUploadStarted);
   s.uploading = true;
-  const std::uint64_t bytes = MaskedBytes(*masked, s.secagg->ring_bits);
-  SendSecAggUpload(gen, bytes, [this, input = std::move(masked).value(),
-                                bytes]() mutable {
+  const std::uint64_t bytes = MaskedBytes(job->input.size(), s.secagg->ring_bits);
+  auto masked = std::make_shared<std::optional<secagg::MaskedInput>>();
+  RunSecAggJob([job = std::move(job).value(),
+                masked](secagg::SecAggClient& client) mutable {
+    *masked = client.RunMaskInput(std::move(job));
+  });
+  SendSecAggUpload(gen, bytes, [this, masked, bytes] {
+    session_->sa_job.Wait();
     server::SecAggMaskedInputMsg out;
     out.device = profile_.id;
     out.round = session_->round;
-    out.input = std::move(input);
+    out.input = std::move(**masked);
     out.metrics = session_->metrics;
     out.upload_wire_bytes = bytes;
     services_->frontend->SecAggMaskedInput(session_->aggregator, out);
@@ -591,15 +637,24 @@ void DeviceAgent::OnSecAggUnmask(std::uint64_t gen,
   if (!Active(gen) || !session_->sa_client) return;
   const profiler::ScopedPhase profile_scope(profiler::Phase::kSecAgg,
                                             session_->round.value);
-  auto resp = session_->sa_client->Unmask(m.request);
-  if (!resp.ok()) return;
-  const std::uint64_t bytes = UnmaskBytes(*resp);
-  SendSecAggUpload(gen, bytes, [this, gen, r = std::move(resp).value(),
-                                bytes]() mutable {
+  auto job = SecAgg().PrepareUnmask(m.request);
+  if (!job.ok()) return;
+  const std::uint64_t bytes = UnmaskBytes(job->response);
+  auto opened =
+      std::make_shared<std::optional<Result<secagg::UnmaskingResponse>>>();
+  RunSecAggJob([job = std::move(job).value(),
+                opened](secagg::SecAggClient& client) mutable {
+    *opened = client.OpenShares(std::move(job));
+  });
+  SendSecAggUpload(gen, bytes, [this, opened, bytes] {
+    session_->sa_job.Wait();
+    // A share that fails to open (no fleet sends one) leaves nothing to
+    // deliver; the session ends on its grace timer as if it were lost.
+    if (!(*opened)->ok()) return;
     server::SecAggUnmaskResponseMsg out;
     out.device = profile_.id;
     out.round = session_->round;
-    out.response = std::move(r);
+    out.response = std::move(**opened).value();
     out.upload_wire_bytes = bytes;
     services_->frontend->SecAggUnmaskResponse(session_->aggregator, out);
     EndSession(true);

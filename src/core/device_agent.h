@@ -106,13 +106,19 @@ class DeviceAgent {
     bool trained = false;
     bool uploading = false;
     bool reported_ok = false;
-    std::optional<fedavg::ClientUpdateResult> update;
+    // A training update, encoded by its plan job for upload.
+    std::optional<device::EncodedUpload> upload;
     fedavg::ClientMetrics metrics;
-    // Plain-path update codec for this round (from the assignment).
+    // Plain-path update codec for this round (from the assignment), and the
+    // encode seed StartTraining peeked for it (see BeginUpload).
     protocol::WireCodecConfig codec;
+    std::uint64_t codec_seed = 0;
     // Secure aggregation.
     std::optional<fedavg::SecAggVectorSpec> secagg;  // set iff secure round
-    std::optional<secagg::SecAggClient> sa_client;
+    // The client and the one job that may be using it: every loop access
+    // goes through SecAgg(), which waits for that job first.
+    std::shared_ptr<secagg::SecAggClient> sa_client;
+    common::ThreadPool::Handle sa_job;
     std::optional<std::vector<secagg::ParticipantIndex>> sa_u1;
     bool sa_masked_sent = false;
   };
@@ -144,6 +150,12 @@ class DeviceAgent {
   void FinishTraining(std::uint64_t gen);
   void BeginUpload(std::uint64_t gen);
   void MaybeSendMaskedInput(std::uint64_t gen);
+  // Runs `job` on the fleet's compute pool, or here when it has none.
+  common::ThreadPool::Handle RunJob(std::function<void()> job);
+  // The session's SecAgg client, once its outstanding job has finished.
+  secagg::SecAggClient& SecAgg();
+  // Hands `job` the client and runs it as the client's outstanding job.
+  void RunSecAggJob(std::function<void(secagg::SecAggClient&)> job);
   void SendSecAggUpload(std::uint64_t gen, std::uint64_t bytes,
                         std::function<void()> send);
 

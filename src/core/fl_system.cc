@@ -138,9 +138,9 @@ void FLSystem::AddEvaluationTask(const std::string& name,
 void FLSystem::AddTask(const std::string& name, plan::VersionedPlanSet plans,
                        const protocol::RoundConfig& round_config,
                        Duration cadence) {
-  // One compute pool serves the fleet: every device's plan job runs on it
-  // (collected at FinishTraining), and SecAgg masking (device side) and
-  // unmasking (Aggregator side) fan out over it. The first task with enough
+  // One compute pool serves the fleet: every device job runs on it (plan,
+  // upload encode and SecAgg client crypto), and SecAgg masking (device
+  // side) and unmasking (Aggregator side) fan out over it. The first task with enough
   // work to repay the pool's wake-ups starts it, and every later task
   // borrows it. Enough work is either
   //  - SecAgg mask work per Aggregator (masked vector length x
@@ -151,11 +151,14 @@ void FLSystem::AddTask(const std::string& name, plan::VersionedPlanSet plans,
   //    0.57-0.91x at 2^15 (8 x 4 096, 32 x 1 024); or
   //  - one client update's training work (parameters x epochs x batch size)
   //    of at least kTrainingPoolMinWork. bench_parallel_rounds' cutoff sweep
-  //    measures that crossover on a plain fleet (a 64 -> 8 LR at 1 to 32
-  //    epochs). Over four runs, pooled took 0.66-1.09x its serial wall time
-  //    at 2^14-2^16, faster in only 3 of those 12 medians (a second thread
-  //    makes every allocation on the loop dearer); 0.50-1.01x at 2^17; and
-  //    0.29-0.45x at 2^18 and above.
+  //    measures that crossover on a plain fleet, along epochs (a 64 -> 8 LR
+  //    at 1 to 32 epochs) and along width (a 1 024 -> 8 LR at 1 to 8). Over
+  //    five runs, pooled took 0.66-1.13x its serial wall time at 2^14-2^16,
+  //    faster in only 4 of those 15 medians (a second thread makes every
+  //    allocation on the loop dearer); 0.50-1.03x at 2^17; and 0.29-0.45x
+  //    at 2^18 and above. The width points, 2^18 to 2^21, took 0.31-0.55x
+  //    (0.84x at 2^18 with 5 000 devices): the job also encodes the update,
+  //    so the loop's per-parameter work no longer cancels the gain.
   // ParallelFor's caller and Handle::Wait take part, so
   // hardware_concurrency - 1 workers fill the machine; the output bits are
   // the same with or without the pool.

@@ -22,8 +22,7 @@ FleetStats::FleetStats(SimTime start, Duration bucket)
       completions_(start, bucket),
       round_duration_(0.0, 30.0, 120),      // minutes
       selection_duration_(0.0, 30.0, 120),  // minutes
-      participation_(0.0, 30.0, 120),       // minutes
-      drop_rate_monitor_("participant_drop_rate", {}) {}
+      participation_(0.0, 30.0, 120) {}     // minutes
 
 void FleetStats::On(const analytics::LifecycleEvent& e) {
   using analytics::JournalEventKind;
@@ -114,14 +113,6 @@ void FleetStats::OnDeviceStateChange(analytics::DeviceState from,
 void FleetStats::SampleStates(SimTime t) {
   for (std::size_t s = 0; s < live_counts_.size(); ++s) {
     state_series_[s].Add(t, static_cast<double>(live_counts_[s]));
-  }
-  // Feed the deviation monitor with the instantaneous drop share.
-  const double participating =
-      static_cast<double>(live_counts_[static_cast<std::size_t>(
-          analytics::DeviceState::kParticipating)]);
-  if (participating > 0) {
-    // Relative drop pressure; the monitor learns the diurnal baseline.
-    drop_rate_monitor_.Observe(t, participating);
   }
 }
 

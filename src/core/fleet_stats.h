@@ -14,7 +14,6 @@
 
 #include "src/analytics/events.h"
 #include "src/analytics/lifecycle.h"
-#include "src/analytics/monitor.h"
 #include "src/analytics/round_record.h"
 #include "src/analytics/timeseries.h"
 
@@ -84,10 +83,6 @@ class FleetStats {
   std::size_t rounds_committed() const { return rounds_committed_; }
   std::size_t rounds_abandoned() const { return rounds_abandoned_; }
 
-  analytics::DeviationMonitor& drop_rate_monitor() {
-    return drop_rate_monitor_;
-  }
-
  private:
   void RecordRound(const analytics::RoundRecord& r);
 
@@ -113,7 +108,6 @@ class FleetStats {
   std::uint64_t errors_ = 0;
   std::size_t rounds_committed_ = 0;
   std::size_t rounds_abandoned_ = 0;
-  analytics::DeviationMonitor drop_rate_monitor_;
 };
 
 }  // namespace fl::core

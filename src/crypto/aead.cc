@@ -19,7 +19,7 @@ Key256 MacKey(const Key256& enc_key) {
 Bytes AeadEncrypt(const Key256& key, const Nonce96& nonce,
                   std::span<const std::uint8_t> plaintext) {
   Bytes out;
-  out.reserve(nonce.size() + plaintext.size() + 32);
+  out.reserve(AeadCiphertextBytes(plaintext.size()));
   out.insert(out.end(), nonce.begin(), nonce.end());
   out.insert(out.end(), plaintext.begin(), plaintext.end());
   ChaCha20Xor(key, nonce, 1,
@@ -35,7 +35,7 @@ Bytes AeadEncrypt(const Key256& key, const Nonce96& nonce,
 
 Result<Bytes> AeadDecrypt(const Key256& key,
                           std::span<const std::uint8_t> ciphertext) {
-  if (ciphertext.size() < 12 + 32) {
+  if (ciphertext.size() < AeadCiphertextBytes(0)) {
     return DataLossError("AEAD ciphertext too short");
   }
   const std::size_t body_end = ciphertext.size() - 32;

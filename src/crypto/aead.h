@@ -13,6 +13,10 @@
 namespace fl::crypto {
 
 // Ciphertext layout: 12-byte nonce | body | 32-byte tag.
+constexpr std::size_t AeadCiphertextBytes(std::size_t plaintext_bytes) {
+  return 12 + plaintext_bytes + 32;
+}
+
 Bytes AeadEncrypt(const Key256& key, const Nonce96& nonce,
                   std::span<const std::uint8_t> plaintext);
 

@@ -39,7 +39,7 @@ DhKeyPair GenerateKeyPair(const Key256& randomness) {
 }
 
 Key256 Agree(const DhKeyPair& mine, std::uint64_t peer_public,
-             const std::string& label) {
+             std::string_view label) {
   const std::uint64_t shared = PowMod(peer_public, mine.secret, kDhPrime);
   std::uint8_t buf[8];
   for (int i = 0; i < 8; ++i) {

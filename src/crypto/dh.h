@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 
 #include "src/crypto/chacha20.h"
 #include "src/crypto/sha256.h"
@@ -33,6 +34,6 @@ DhKeyPair GenerateKeyPair(const Key256& randomness);
 // Computes the shared secret (peer_public)^secret and hashes it into a
 // 256-bit symmetric key, bound to `label` (e.g. "secagg-pairwise-mask").
 Key256 Agree(const DhKeyPair& mine, std::uint64_t peer_public,
-             const std::string& label);
+             std::string_view label);
 
 }  // namespace fl::crypto

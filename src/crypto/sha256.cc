@@ -193,7 +193,7 @@ Digest HmacSha256(std::span<const std::uint8_t> key,
 }
 
 Digest DeriveKey(std::span<const std::uint8_t> key_material,
-                 const std::string& label) {
+                 std::string_view label) {
   return HmacSha256(key_material,
                     std::span<const std::uint8_t>(
                         reinterpret_cast<const std::uint8_t*>(label.data()),

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "src/common/bytes.h"
 
@@ -57,7 +58,7 @@ Digest HmacSha256(std::span<const std::uint8_t> key,
 
 // HKDF-style expansion: derive a labelled subkey from input key material.
 Digest DeriveKey(std::span<const std::uint8_t> key_material,
-                 const std::string& label);
+                 std::string_view label);
 
 std::string DigestToHex(const Digest& d);
 

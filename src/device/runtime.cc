@@ -39,7 +39,35 @@ Result<TaskExecution> PlanJob::Run() const {
                         fedavg::RunClientUpdate(plan.device, global, examples,
                                                 runtime_version, orders));
     out.metrics = result.metrics;
-    out.update = std::move(result);
+    if (upload.kind == UploadEncoding::Kind::kNone) {
+      out.update = std::move(result);
+      return out;
+    }
+    EncodedUpload& up = out.upload.emplace();
+    up.weight = result.weight;
+    switch (upload.kind) {
+      case UploadEncoding::Kind::kSerialize:
+        up.bytes = result.weighted_delta.Serialize();
+        up.wire_bytes = up.bytes.size() + 64;
+        break;
+      case UploadEncoding::Kind::kCodec: {
+        fedavg::EncodedUpdate wire = fedavg::EncodeUpdate(
+            result.weighted_delta.Flatten(), upload.codec, upload.codec_seed);
+        up.wire_bytes = wire.WireBytes();
+        up.bytes = std::move(wire.payload);
+        break;
+      }
+      case UploadEncoding::Kind::kSecAgg: {
+        FL_ASSIGN_OR_RETURN(
+            up.secagg_words,
+            fedavg::EncodeSecAggInput(upload.secagg,
+                                      result.weighted_delta.Flatten(),
+                                      result.weight));
+        break;
+      }
+      case UploadEncoding::Kind::kNone:
+        break;
+    }
   } else {
     FL_ASSIGN_OR_RETURN(out.metrics,
                         fedavg::RunClientEvaluation(plan.device, global,

@@ -15,14 +15,40 @@
 #include "src/common/rng.h"
 #include "src/device/example_store.h"
 #include "src/fedavg/client_update.h"
+#include "src/fedavg/codec.h"
 #include "src/sim/availability.h"
 #include "src/tensor/checkpoint.h"
 
 namespace fl::device {
 
+// How a training job turns its update into what the device uploads, so the
+// caller only reads the payload's size. The default keeps the update as is.
+struct UploadEncoding {
+  enum class Kind : std::uint8_t {
+    kNone,       // TaskExecution::update
+    kSerialize,  // the weighted delta's checkpoint bytes
+    kCodec,      // fedavg::EncodeUpdate of the flattened delta (Sec. 11)
+    kSecAgg,     // fedavg::EncodeSecAggInput words, masked later (Sec. 6)
+  };
+  Kind kind = Kind::kNone;
+  protocol::WireCodecConfig codec;  // kCodec
+  std::uint64_t codec_seed = 0;     // kCodec: drives stochastic rounding
+  fedavg::SecAggVectorSpec secagg;  // kSecAgg
+};
+
+// A training update encoded per its UploadEncoding.
+struct EncodedUpload {
+  float weight = 0;         // n, the update weight
+  Bytes bytes;              // kSerialize, kCodec: the report's update bytes
+  std::uint64_t wire_bytes = 0;  // kSerialize, kCodec: bytes + framing
+  std::vector<std::uint32_t> secagg_words;  // kSecAgg
+};
+
 struct TaskExecution {
-  // Present for training plans; empty for evaluation plans.
+  // A training plan's result: the update itself (UploadEncoding::kNone) or
+  // its encoded upload. Both are empty for evaluation plans.
   std::optional<fedavg::ClientUpdateResult> update;
+  std::optional<EncodedUpload> upload;
   fedavg::ClientMetrics metrics;
 };
 
@@ -37,8 +63,10 @@ struct PlanJob {
   std::vector<data::Example> examples;
   std::vector<std::uint32_t> orders;  // training only (DrawEpochOrders)
   std::uint32_t runtime_version = 0;
+  UploadEncoding upload;  // training only
 
-  // RunClientUpdate for a training plan, RunClientEvaluation otherwise.
+  // RunClientUpdate for a training plan, then the upload encoding;
+  // RunClientEvaluation otherwise.
   Result<TaskExecution> Run() const;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string_view>
 
 #include "src/crypto/chacha20.h"
 #include "src/profiler/profiler.h"
@@ -9,10 +10,10 @@
 namespace fl::secagg {
 namespace {
 
-constexpr const char* kPairwiseLabel = "secagg-pairwise-mask";
-constexpr const char* kTransportLabel = "secagg-share-transport";
+constexpr std::string_view kPairwiseLabel = "secagg-pairwise-mask";
+constexpr std::string_view kTransportLabel = "secagg-share-transport";
 
-crypto::Key256 SubSeed(const crypto::Key256& root, const char* label) {
+crypto::Key256 SubSeed(const crypto::Key256& root, std::string_view label) {
   const crypto::Digest d = crypto::DeriveKey(
       std::span<const std::uint8_t>(root.data(), root.size()), label);
   crypto::Key256 k;
@@ -105,6 +106,20 @@ KeyAdvertisement SecAggClient::AdvertiseKeys() const {
 
 Result<ShareKeysMessage> SecAggClient::ShareKeys(
     const KeyDirectory& directory) {
+  FL_ASSIGN_OR_RETURN(ShareKeysJob job, PrepareShareKeys(directory));
+  return SealShares(std::move(job));
+}
+
+std::size_t SecAggClient::ShareKeysJob::CiphertextBytes() const {
+  std::size_t bytes = 0;
+  for (const Bundle& b : bundles) {
+    bytes += crypto::AeadCiphertextBytes(b.plaintext.size());
+  }
+  return bytes;
+}
+
+Result<SecAggClient::ShareKeysJob> SecAggClient::PrepareShareKeys(
+    const KeyDirectory& directory) {
   if (directory.size() < threshold_) {
     return FailedPreconditionError(
         "cohort of " + std::to_string(directory.size()) +
@@ -114,21 +129,16 @@ Result<ShareKeysMessage> SecAggClient::ShareKeys(
     return InvalidArgumentError("directory does not include this client");
   }
   directory_ = directory;
-  const std::size_t n = directory.size();
 
   // Shares are evaluated at participant indices; build them over the max
   // index so share.x == participant index for every member.
-  ParticipantIndex max_index = 0;
-  for (const auto& [idx, adv] : directory) {
-    max_index = std::max(max_index, idx);
-  }
+  const ParticipantIndex max_index = directory.rbegin()->first;
   FL_ASSIGN_OR_RETURN(
       std::vector<crypto::Share> key_shares,
       crypto::ShamirSplit(mask_keys_.secret, max_index, threshold_, rng_));
   FL_ASSIGN_OR_RETURN(
       std::vector<std::vector<crypto::Share>> seed_shares,
       crypto::ShamirSplitKey(self_seed_, max_index, threshold_, rng_));
-  (void)n;
 
   // Retain this client's own evaluation points so it can contribute them in
   // the unmasking round.
@@ -138,25 +148,32 @@ Result<ShareKeysMessage> SecAggClient::ShareKeys(
     own_seed_shares_.push_back(limb[index_ - 1]);
   }
 
-  ShareKeysMessage msg;
-  msg.index = index_;
+  ShareKeysJob job;
+  job.bundles.reserve(directory.size() - 1);
+  std::vector<crypto::Share> limbs;
   for (const auto& [peer, adv] : directory) {
     if (peer == index_) continue;
     // Shares for `peer` are the ones evaluated at x == peer.
-    const crypto::Share& ks = key_shares[peer - 1];
-    std::vector<crypto::Share> limbs;
-    limbs.reserve(seed_shares.size());
+    limbs.clear();
     for (const auto& limb : seed_shares) limbs.push_back(limb[peer - 1]);
+    job.bundles.push_back(ShareKeysJob::Bundle{
+        peer, adv.enc_public_key,
+        EncodeShareBundle(index_, peer, key_shares[peer - 1], limbs)});
+  }
+  return job;
+}
 
-    const Bytes plain = EncodeShareBundle(index_, peer, ks, limbs);
+ShareKeysMessage SecAggClient::SealShares(ShareKeysJob job) {
+  ShareKeysMessage msg;
+  msg.index = index_;
+  msg.shares.reserve(job.bundles.size());
+  for (ShareKeysJob::Bundle& b : job.bundles) {
     const crypto::Key256 transport =
-        crypto::Agree(enc_keys_, adv.enc_public_key, kTransportLabel);
-    EncryptedShare es;
-    es.from = index_;
-    es.to = peer;
-    es.ciphertext =
-        crypto::AeadEncrypt(transport, PairNonce(index_, peer), plain);
-    msg.shares.push_back(std::move(es));
+        crypto::Agree(enc_keys_, b.enc_public_key, kTransportLabel);
+    transport_keys_[b.to] = transport;
+    msg.shares.push_back(EncryptedShare{
+        index_, b.to,
+        crypto::AeadEncrypt(transport, PairNonce(index_, b.to), b.plaintext)});
   }
   return msg;
 }
@@ -169,6 +186,16 @@ void SecAggClient::ReceiveShare(const EncryptedShare& share) {
 Result<MaskedInput> SecAggClient::MaskInput(
     std::span<const std::uint32_t> input,
     const std::vector<ParticipantIndex>& u1) {
+  FL_ASSIGN_OR_RETURN(
+      MaskJob job,
+      PrepareMaskInput(std::vector<std::uint32_t>(input.begin(), input.end()),
+                       u1));
+  return RunMaskInput(std::move(job));
+}
+
+Result<SecAggClient::MaskJob> SecAggClient::PrepareMaskInput(
+    std::vector<std::uint32_t> input,
+    const std::vector<ParticipantIndex>& u1) {
   if (!directory_.has_value()) {
     return FailedPreconditionError("MaskInput before ShareKeys");
   }
@@ -178,36 +205,38 @@ Result<MaskedInput> SecAggClient::MaskInput(
   if (u1.size() < threshold_) {
     return FailedPreconditionError("too few round-1 survivors");
   }
-
-  const profiler::ScopedPhase profile_scope(profiler::Phase::kSecAgg);
-
-  MaskedInput out;
-  out.index = index_;
-  out.masked.assign(input.begin(), input.end());
-
-  // Self mask: + PRG(b_u), streamed straight into the masked vector.
-  crypto::PrgAccumulate(self_seed_, 0, +1,
-                        std::span<std::uint32_t>(out.masked));
-
-  // Pairwise masks: +PRG(s_uv) for u < v, -PRG(s_uv) for u > v. Validate
-  // the whole peer set up front (errors stay deterministic under any
-  // thread count), then fan the key agreements + fused expansions out.
-  struct Peer {
-    std::uint64_t mask_public_key = 0;
-    int sign = 0;
-  };
-  std::vector<Peer> peers;
-  peers.reserve(u1.size());
+  // Pairwise masks: +PRG(s_uv) for u < v, -PRG(s_uv) for u > v. The whole
+  // peer set is validated here, so errors stay deterministic under any
+  // thread count.
+  MaskJob job;
+  job.peers.reserve(u1.size());
   for (ParticipantIndex v : u1) {
     if (v == index_) continue;
     const auto it = directory_->find(v);
     if (it == directory_->end()) {
       return InvalidArgumentError("round-1 survivor not in key directory");
     }
-    peers.push_back(Peer{it->second.mask_public_key, index_ < v ? +1 : -1});
+    job.peers.push_back(
+        MaskJob::Peer{it->second.mask_public_key, index_ < v ? +1 : -1});
   }
+  job.input = std::move(input);
+  return job;
+}
 
-  const auto expand_into = [this](const Peer& p,
+MaskedInput SecAggClient::RunMaskInput(MaskJob job) const {
+  const profiler::ScopedPhase profile_scope(profiler::Phase::kSecAgg);
+
+  MaskedInput out;
+  out.index = index_;
+  out.masked = std::move(job.input);
+
+  // Self mask: + PRG(b_u), streamed straight into the masked vector.
+  crypto::PrgAccumulate(self_seed_, 0, +1,
+                        std::span<std::uint32_t>(out.masked));
+
+  // The key agreements + fused expansions fan out over the pool.
+  const std::vector<MaskJob::Peer>& peers = job.peers;
+  const auto expand_into = [this](const MaskJob::Peer& p,
                                   std::span<std::uint32_t> acc) {
     const crypto::Key256 seed =
         crypto::Agree(mask_keys_, p.mask_public_key, kPairwiseLabel);
@@ -219,7 +248,7 @@ Result<MaskedInput> SecAggClient::MaskInput(
           ? 1
           : std::min(peers.size(), pool_->size() + 1);
   if (shards <= 1) {
-    for (const Peer& p : peers) {
+    for (const MaskJob::Peer& p : peers) {
       expand_into(p, std::span<std::uint32_t>(out.masked));
     }
   } else {
@@ -244,58 +273,74 @@ Result<MaskedInput> SecAggClient::MaskInput(
   // arithmetic above, so the server's sum (reduced once at finalize) is
   // unchanged while each word ships as only ceil(r/8) bytes.
   if (ring_mask_ != 0xFFFFFFFFu) crypto::AddWords(out.masked, {}, ring_mask_);
-  committed_ = true;
   return out;
 }
 
 Result<UnmaskingResponse> SecAggClient::Unmask(
     const UnmaskingRequest& request) {
+  FL_ASSIGN_OR_RETURN(UnmaskJob job, PrepareUnmask(request));
+  return OpenShares(std::move(job));
+}
+
+Result<SecAggClient::UnmaskJob> SecAggClient::PrepareUnmask(
+    const UnmaskingRequest& request) const {
+  const auto contains = [](const std::vector<ParticipantIndex>& set,
+                           ParticipantIndex u) {
+    return std::find(set.begin(), set.end(), u) != set.end();
+  };
   // Security invariant: never reveal both the mask key share and the self
   // seed share of the same participant.
   for (ParticipantIndex d : request.dropped) {
-    if (std::find(request.survivors.begin(), request.survivors.end(), d) !=
-        request.survivors.end()) {
+    if (contains(request.survivors, d)) {
       return PermissionDeniedError(
           "request asks for both secrets of participant " +
           std::to_string(d));
     }
   }
 
-  UnmaskingResponse resp;
-  resp.index = index_;
+  UnmaskJob job;
+  job.response.index = index_;
   for (const StoredShare& stored : incoming_) {
-    const bool dropped =
-        std::find(request.dropped.begin(), request.dropped.end(),
-                  stored.from) != request.dropped.end();
-    const bool survived =
-        std::find(request.survivors.begin(), request.survivors.end(),
-                  stored.from) != request.survivors.end();
-    if (!dropped && !survived) continue;
+    const bool dropped = contains(request.dropped, stored.from);
+    if (!dropped && !contains(request.survivors, stored.from)) continue;
     FL_CHECK(directory_.has_value());
-    const auto it = directory_->find(stored.from);
-    if (it == directory_->end()) continue;
-    const crypto::Key256 transport =
-        crypto::Agree(enc_keys_, it->second.enc_public_key, kTransportLabel);
-    FL_ASSIGN_OR_RETURN(Bytes plain,
-                        crypto::AeadDecrypt(transport, stored.ciphertext));
-    FL_ASSIGN_OR_RETURN(auto bundle, DecodeShareBundle(plain));
-    if (bundle.from != stored.from || bundle.to != index_) {
-      return DataLossError("share bundle addressing mismatch");
+    if (directory_->count(stored.from) == 0) continue;
+    // A member with no kept key is this client itself: no share of ours
+    // ever comes back to us.
+    const auto key = transport_keys_.find(stored.from);
+    if (key == transport_keys_.end()) {
+      return DataLossError("share from participant " +
+                           std::to_string(stored.from) +
+                           " has no transport key");
     }
-    if (dropped) {
-      resp.mask_key_shares[stored.from] = {bundle.mask_key_share};
-    } else {
-      resp.self_seed_shares[stored.from] = bundle.seed_limb_shares;
-    }
+    job.sealed.push_back(UnmaskJob::Sealed{stored.from, dropped, key->second,
+                                           stored.ciphertext});
+    (dropped ? job.response.mask_key_shares
+             : job.response.self_seed_shares)[stored.from];
   }
 
   // Contribute this client's own shares of its own secrets.
-  if (std::find(request.survivors.begin(), request.survivors.end(), index_) !=
-          request.survivors.end() &&
-      !own_seed_shares_.empty()) {
-    resp.self_seed_shares[index_] = own_seed_shares_;
+  if (contains(request.survivors, index_) && !own_seed_shares_.empty()) {
+    job.response.self_seed_shares[index_] = own_seed_shares_;
   }
-  return resp;
+  return job;
+}
+
+Result<UnmaskingResponse> SecAggClient::OpenShares(UnmaskJob job) const {
+  for (const UnmaskJob::Sealed& s : job.sealed) {
+    FL_ASSIGN_OR_RETURN(Bytes plain, crypto::AeadDecrypt(s.key, s.ciphertext));
+    FL_ASSIGN_OR_RETURN(auto bundle, DecodeShareBundle(plain));
+    if (bundle.from != s.from || bundle.to != index_) {
+      return DataLossError("share bundle addressing mismatch");
+    }
+    if (s.dropped) {
+      job.response.mask_key_shares[s.from] = {bundle.mask_key_share};
+    } else {
+      job.response.self_seed_shares[s.from] =
+          std::move(bundle.seed_limb_shares);
+    }
+  }
+  return std::move(job.response);
 }
 
 }  // namespace fl::secagg

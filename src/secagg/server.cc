@@ -1,13 +1,14 @@
 #include "src/secagg/server.h"
 
 #include <algorithm>
+#include <string_view>
 
 #include "src/crypto/chacha20.h"
 #include "src/profiler/profiler.h"
 
 namespace fl::secagg {
 namespace {
-constexpr const char* kPairwiseLabel = "secagg-pairwise-mask";
+constexpr std::string_view kPairwiseLabel = "secagg-pairwise-mask";
 constexpr std::size_t kSeedLimbs = 5;
 }  // namespace
 

@@ -112,6 +112,21 @@ TEST(ThreadPoolTest, WaitRunsAnUnclaimedTaskInline) {
   busy.Join();
 }
 
+TEST(ThreadPoolTest, WaitOnAClaimedTaskRunsQueuedTasksMeanwhile) {
+  ThreadPool pool(1);
+  BusyWorker busy(pool);  // claimed by the only worker, running until freed
+  std::thread::id ran_on;
+  ThreadPool::Handle queued = pool.Submit([&] {
+    ran_on = std::this_thread::get_id();
+    busy.Release();
+  });
+  // The worker cannot reach the queued task; this thread runs it while it
+  // waits, which frees the worker's task.
+  busy.Join();
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  queued.Wait();
+}
+
 TEST(ThreadPoolTest, ZeroWorkerPoolRunsSubmittedTasksInWait) {
   int runs = 0;
   ThreadPool::Handle h;

@@ -3,7 +3,9 @@
 #include <numeric>
 #include <set>
 
+#include "src/common/crc32.h"
 #include "src/common/rng.h"
+#include "src/common/thread_pool.h"
 #include "src/secagg/client.h"
 #include "src/secagg/server.h"
 
@@ -388,6 +390,234 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(12, 8, 0.3),
                       std::make_tuple(20, 32, 0.1),
                       std::make_tuple(32, 8, 0.15)));
+
+// --- The split rounds: Prepare* on the caller, the crypto as pool jobs ---
+
+// One cohort of six (threshold 4, 3 000 words in a 16-bit ring), where
+// member 6 shares keys and then drops before committing. Transcript folds
+// every client message in protocol order into one CRC, and checks the sum.
+struct ClientTranscript {
+  std::uint32_t crc = 0;
+  bool sum_ok = false;
+};
+
+constexpr std::size_t kJobCohort = 6;
+constexpr std::size_t kJobThreshold = 4;
+constexpr std::size_t kJobWords = 3000;
+constexpr std::uint8_t kJobRingBits = 16;
+
+void FoldShares(const ShareKeysMessage& m, BytesWriter& w) {
+  w.WriteVarint(m.index);
+  for (const EncryptedShare& s : m.shares) {
+    w.WriteVarint(s.from);
+    w.WriteVarint(s.to);
+    w.WriteBytes(s.ciphertext);
+  }
+}
+
+void FoldMasked(const MaskedInput& m, BytesWriter& w) {
+  w.WriteVarint(m.index);
+  for (std::uint32_t x : m.masked) w.WriteU32(x);
+}
+
+void FoldResponse(const UnmaskingResponse& r, BytesWriter& w) {
+  w.WriteVarint(r.index);
+  for (const auto* shares : {&r.mask_key_shares, &r.self_seed_shares}) {
+    w.WriteVarint(shares->size());
+    for (const auto& [u, limbs] : *shares) {
+      w.WriteVarint(u);
+      for (const crypto::Share& s : limbs) {
+        w.WriteU64(s.x);
+        w.WriteU64(s.y);
+      }
+    }
+  }
+}
+
+// `pool` null: the one-call rounds. Otherwise every client first runs its
+// Prepare half here, then the second halves run as Submit()ted jobs (on a
+// zero-worker pool, inside Wait), with the clients' mask fan-out on `pool`
+// too.
+ClientTranscript RunClientTranscript(common::ThreadPool* pool) {
+  Rng rng(11);
+  std::vector<SecAggClient> clients;
+  std::vector<std::vector<std::uint32_t>> inputs(kJobCohort);
+  for (std::size_t i = 0; i < kJobCohort; ++i) {
+    clients.emplace_back(static_cast<ParticipantIndex>(i + 1), kJobThreshold,
+                         kJobWords, ClientRandomness(rng), kJobRingBits);
+    clients.back().SetThreadPool(pool);
+    inputs[i].resize(kJobWords);
+    for (auto& x : inputs[i]) x = static_cast<std::uint32_t>(rng.Next()) & 0xFFFF;
+  }
+  SecAggServer server(kJobThreshold, kJobWords, kJobRingBits);
+  BytesWriter transcript;
+  ClientTranscript out;
+  for (auto& c : clients) {
+    if (!server.CollectAdvertisement(c.AdvertiseKeys()).ok()) return out;
+  }
+  const auto directory = server.FinishAdvertising();
+  if (!directory.ok()) return out;
+
+  std::vector<ShareKeysMessage> shares(kJobCohort);
+  if (pool == nullptr) {
+    for (std::size_t i = 0; i < kJobCohort; ++i) {
+      auto m = clients[i].ShareKeys(*directory);
+      if (!m.ok()) return out;
+      shares[i] = std::move(m).value();
+    }
+  } else {
+    std::vector<common::ThreadPool::Handle> jobs;
+    std::vector<std::size_t> predicted(kJobCohort);
+    for (std::size_t i = 0; i < kJobCohort; ++i) {
+      auto job = clients[i].PrepareShareKeys(*directory);
+      if (!job.ok()) return out;
+      predicted[i] = job->CiphertextBytes();
+      jobs.push_back(pool->Submit([&, i, job = std::move(job).value()] {
+        shares[i] = clients[i].SealShares(job);
+      }));
+    }
+    for (auto& j : jobs) j.Wait();
+    for (std::size_t i = 0; i < kJobCohort; ++i) {
+      std::size_t sealed = 0;
+      for (const EncryptedShare& s : shares[i].shares) {
+        sealed += s.ciphertext.size();
+      }
+      EXPECT_EQ(sealed, predicted[i]) << "client " << i + 1;
+    }
+  }
+  for (const auto& m : shares) {
+    FoldShares(m, transcript);
+    if (!server.CollectShares(m).ok()) return out;
+  }
+  const auto u1 = server.FinishSharing();
+  if (!u1.ok()) return out;
+  const std::size_t committers = kJobCohort - 1;  // member 6 drops here
+  for (std::size_t i = 0; i < committers; ++i) {
+    for (const auto& s : server.SharesFor(static_cast<ParticipantIndex>(i + 1))) {
+      clients[i].ReceiveShare(s);
+    }
+  }
+
+  std::vector<MaskedInput> masked(committers);
+  if (pool == nullptr) {
+    for (std::size_t i = 0; i < committers; ++i) {
+      auto m = clients[i].MaskInput(inputs[i], *u1);
+      if (!m.ok()) return out;
+      masked[i] = std::move(m).value();
+    }
+  } else {
+    std::vector<common::ThreadPool::Handle> jobs;
+    for (std::size_t i = 0; i < committers; ++i) {
+      auto job = clients[i].PrepareMaskInput(inputs[i], *u1);
+      if (!job.ok()) return out;
+      jobs.push_back(pool->Submit([&, i, job = std::move(job).value()] {
+        masked[i] = clients[i].RunMaskInput(job);
+      }));
+    }
+    for (auto& j : jobs) j.Wait();
+  }
+  for (const auto& m : masked) {
+    FoldMasked(m, transcript);
+    if (!server.CollectMaskedInput(m).ok()) return out;
+  }
+  const auto request = server.FinishCommit();
+  if (!request.ok()) return out;
+
+  std::vector<UnmaskingResponse> responses(committers);
+  if (pool == nullptr) {
+    for (std::size_t i = 0; i < committers; ++i) {
+      auto r = clients[i].Unmask(*request);
+      if (!r.ok()) return out;
+      responses[i] = std::move(r).value();
+    }
+  } else {
+    std::vector<common::ThreadPool::Handle> jobs;
+    std::vector<Result<UnmaskingResponse>> opened(
+        committers, InternalError("not run"));
+    std::vector<UnmaskingResponse> prepared(committers);
+    for (std::size_t i = 0; i < committers; ++i) {
+      auto job = clients[i].PrepareUnmask(*request);
+      if (!job.ok()) return out;
+      prepared[i] = job->response;
+      jobs.push_back(pool->Submit([&, i, job = std::move(job).value()] {
+        opened[i] = clients[i].OpenShares(job);
+      }));
+    }
+    for (auto& j : jobs) j.Wait();
+    for (std::size_t i = 0; i < committers; ++i) {
+      if (!opened[i].ok()) return out;
+      responses[i] = std::move(opened[i]).value();
+      // The wire size is fixed before the job runs: same members answered.
+      const auto keys = [](const auto& m) {
+        std::vector<ParticipantIndex> k;
+        for (const auto& [u, limbs] : m) k.push_back(u);
+        return k;
+      };
+      EXPECT_EQ(keys(prepared[i].mask_key_shares),
+                keys(responses[i].mask_key_shares));
+      EXPECT_EQ(keys(prepared[i].self_seed_shares),
+                keys(responses[i].self_seed_shares));
+    }
+  }
+  for (const auto& r : responses) {
+    FoldResponse(r, transcript);
+    if (!server.CollectUnmaskingResponse(r).ok()) return out;
+  }
+  const auto sum = server.Finalize();
+  if (!sum.ok()) return out;
+  out.sum_ok = true;
+  for (std::size_t j = 0; j < kJobWords; ++j) {
+    std::uint32_t want = 0;
+    for (std::size_t i = 0; i < committers; ++i) want += inputs[i][j];
+    out.sum_ok = out.sum_ok && ((*sum)[j] & 0xFFFF) == (want & 0xFFFF);
+  }
+  const Bytes bytes = std::move(transcript).Take();
+  out.crc = Crc32(bytes);
+  return out;
+}
+
+// Recorded with the one-call rounds before they were split, when Unmask
+// still re-derived each transport key.
+constexpr std::uint32_t kClientTranscriptCrc = 0xe1257fdcu;
+
+TEST(SecAggClientJobsTest, OneCallRoundsMatchPinnedTranscript) {
+  const ClientTranscript t = RunClientTranscript(nullptr);
+  EXPECT_TRUE(t.sum_ok);
+  EXPECT_EQ(t.crc, kClientTranscriptCrc);
+}
+
+TEST(SecAggClientJobsTest, SplitRoundsAsPoolJobsGiveTheSameBytes) {
+  for (std::size_t workers : {0u, 1u, 3u}) {
+    common::ThreadPool pool(workers);
+    const ClientTranscript t = RunClientTranscript(&pool);
+    EXPECT_TRUE(t.sum_ok) << workers << " workers";
+    EXPECT_EQ(t.crc, kClientTranscriptCrc) << workers << " workers";
+  }
+}
+
+TEST(SecAggClientJobsTest, UnmaskRefusesAShareClaimingToBeFromItself) {
+  // Every transport key a client keeps is for a peer; a stored share that
+  // claims this client as its sender cannot be opened.
+  Rng rng(3);
+  std::vector<SecAggClient> clients;
+  SecAggServer server(2, 4);
+  for (ParticipantIndex i = 1; i <= 3; ++i) {
+    clients.emplace_back(i, 2, 4, ClientRandomness(rng));
+    ASSERT_TRUE(server.CollectAdvertisement(clients.back().AdvertiseKeys()).ok());
+  }
+  const auto directory = server.FinishAdvertising();
+  ASSERT_TRUE(directory.ok());
+  const auto own = clients[0].ShareKeys(*directory);
+  ASSERT_TRUE(own.ok());
+  EncryptedShare self = own->shares.front();
+  self.from = 1;
+  self.to = 1;
+  clients[0].ReceiveShare(self);
+  UnmaskingRequest request;
+  request.survivors = {1, 2, 3};
+  const auto resp = clients[0].Unmask(request);
+  EXPECT_FALSE(resp.ok());
+}
 
 }  // namespace
 }  // namespace fl::secagg
