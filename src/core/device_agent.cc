@@ -564,8 +564,8 @@ void DeviceAgent::OnSecAggDirectory(std::uint64_t gen,
   const std::uint64_t bytes = ShareKeysBytes(*job);
   auto sealed = std::make_shared<std::optional<secagg::ShareKeysMessage>>();
   RunSecAggJob([job = std::move(job).value(),
-                sealed](secagg::SecAggClient& client) mutable {
-    *sealed = client.SealShares(std::move(job));
+                sealed](secagg::SecAggClient& client) {
+    *sealed = client.SealShares(job);
   });
   SendSecAggUpload(gen, bytes, [this, sealed, bytes] {
     session_->sa_job.Wait();

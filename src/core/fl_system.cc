@@ -152,12 +152,12 @@ void FLSystem::AddTask(const std::string& name, plan::VersionedPlanSet plans,
   //  - one client update's training work (parameters x epochs x batch size)
   //    of at least kTrainingPoolMinWork. bench_parallel_rounds' cutoff sweep
   //    measures that crossover on a plain fleet, along epochs (a 64 -> 8 LR
-  //    at 1 to 32 epochs) and along width (a 1 024 -> 8 LR at 1 to 8). Over
+  //    at 1 to 32 epochs) and along width (a 1 024 -> 8 LR at 1 and 2). Over
   //    five runs, pooled took 0.66-1.13x its serial wall time at 2^14-2^16,
   //    faster in only 4 of those 15 medians (a second thread makes every
   //    allocation on the loop dearer); 0.50-1.03x at 2^17; and 0.29-0.45x
-  //    at 2^18 and above. The width points, 2^18 to 2^21, took 0.31-0.55x
-  //    (0.84x at 2^18 with 5 000 devices): the job also encodes the update,
+  //    at 2^18 and above. The width points took 0.55x at 2^18 (0.84x with
+  //    5 000 devices) and 0.52x at 2^19: the job also encodes the update,
   //    so the loop's per-parameter work no longer cancels the gain.
   // ParallelFor's caller and Handle::Wait take part, so
   // hardware_concurrency - 1 workers fill the machine; the output bits are

@@ -38,8 +38,8 @@ struct UploadEncoding {
 
 // A training update encoded per its UploadEncoding.
 struct EncodedUpload {
-  float weight = 0;         // n, the update weight
-  Bytes bytes;              // kSerialize, kCodec: the report's update bytes
+  float weight = 0;              // n, the update weight
+  Bytes bytes;                   // kSerialize, kCodec: the update bytes
   std::uint64_t wire_bytes = 0;  // kSerialize, kCodec: bytes + framing
   std::vector<std::uint32_t> secagg_words;  // kSecAgg
 };

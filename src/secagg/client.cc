@@ -107,7 +107,7 @@ KeyAdvertisement SecAggClient::AdvertiseKeys() const {
 Result<ShareKeysMessage> SecAggClient::ShareKeys(
     const KeyDirectory& directory) {
   FL_ASSIGN_OR_RETURN(ShareKeysJob job, PrepareShareKeys(directory));
-  return SealShares(std::move(job));
+  return SealShares(job);
 }
 
 std::size_t SecAggClient::ShareKeysJob::CiphertextBytes() const {
@@ -163,11 +163,11 @@ Result<SecAggClient::ShareKeysJob> SecAggClient::PrepareShareKeys(
   return job;
 }
 
-ShareKeysMessage SecAggClient::SealShares(ShareKeysJob job) {
+ShareKeysMessage SecAggClient::SealShares(const ShareKeysJob& job) {
   ShareKeysMessage msg;
   msg.index = index_;
   msg.shares.reserve(job.bundles.size());
-  for (ShareKeysJob::Bundle& b : job.bundles) {
+  for (const ShareKeysJob::Bundle& b : job.bundles) {
     const crypto::Key256 transport =
         crypto::Agree(enc_keys_, b.enc_public_key, kTransportLabel);
     transport_keys_[b.to] = transport;

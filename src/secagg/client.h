@@ -86,7 +86,7 @@ class SecAggClient {
   };
   Result<ShareKeysJob> PrepareShareKeys(const KeyDirectory& directory);
   // Keeps each peer's transport key for Unmask.
-  ShareKeysMessage SealShares(ShareKeysJob job);
+  ShareKeysMessage SealShares(const ShareKeysJob& job);
 
   struct MaskJob {
     struct Peer {

@@ -159,6 +159,62 @@ TEST_F(RuntimeFixture, PreparedJobMatchesRunClientUpdateOnAnyThread) {
   EXPECT_EQ(off_thread->metrics.mean_loss, direct->metrics.mean_loss);
 }
 
+// Each upload encoding gives what encoding the plain update would.
+TEST_F(RuntimeFixture, UploadEncodingMatchesEncodingTheUpdate) {
+  FlRuntime runtime(graph::kCurrentRuntimeVersion, &registry);
+  const plan::FLPlan p = TrainingPlan();
+  Rng plain_rng = rng;
+  const auto plain = Execute(runtime, p, model.init_params, plain_rng);
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  const fedavg::ClientUpdateResult& update = *plain->update;
+  const std::vector<float> flat = update.weighted_delta.Flatten();
+
+  const auto encode = [&](const UploadEncoding& encoding) {
+    Rng r = rng;
+    auto job = runtime.PreparePlan(p, model.init_params, SimTime{1}, r);
+    EXPECT_TRUE(job.ok()) << job.status();
+    job->upload = encoding;
+    auto out = job->Run();
+    EXPECT_TRUE(out.ok()) << out.status();
+    EXPECT_FALSE(out->update.has_value());
+    EXPECT_EQ(out->upload->weight, update.weight);
+    return std::move(out->upload).value();
+  };
+
+  UploadEncoding serialize;
+  serialize.kind = UploadEncoding::Kind::kSerialize;
+  const EncodedUpload s = encode(serialize);
+  EXPECT_EQ(s.bytes, update.weighted_delta.Serialize());
+  EXPECT_EQ(s.wire_bytes, s.bytes.size() + 64);
+
+  UploadEncoding codec;
+  codec.kind = UploadEncoding::Kind::kCodec;
+  codec.codec.topk_fraction = 0.5;
+  codec.codec.quant_bits = 8;
+  codec.codec_seed = 99;
+  const EncodedUpload c = encode(codec);
+  const fedavg::EncodedUpdate want = fedavg::EncodeUpdate(flat, codec.codec, 99);
+  EXPECT_EQ(c.bytes, want.payload);
+  EXPECT_EQ(c.wire_bytes, want.WireBytes());
+
+  UploadEncoding secure;
+  secure.kind = UploadEncoding::Kind::kSecAgg;
+  secure.secagg.total = flat.size();
+  secure.secagg.keep = flat.size();
+  const EncodedUpload w = encode(secure);
+  EXPECT_EQ(w.secagg_words,
+            *fedavg::EncodeSecAggInput(secure.secagg, flat, update.weight));
+  EXPECT_TRUE(w.bytes.empty());
+
+  // A secure update that does not fit its spec fails the job.
+  Rng r = rng;
+  auto job = runtime.PreparePlan(p, model.init_params, SimTime{1}, r);
+  ASSERT_TRUE(job.ok());
+  job->upload = secure;
+  job->upload.secagg.total = flat.size() + 1;
+  EXPECT_FALSE(job->Run().ok());
+}
+
 TEST(ComputeDurationTest, ScalesWithWorkAndSpeed) {
   sim::DeviceProfile fast;
   fast.examples_per_sec = 100;
