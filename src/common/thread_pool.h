@@ -4,7 +4,7 @@
 // independent work items execute concurrently, results are merged by the
 // caller in a fixed order so a given (seed, thread-count) pair is
 // reproducible regardless of scheduling. Submit hands over one task whose
-// result the caller collects later (a fleet device's training job).
+// result the caller collects later (a fleet device's job).
 //
 // Distinct from actor::ThreadPoolContext on purpose: the actor context is a
 // fire-and-forget task executor for message-driven actors; this pool is a

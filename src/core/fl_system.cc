@@ -153,10 +153,10 @@ void FLSystem::AddTask(const std::string& name, plan::VersionedPlanSet plans,
   //    of at least kTrainingPoolMinWork. bench_parallel_rounds' cutoff sweep
   //    measures that crossover on a plain fleet, along epochs (a 64 -> 8 LR
   //    at 1 to 32 epochs) and along width (a 1 024 -> 8 LR at 1 and 2). Over
-  //    five runs, pooled took 0.66-1.13x its serial wall time at 2^14-2^16,
-  //    faster in only 4 of those 15 medians (a second thread makes every
-  //    allocation on the loop dearer); 0.50-1.03x at 2^17; and 0.29-0.45x
-  //    at 2^18 and above. The width points took 0.55x at 2^18 (0.84x with
+  //    five runs, pooled took 0.66-1.09x its serial wall time at 2^14-2^16,
+  //    faster in only 6 of those 15 medians (a second thread makes every
+  //    allocation on the loop dearer); 0.50-1.01x at 2^17; and 0.29-0.67x
+  //    at 2^18 and above. The width points took 0.56x at 2^18 (0.84x with
   //    5 000 devices) and 0.52x at 2^19: the job also encodes the update,
   //    so the loop's per-parameter work no longer cancels the gain.
   // ParallelFor's caller and Handle::Wait take part, so
