@@ -19,6 +19,7 @@
 //   quickstart_trace.json    — Chrome trace; open in https://ui.perfetto.dev
 //   quickstart_metrics.prom  — Prometheus text exposition
 //   quickstart_metrics.json  — the same metrics as flat JSON
+// and list every Sec. 5 health check that failed during the run.
 //
 // Set FL_JOURNAL=<path> to additionally write the durable event journal
 // (one line per device/server lifecycle event); analyze it offline with
@@ -140,12 +141,12 @@ int main() {
     std::printf("\nTelemetry: wrote quickstart_trace.json (open in "
                 "ui.perfetto.dev), quickstart_metrics.prom, "
                 "quickstart_metrics.json\n");
-    if (system.monitors().alert_count() > 0) {
-      std::printf("Monitors raised %zu alert(s):\n",
-                  system.monitors().alert_count());
-      for (const auto& alert : system.monitors().AllAlerts()) {
-        std::printf("  [%s] %s\n", FormatSimTime(alert.time).c_str(),
-                    alert.message.c_str());
+    const auto& failures = system.health().failures();
+    if (!failures.empty()) {
+      std::printf("Health checks failed %zu time(s):\n", failures.size());
+      for (const ops::FailedCheck& f : failures) {
+        std::printf("  [%s] %s: %s\n", FormatSimTime(SimTime{f.t_ms}).c_str(),
+                    f.check.name.c_str(), f.check.detail.c_str());
       }
     }
   }

@@ -49,8 +49,9 @@ struct FLSystemConfig {
   // ephemeral loopback port, FL_STATUSZ=8080 a fixed one. Enabling the
   // plane also turns runtime telemetry on (it serves registry metrics).
   std::optional<int> statusz_port = ops::StatuszPortFromEnv();
-  // SLO bounds evaluated each ops tick and surfaced on /healthz; the
-  // defaults are lenient enough for a warming-up CI fleet.
+  // SLO bounds evaluated on each stats tick while telemetry is on and
+  // surfaced on /healthz; the defaults are lenient enough for a warming-up
+  // CI fleet.
   ops::HealthPolicy health_policy;
 
   // Diagnostic bundles (anomaly forensics): non-empty = write bundles under

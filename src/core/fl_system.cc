@@ -33,6 +33,7 @@ FLSystem::FLSystem(FLSystemConfig config)
       rng_(config_.seed),
       curve_(config_.diurnal),
       network_(config_.network, config_.seed ^ kNetworkSeedSalt),
+      health_(config_.health_policy),
       attestation_(config_.seed ^ kAttestSeedSalt) {
   context_ = std::make_unique<actor::SimContext>(queue_);
   actors_ = std::make_unique<actor::ActorSystem>(*context_);
@@ -52,7 +53,7 @@ FLSystem::FLSystem(FLSystemConfig config)
   bundler_ = std::make_unique<ops::DiagnosticBundler>(
       std::move(bundle_opts),
       ops::DiagnosticBundler::Sources{.ledger = round_ledger_.get(),
-                                      .health = nullptr});
+                                      .health = &health_});
   round_ledger_->set_on_abandoned(
       [this](SimTime t, RoundId round, protocol::RoundOutcome outcome) {
         bundler_->Capture(
@@ -65,17 +66,6 @@ FLSystem::FLSystem(FLSystemConfig config)
   server_context_.pace = pace_.get();
   server_context_.rng = &rng_;
   server_context_.estimated_population = config_.population.device_count;
-
-  // Default Sec. 5 watch: a spike in per-sample device rejections is the
-  // paper's canonical anomaly ("drop out rates ... much higher than
-  // expected"). min_sigma floors the noise band well above single-device
-  // blips — a healthy deployment's baseline is near zero, where the
-  // default 1e-6 floor would alert on every stray rejection. Users can add
-  // more watches via monitors().
-  analytics::DeviationMonitor::Params reject_watch;
-  reject_watch.min_sigma = 10.0;
-  monitor_hub_.WatchCounterDelta("fl_server_devices_rejected_total",
-                                 reject_watch);
 }
 
 FLSystem::~FLSystem() {
@@ -273,18 +263,18 @@ void FLSystem::Start() {
   // before any actor reports. A failed bind (port taken) degrades to
   // "plane off" rather than failing the deployment.
   if (config_.statusz_port.has_value()) {
-    ops::OpsPlane::Options ops_opts;
-    ops_opts.port = *config_.statusz_port;
-    ops_opts.population = config_.population_name;
-    ops_opts.health = config_.health_policy;
-    ops_ = std::make_unique<ops::OpsPlane>(std::move(ops_opts),
-                                           round_ledger_.get(),
-                                           bundler_.get());
+    ops_ = std::make_unique<ops::OpsPlane>(
+        ops::OpsPlane::Options{.port = *config_.statusz_port,
+                               .population = config_.population_name},
+        ops::StatusServer::Sources{.store = &store_,
+                                   .ledger = round_ledger_.get(),
+                                   .health = &health_,
+                                   .bundler = bundler_.get()});
+    round_ledger_->set_enabled(true);
     if (const Status s = ops_->Start(); !s.ok()) {
       FL_LOG(Warning) << "ops plane disabled: " << s.ToString();
       ops_.reset();
     } else {
-      bundler_->set_health_source(&ops_->health());
       FL_LOG(Info) << "ops plane serving on http://127.0.0.1:"
                    << ops_->port();
     }
@@ -380,11 +370,24 @@ void FLSystem::ScheduleStatsSampler() {
         registry.GetGauge(name)
             ->Set(static_cast<double>(occupancy[level]));
       }
-      // One snapshot per tick feeds the monitors AND the ops plane
-      // (window store, health evaluator, /statusz sim clock).
+      // One snapshot per tick feeds the window store and the health
+      // checks, which the ops plane serves when it is up.
       const telemetry::MetricsSnapshot snapshot = registry.Snapshot();
-      monitor_hub_.Poll(queue_.now(), snapshot);
-      if (ops_ != nullptr) ops_->Tick(queue_.now(), snapshot);
+      store_.Record(queue_.now().millis, snapshot);
+      const ops::HealthReport report =
+          health_.Evaluate(store_, snapshot, queue_.now().millis);
+      // Bundle on the healthy -> unhealthy edge only: a fleet that stays
+      // unhealthy for an hour produces one bundle, not one per tick.
+      if (was_healthy_ && !report.healthy) {
+        std::string failing;
+        for (const ops::HealthCheck& c : report.checks) {
+          if (c.ok) continue;
+          if (!failing.empty()) failing += ',';
+          failing += c.name;
+        }
+        bundler_->Capture("health", failing, queue_.now());
+      }
+      was_healthy_ = report.healthy;
     }
     ScheduleStatsSampler();
   });

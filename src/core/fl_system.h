@@ -20,12 +20,13 @@
 #include <string>
 #include <vector>
 
-#include "src/analytics/monitor_hub.h"
 #include "src/core/config.h"
 #include "src/core/device_agent.h"
 #include "src/core/fleet_stats.h"
+#include "src/ops/health.h"
 #include "src/ops/ops_plane.h"
 #include "src/ops/round_ledger.h"
+#include "src/ops/window_store.h"
 #include "src/protocol/adaptive.h"
 #include "src/server/coordinator.h"
 #include "src/server/selector.h"
@@ -99,12 +100,10 @@ class FLSystem : private analytics::LifecycleSink {
   // --- introspection ---
   FleetStats& stats() { return *stats_; }
   const FleetStats& stats() const { return *stats_; }
-  // Sec. 5 automatic monitors, fed from MetricsRegistry snapshots on each
-  // stats-sampler tick (only advances while telemetry is enabled). A default
-  // watch on the device-rejection rate is installed at construction; add
-  // more watches before Start().
-  analytics::MonitorHub& monitors() { return monitor_hub_; }
-  const analytics::MonitorHub& monitors() const { return monitor_hub_; }
+  // Sec. 5 health checks (config.health_policy plus rejected_spike),
+  // evaluated on each stats tick while telemetry is enabled; failures()
+  // lists every check that failed, /healthz serves latest().
+  const ops::HealthEvaluator& health() const { return health_; }
   // The live ops plane; nullptr unless config.statusz_port was set (or
   // FL_STATUSZ in the environment) and the server started successfully.
   ops::OpsPlane* ops_plane() { return ops_.get(); }
@@ -153,11 +152,15 @@ class FLSystem : private analytics::LifecycleSink {
   server::LockService locks_;
   std::unique_ptr<server::ModelStore> model_store_;
   std::unique_ptr<FleetStats> stats_;
+  // The stats tick records each registry snapshot into store_ and
+  // evaluates health_ on it (telemetry on); the ops plane serves both.
+  ops::SlidingWindowStore store_;
+  ops::HealthEvaluator health_;
+  bool was_healthy_ = true;  // bundle on the healthy -> unhealthy edge
   std::unique_ptr<ops::RoundLedger> round_ledger_;
   std::unique_ptr<ops::DiagnosticBundler> bundler_;
   analytics::ServerMetrics metrics_;
   std::unique_ptr<ops::OpsPlane> ops_;
-  analytics::MonitorHub monitor_hub_;
   std::unique_ptr<protocol::PaceSteeringPolicy> pace_;
   server::ServerContext server_context_;
   device::AttestationAuthority attestation_;

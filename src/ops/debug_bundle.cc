@@ -111,9 +111,12 @@ std::string DiagnosticBundler::Capture(std::string_view trigger,
                 sources_.ledger->RecentJson(opts_.rounds_limit))) {
     files.push_back("rounds.json");
   }
-  if (sources_.health != nullptr &&
-      WriteFile(info.path + "/health.json",
-                sources_.health->latest().ToJson())) {
+  // Health runs on the stats tick only while telemetry is on; a report
+  // that was never evaluated says nothing, so it is left out.
+  const HealthReport health =
+      sources_.health != nullptr ? sources_.health->latest() : HealthReport{};
+  if (health.evaluations > 0 &&
+      WriteFile(info.path + "/health.json", health.ToJson())) {
     files.push_back("health.json");
   }
   // Freeze what the continuous CPU profiler has in its rings right now —

@@ -7,7 +7,7 @@
 //     flight_recorder.log   #fl-journal v1 dump of the always-on rings
 //     metrics.json          point-in-time MetricsRegistry snapshot
 //     rounds.json           last-K RoundLedger records (when a ledger exists)
-//     health.json           latest HealthEvaluator verdict (when one exists)
+//     health.json           latest HealthEvaluator verdict (once evaluated)
 //
 // Captures are rate-limited (a cooldown between bundles plus a hard cap per
 // process) so an unhealthy fleet abandoning every round cannot fill the
@@ -58,13 +58,6 @@ class DiagnosticBundler {
   DiagnosticBundler(Options opts, Sources sources);
 
   bool enabled() const { return !opts_.dir.empty(); }
-
-  // Late binding for hosts that construct the bundler before the component
-  // owning the evaluator (FLSystem builds the ops plane at Start()). Call
-  // before captures can fire; not synchronized against them.
-  void set_health_source(const HealthEvaluator* health) {
-    sources_.health = health;
-  }
 
   // Writes one bundle; returns its directory path, or "" when disabled,
   // rate-limited, capped, or the directory could not be created. Thread-safe

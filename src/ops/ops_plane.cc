@@ -5,16 +5,6 @@
 #include "src/telemetry/telemetry.h"
 
 namespace fl::ops {
-namespace {
-
-StatusServer::Options ServerOptionsFrom(const OpsPlane::Options& opts) {
-  StatusServer::Options server_opts;
-  server_opts.port = opts.port;
-  server_opts.population = opts.population;
-  return server_opts;
-}
-
-}  // namespace
 
 std::optional<int> StatuszPortFromEnv() {
   const char* raw = std::getenv("FL_STATUSZ");
@@ -27,56 +17,19 @@ std::optional<int> StatuszPortFromEnv() {
   return static_cast<int>(port);
 }
 
-OpsPlane::OpsPlane(Options opts, RoundLedger* ledger,
-                   DiagnosticBundler* bundler)
-    : ledger_(ledger),
-      bundler_(bundler),
-      store_(opts.store),
-      sampler_(&store_),
-      health_(opts.health),
-      server_(ServerOptionsFrom(opts),
-              StatusServer::Sources{
-                  .store = &store_,
-                  .sampler = &sampler_,
-                  .ledger = ledger,
-                  .health = &health_,
-                  .bundler = bundler,
-                  .sim_now_ms = &sim_now_ms_,
-              }) {}
+OpsPlane::OpsPlane(Options opts, StatusServer::Sources sources)
+    : server_(StatusServer::Options{.port = opts.port,
+                                    .population = std::move(opts.population)},
+              sources) {}
 
 OpsPlane::~OpsPlane() { Stop(); }
 
 Status OpsPlane::Start() {
   // The plane serves registry metrics, so it implies runtime telemetry.
   telemetry::SetEnabled(true);
-  if (ledger_ != nullptr) ledger_->set_enabled(true);
   return server_.Start();
 }
 
-void OpsPlane::Stop() {
-  server_.Stop();
-  sampler_.Stop();
-}
-
-void OpsPlane::Tick(SimTime now, const telemetry::MetricsSnapshot& snapshot) {
-  sim_now_ms_.store(now.millis, std::memory_order_relaxed);
-  sampler_.SampleSnapshot(now.millis, snapshot);
-  const HealthReport report =
-      health_.Evaluate(store_, snapshot, now.millis,
-                       sampler_.last_sample_wall_us(),
-                       telemetry::WallMicros());
-  // Bundle on the healthy -> unhealthy edge only: a fleet that stays
-  // unhealthy for an hour produces one bundle, not one per tick.
-  if (bundler_ != nullptr && was_healthy_ && !report.healthy) {
-    std::string failing;
-    for (const HealthCheck& c : report.checks) {
-      if (c.ok) continue;
-      if (!failing.empty()) failing += ',';
-      failing += c.name;
-    }
-    bundler_->Capture("health", failing, now);
-  }
-  was_healthy_ = report.healthy;
-}
+void OpsPlane::Stop() { server_.Stop(); }
 
 }  // namespace fl::ops

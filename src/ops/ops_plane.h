@@ -1,22 +1,14 @@
-// The live ops plane as one object: sliding-window store + sampler +
-// health evaluator + status server, pumped from the FLSystem stats tick.
+// The live ops plane as one object: the status server over the FLSystem's
+// window store, health evaluator, round ledger and diagnostic bundler.
 // FLSystem owns one of these when FL_STATUSZ is set (or statusz_port is
-// configured explicitly) and calls Tick() with each registry snapshot;
-// everything HTTP threads read is either thread-safe by construction or an
-// atomic published here.
+// configured explicitly). The plane owns none of its sources: the stats
+// tick records into the store and evaluates health whether or not the
+// plane is up, and the plane only serves them over HTTP.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
 #include <optional>
 #include <string>
 
-#include "src/analytics/window_store.h"
-#include "src/common/sim_time.h"
-#include "src/ops/debug_bundle.h"
-#include "src/ops/health.h"
-#include "src/ops/round_ledger.h"
-#include "src/ops/sampler.h"
 #include "src/ops/status_server.h"
 
 namespace fl::ops {
@@ -30,17 +22,10 @@ class OpsPlane {
   struct Options {
     int port = 0;  // 0 = ephemeral
     std::string population;
-    HealthPolicy health;
-    analytics::SlidingWindowStore::Options store;
   };
 
-  // `ledger` is the RoundLedger already sitting in the FLSystem sink chain
-  // (may be null for hosts without one); the plane enables it on Start().
-  // `bundler` is the host's DiagnosticBundler (may be null): the plane
-  // serves it on /debugz and captures a bundle when health transitions
-  // healthy -> unhealthy.
-  explicit OpsPlane(Options opts, RoundLedger* ledger = nullptr,
-                    DiagnosticBundler* bundler = nullptr);
+  // Every source must outlive the plane.
+  OpsPlane(Options opts, StatusServer::Sources sources);
   ~OpsPlane();
 
   OpsPlane(const OpsPlane&) = delete;
@@ -51,27 +36,9 @@ class OpsPlane {
   int port() const { return server_.port(); }
   bool running() const { return server_.running(); }
 
-  // One ops tick (FLSystem calls this from the stats sampler): samples the
-  // snapshot into the window store, re-evaluates health, publishes the sim
-  // clock for /statusz.
-  void Tick(SimTime now, const telemetry::MetricsSnapshot& snapshot);
-
-  analytics::SlidingWindowStore& store() { return store_; }
-  const analytics::SlidingWindowStore& store() const { return store_; }
-  MetricsSampler& sampler() { return sampler_; }
-  HealthEvaluator& health() { return health_; }
   StatusServer& server() { return server_; }
 
  private:
-  RoundLedger* ledger_;
-  DiagnosticBundler* bundler_;
-  analytics::SlidingWindowStore store_;
-  MetricsSampler sampler_;
-  HealthEvaluator health_;
-  std::atomic<std::int64_t> sim_now_ms_{0};
-  // Healthy -> unhealthy edge detection for the bundle trigger (ticks run
-  // on the sim thread only).
-  bool was_healthy_ = true;
   StatusServer server_;
 };
 

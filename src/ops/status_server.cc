@@ -111,6 +111,10 @@ HttpResponse StatusServer::Statusz(const HttpRequest& req) const {
   return HttpResponse::Json(StatuszJson());
 }
 
+std::int64_t StatusServer::SimNowMs() const {
+  return sources_.store != nullptr ? sources_.store->last_sample_t_ms() : 0;
+}
+
 std::string StatusServer::StatuszJson() const {
   const telemetry::MetricsSnapshot snapshot =
       telemetry::MetricsRegistry::Global().Snapshot();
@@ -121,15 +125,12 @@ std::string StatusServer::StatuszJson() const {
   w.Field("uptime_wall_seconds",
           static_cast<double>(telemetry::WallMicros() - start_wall_us_) /
               1e6);
-  const std::int64_t sim_ms =
-      sources_.sim_now_ms != nullptr
-          ? sources_.sim_now_ms->load(std::memory_order_relaxed)
-          : 0;
+  const std::int64_t sim_ms = SimNowMs();
   w.Field("sim_time_ms", sim_ms);
   w.Field("sim_time", FormatSimTime(SimTime{sim_ms}));
-  if (sources_.sampler != nullptr) {
-    w.Field("samples", sources_.sampler->samples());
-    w.Field("last_sample_t_ms", sources_.sampler->last_sample_t_ms());
+  if (sources_.store != nullptr) {
+    w.Field("samples", sources_.store->samples());
+    w.Field("last_sample_t_ms", sim_ms);
   }
   w.BeginObject("server")
       .Field("requests_served", http_.requests_served())
@@ -178,12 +179,8 @@ std::string StatusServer::StatuszJson() const {
             sources_.store->WindowDelta("fl_server_download_bytes_total",
                                         kTenMinutesMs));
     w.EndObject();
-    std::int64_t chart_slot_ms = 10 * 1000;
-    if (!sources_.store->resolutions().empty()) {
-      chart_slot_ms = sources_.store->resolutions().size() > 1
-                          ? sources_.store->resolutions()[1].slot_ms
-                          : sources_.store->resolutions()[0].slot_ms;
-    }
+    const std::int64_t chart_slot_ms =
+        SlidingWindowStore::kResolutions[1].slot_ms;
     w.BeginObject("series");
     for (const char* name : kChartSeries) {
       const auto points = sources_.store->Series(name, chart_slot_ms);
@@ -211,10 +208,7 @@ std::string StatusServer::StatuszHtml() const {
   out += "<h1>";
   HtmlEscapeInto(&out, opts_.population);
   out += "</h1>";
-  const std::int64_t sim_ms =
-      sources_.sim_now_ms != nullptr
-          ? sources_.sim_now_ms->load(std::memory_order_relaxed)
-          : 0;
+  const std::int64_t sim_ms = SimNowMs();
   out += "<p>sim time " + FormatSimTime(SimTime{sim_ms}) + ", uptime " +
          std::to_string(
              (telemetry::WallMicros() - start_wall_us_) / 1000000) +

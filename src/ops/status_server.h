@@ -17,21 +17,20 @@
 //              in flight.
 //
 // Handlers run on HTTP worker threads while the sim runs elsewhere, so they
-// only touch thread-safe surfaces: registry snapshots, the window store,
-// the ledger, the cached health report, and atomics published by the
-// OpsPlane tick.
+// only touch thread-safe surfaces: registry snapshots, the window store
+// (whose latest sample time is the sim clock /statusz reports), the
+// ledger and the cached health report.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <string>
 
-#include "src/analytics/window_store.h"
 #include "src/ops/debug_bundle.h"
 #include "src/ops/health.h"
 #include "src/ops/http.h"
 #include "src/ops/round_ledger.h"
-#include "src/ops/sampler.h"
+#include "src/ops/window_store.h"
 
 namespace fl::ops {
 
@@ -48,14 +47,10 @@ class StatusServer {
   // Non-owning references; all must outlive the server. Any may be null
   // (the corresponding endpoint degrades gracefully).
   struct Sources {
-    const analytics::SlidingWindowStore* store = nullptr;
-    const MetricsSampler* sampler = nullptr;
+    const SlidingWindowStore* store = nullptr;
     const RoundLedger* ledger = nullptr;
     const HealthEvaluator* health = nullptr;
     const DiagnosticBundler* bundler = nullptr;
-    // Latest sim time published by the ops tick (HTTP threads must not
-    // touch the event queue itself).
-    const std::atomic<std::int64_t>* sim_now_ms = nullptr;
   };
 
   StatusServer(Options opts, Sources sources);
@@ -77,6 +72,9 @@ class StatusServer {
   HttpResponse Index(const HttpRequest& req) const;
 
  private:
+  // Sim time of the latest stats tick (HTTP threads must not touch the
+  // event queue itself).
+  std::int64_t SimNowMs() const;
   std::string StatuszJson() const;
   std::string StatuszHtml() const;
 

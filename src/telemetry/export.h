@@ -1,5 +1,6 @@
 // Exporters for the telemetry subsystem (Sec. 5: dashboards and time-series
-// monitors are fed from one data path):
+// monitors are fed from one data path; these dumps and the ops health
+// checks both read MetricsRegistry snapshots):
 //  * Chrome `trace_event` JSON (the "JSON Array Format" with a traceEvents
 //    wrapper) — drag into https://ui.perfetto.dev to see rounds, their
 //    Selection / Configuration / Reporting phases, and per-client-update

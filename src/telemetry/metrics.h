@@ -1,6 +1,6 @@
 // Thread-safe metrics registry (Sec. 5): counters, gauges and
-// fixed-exponential-bucket histograms feeding the Prometheus/JSON dumps and
-// the MonitorHub time-series monitors.
+// fixed-exponential-bucket histograms feeding the Prometheus/JSON dumps and,
+// through the stats tick's snapshots, the ops window store and health checks.
 //
 // Concurrency model (all of it TSan-clean by construction):
 //  * Counter increments go to one of kCounterCells cache-line-sized cells

@@ -2,28 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <string>
 
-#include "src/analytics/window_store.h"
+#include "src/common/rng.h"
 #include "src/ops/json.h"
+#include "src/ops/window_store.h"
 #include "src/telemetry/metrics.h"
 
 namespace fl::ops {
 namespace {
 
-using analytics::SlidingWindowStore;
 using telemetry::MetricsRegistry;
 using telemetry::MetricsSnapshot;
 
 constexpr std::int64_t kUs = 1'000;  // micros per milli
-
-SlidingWindowStore::Options StoreOptions() {
-  SlidingWindowStore::Options opts;
-  opts.resolutions = {{1'000, 120}, {10'000, 120}};
-  return opts;
-}
 
 // Feeds `committed`/`abandoned` cumulative totals into the store as one
 // sample per second ending at `end_ms`.
@@ -124,14 +120,14 @@ TEST_F(HealthTest, AbandonedRatioWarmupThenFailure) {
   policy.min_rounds_for_ratio = 5;
   HealthEvaluator evaluator(policy);
 
-  SlidingWindowStore store(StoreOptions());
+  SlidingWindowStore store;
   MetricsSnapshot snapshot;
 
   // Two finished rounds: under the warmup floor, so still healthy even
   // though both were abandoned.
   FeedRounds(&store, 20'000, 0, 2);
   HealthReport report =
-      evaluator.Evaluate(store, snapshot, 20'000, 20'000 * kUs, 20'000 * kUs);
+      evaluator.Evaluate(store, snapshot, 20'000);
   const HealthCheck* check = FindCheck(report, "abandoned_ratio");
   ASSERT_NE(check, nullptr);
   EXPECT_TRUE(check->ok);
@@ -139,10 +135,10 @@ TEST_F(HealthTest, AbandonedRatioWarmupThenFailure) {
   EXPECT_TRUE(report.healthy);
 
   // Past warmup with 8/10 abandoned: unhealthy.
-  SlidingWindowStore bad(StoreOptions());
+  SlidingWindowStore bad;
   FeedRounds(&bad, 20'000, 2, 8);
   report =
-      evaluator.Evaluate(bad, snapshot, 20'000, 20'000 * kUs, 20'000 * kUs);
+      evaluator.Evaluate(bad, snapshot, 20'000);
   check = FindCheck(report, "abandoned_ratio");
   ASSERT_NE(check, nullptr);
   EXPECT_FALSE(check->ok);
@@ -151,10 +147,10 @@ TEST_F(HealthTest, AbandonedRatioWarmupThenFailure) {
   EXPECT_EQ(report.evaluations, 2u);
 
   // A healthy mix passes.
-  SlidingWindowStore good(StoreOptions());
+  SlidingWindowStore good;
   FeedRounds(&good, 20'000, 9, 1);
   report =
-      evaluator.Evaluate(good, snapshot, 20'000, 20'000 * kUs, 20'000 * kUs);
+      evaluator.Evaluate(good, snapshot, 20'000);
   EXPECT_TRUE(report.healthy);
 }
 
@@ -166,19 +162,19 @@ TEST_F(HealthTest, CommitRateFloor) {
   HealthEvaluator evaluator(policy);
   MetricsSnapshot snapshot;
 
-  SlidingWindowStore slow(StoreOptions());
+  SlidingWindowStore slow;
   FeedRounds(&slow, 20'000, 5, 5);  // 5 commits/min = 300/h: too slow
   HealthReport report =
-      evaluator.Evaluate(slow, snapshot, 20'000, 20'000 * kUs, 20'000 * kUs);
+      evaluator.Evaluate(slow, snapshot, 20'000);
   const HealthCheck* check = FindCheck(report, "commit_per_hour");
   ASSERT_NE(check, nullptr);
   EXPECT_FALSE(check->ok);
   EXPECT_NEAR(check->observed, 300.0, 1e-6);
 
-  SlidingWindowStore fast(StoreOptions());
+  SlidingWindowStore fast;
   FeedRounds(&fast, 20'000, 20, 0);  // 20 commits/min = 1200/h
   report =
-      evaluator.Evaluate(fast, snapshot, 20'000, 20'000 * kUs, 20'000 * kUs);
+      evaluator.Evaluate(fast, snapshot, 20'000);
   check = FindCheck(report, "commit_per_hour");
   ASSERT_NE(check, nullptr);
   EXPECT_TRUE(check->ok);
@@ -188,7 +184,7 @@ TEST_F(HealthTest, MailboxDepthUsesSnapshotHistogram) {
   HealthPolicy policy;
   policy.max_mailbox_depth_p99 = 4.0;
   HealthEvaluator evaluator(policy);
-  SlidingWindowStore store(StoreOptions());
+  SlidingWindowStore store;
 
   MetricsSnapshot snapshot;
   MetricsSnapshot::HistogramValue h;
@@ -198,7 +194,7 @@ TEST_F(HealthTest, MailboxDepthUsesSnapshotHistogram) {
   h.count = 100;
   snapshot.histograms.push_back(h);
 
-  HealthReport report = evaluator.Evaluate(store, snapshot, 1'000, kUs, kUs);
+  HealthReport report = evaluator.Evaluate(store, snapshot, 1'000);
   const HealthCheck* check = FindCheck(report, "mailbox_depth_p99");
   ASSERT_NE(check, nullptr);
   EXPECT_FALSE(check->ok);
@@ -206,7 +202,7 @@ TEST_F(HealthTest, MailboxDepthUsesSnapshotHistogram) {
 
   // Missing histogram: observed 0, passes.
   MetricsSnapshot bare;
-  report = evaluator.Evaluate(store, bare, 2'000, kUs, kUs);
+  report = evaluator.Evaluate(store, bare, 2'000);
   check = FindCheck(report, "mailbox_depth_p99");
   ASSERT_NE(check, nullptr);
   EXPECT_TRUE(check->ok);
@@ -217,58 +213,74 @@ TEST_F(HealthTest, SampleStalenessIsTheLivenessCheck) {
   HealthPolicy policy;
   policy.max_sample_staleness_wall_ms = 1'000;
   HealthEvaluator evaluator(policy);
-  SlidingWindowStore store(StoreOptions());
+  SlidingWindowStore store;
   MetricsSnapshot snapshot;
 
-  // No samples yet: warmup, healthy.
-  HealthReport report =
-      evaluator.Evaluate(store, snapshot, 0, /*last_sample_wall_us=*/0,
-                         /*now_wall_us=*/5'000 * kUs);
+  // No tick yet: no checks, healthy.
+  HealthReport report = evaluator.latest(/*now_wall_us=*/5'000 * kUs);
+  EXPECT_TRUE(report.healthy);
+  EXPECT_EQ(FindCheck(report, "sample_staleness"), nullptr);
+
+  // The tick's own report has no staleness check: it is read-time only.
+  report = evaluator.Evaluate(store, snapshot, 0, /*now_wall_us=*/1'000 * kUs);
+  EXPECT_EQ(FindCheck(report, "sample_staleness"), nullptr);
+
+  // Read 200ms after the tick: healthy.
+  report = evaluator.latest(1'200 * kUs);
   const HealthCheck* check = FindCheck(report, "sample_staleness");
   ASSERT_NE(check, nullptr);
   EXPECT_TRUE(check->ok);
-
-  // Fresh sample 200ms ago: healthy.
-  report = evaluator.Evaluate(store, snapshot, 0, 1'000 * kUs, 1'200 * kUs);
-  check = FindCheck(report, "sample_staleness");
-  EXPECT_TRUE(check->ok);
   EXPECT_NEAR(check->observed, 200.0, 1e-9);
+  EXPECT_TRUE(report.healthy);
 
-  // Wedged for 5s: unhealthy.
-  report = evaluator.Evaluate(store, snapshot, 0, 1'000 * kUs, 6'000 * kUs);
+  // Read 5s after it, with no tick since (a wedged sim): unhealthy.
+  report = evaluator.latest(6'000 * kUs);
   check = FindCheck(report, "sample_staleness");
+  ASSERT_NE(check, nullptr);
   EXPECT_FALSE(check->ok);
   EXPECT_FALSE(report.healthy);
+
+  // The next tick makes it fresh again.
+  evaluator.Evaluate(store, snapshot, 1'000, 6'500 * kUs);
+  EXPECT_TRUE(evaluator.latest(6'600 * kUs).healthy);
 }
 
 TEST_F(HealthTest, PublishesHealthGauges) {
   HealthPolicy policy;
-  policy.max_sample_staleness_wall_ms = 1'000;
+  policy.max_mailbox_depth_p99 = 4.0;
   HealthEvaluator evaluator(policy);
-  SlidingWindowStore store(StoreOptions());
-  MetricsSnapshot snapshot;
+  SlidingWindowStore store;
 
-  evaluator.Evaluate(store, snapshot, 0, 1'000 * kUs, 10'000 * kUs);  // stale
+  MetricsSnapshot deep;
+  MetricsSnapshot::HistogramValue h;
+  h.name = "fl_actor_mailbox_depth";
+  h.bounds = {1.0, 2.0, 4.0, 8.0, 16.0};
+  h.counts = {0, 0, 0, 0, 100, 0};  // p99 in (8, 16]: too deep
+  h.count = 100;
+  deep.histograms.push_back(h);
+  evaluator.Evaluate(store, deep, 0);
   auto& registry = MetricsRegistry::Global();
   EXPECT_DOUBLE_EQ(registry.GetGauge("fl_ops_health")->Value(), 0.0);
   EXPECT_DOUBLE_EQ(
-      registry.GetGauge("fl_ops_health_sample_staleness")->Value(), 0.0);
-  EXPECT_NEAR(
-      registry.GetGauge("fl_ops_health_sample_staleness_observed")->Value(),
-      9'000.0, 1e-9);
+      registry.GetGauge("fl_ops_health_mailbox_depth_p99")->Value(), 0.0);
+  EXPECT_GT(
+      registry.GetGauge("fl_ops_health_mailbox_depth_p99_observed")->Value(),
+      8.0);
 
-  evaluator.Evaluate(store, snapshot, 0, 1'000 * kUs, 1'100 * kUs);  // fresh
+  evaluator.Evaluate(store, MetricsSnapshot{}, 1'000);  // no histogram: ok
   EXPECT_DOUBLE_EQ(registry.GetGauge("fl_ops_health")->Value(), 1.0);
   EXPECT_DOUBLE_EQ(
-      registry.GetGauge("fl_ops_health_sample_staleness")->Value(), 1.0);
+      registry.GetGauge("fl_ops_health_mailbox_depth_p99")->Value(), 1.0);
+  EXPECT_DOUBLE_EQ(
+      registry.GetGauge("fl_ops_health_rejected_spike")->Value(), 1.0);
 }
 
 TEST_F(HealthTest, ReportJsonRoundTrips) {
   HealthEvaluator evaluator;
-  SlidingWindowStore store(StoreOptions());
+  SlidingWindowStore store;
   MetricsSnapshot snapshot;
   const HealthReport report =
-      evaluator.Evaluate(store, snapshot, 1'234, kUs, kUs);
+      evaluator.Evaluate(store, snapshot, 1'234);
 
   const auto parsed = JsonValue::Parse(report.ToJson());
   ASSERT_TRUE(parsed.ok()) << parsed.status().message();
@@ -280,6 +292,135 @@ TEST_F(HealthTest, ReportJsonRoundTrips) {
   ASSERT_NE(checks, nullptr);
   ASSERT_EQ(checks->size(), report.checks.size());
   EXPECT_EQ((*checks)[0].Find("name")->AsString(), report.checks[0].name);
+}
+
+// rejected_spike, the Sec. 5 deviation monitor: the per-tick delta of
+// fl_server_devices_rejected_total against its trailing baseline (48 ticks,
+// 12 to warm up, 4 sigma, sigma floored at 10).
+class DeviationMonitorTest : public HealthTest {
+ protected:
+  // One tick whose snapshot holds the cumulative rejection count `total`.
+  HealthReport Tick(std::uint64_t total) {
+    MetricsSnapshot snapshot;
+    snapshot.counters.push_back({"fl_server_devices_rejected_total", total});
+    return evaluator_.Evaluate(store_, snapshot, ++tick_ * 60'000);
+  }
+  // One tick that adds `delta` rejections; returns whether the check held.
+  bool Step(double delta) {
+    total_ += static_cast<std::uint64_t>(std::max(0.0, delta));
+    const HealthReport report = Tick(total_);
+    const HealthCheck* check = FindCheck(report, "rejected_spike");
+    EXPECT_NE(check, nullptr);
+    return check == nullptr || check->ok;
+  }
+  // Seeds the counter, then feeds `n` ticks of `delta` each.
+  void Baseline(int n, double delta) {
+    Tick(total_);
+    for (int i = 0; i < n; ++i) EXPECT_TRUE(Step(delta)) << "tick " << i;
+  }
+
+  HealthEvaluator evaluator_;
+  SlidingWindowStore store_;
+  std::uint64_t total_ = 0;
+  std::int64_t tick_ = 0;
+};
+
+TEST_F(DeviationMonitorTest, PassesWithoutTheCounter) {
+  const HealthReport report = evaluator_.Evaluate(store_, MetricsSnapshot{}, 0);
+  const HealthCheck* check = FindCheck(report, "rejected_spike");
+  ASSERT_NE(check, nullptr);
+  EXPECT_TRUE(check->ok);
+  EXPECT_TRUE(report.healthy);
+}
+
+TEST_F(DeviationMonitorTest, FirstSightOnlySeeds) {
+  // A large total accumulated before the first tick is not one giant delta.
+  total_ = 1'000'000;
+  const HealthReport report = Tick(total_);
+  const HealthCheck* check = FindCheck(report, "rejected_spike");
+  ASSERT_NE(check, nullptr);
+  EXPECT_TRUE(check->ok);
+  EXPECT_EQ(check->detail, "seeded");
+  EXPECT_TRUE(Step(10));
+  EXPECT_TRUE(evaluator_.failures().empty());
+}
+
+TEST_F(DeviationMonitorTest, QuietDuringWarmup) {
+  Baseline(HealthEvaluator::kSpikeWarmup - 1, 0);
+  total_ += 1'000'000'000;  // wild, but the baseline is one tick short
+  const HealthReport report = Tick(total_);
+  const HealthCheck* check = FindCheck(report, "rejected_spike");
+  ASSERT_NE(check, nullptr);
+  EXPECT_TRUE(check->ok);
+  EXPECT_NE(check->detail.find("warmup"), std::string::npos);
+}
+
+TEST_F(DeviationMonitorTest, AlertsOnSpikeAfterBaseline) {
+  Tick(total_);
+  Rng rng(1);
+  for (int i = 0; i < 50; ++i) {
+    EXPECT_TRUE(Step(std::round(100 + rng.Normal(0, 5)))) << "tick " << i;
+  }
+  // Sec. 5's incident: rejections "much higher than expected".
+  total_ += 500;
+  const HealthReport report = Tick(total_);
+  EXPECT_FALSE(report.healthy);  // a failing check fails the tick
+  ASSERT_EQ(evaluator_.failures().size(), 1u);
+  const FailedCheck& failed = evaluator_.failures()[0];
+  EXPECT_EQ(failed.t_ms, report.evaluated_at_ms);
+  EXPECT_EQ(failed.check.name, "rejected_spike");
+  EXPECT_DOUBLE_EQ(failed.check.observed, 500.0);
+  // The bound is the top of the baseline's 4-sigma band (sigma floored).
+  EXPECT_NEAR(failed.check.bound, 100.0 + 4 * 10.0, 3.0);
+}
+
+TEST_F(DeviationMonitorTest, SigmaFloorIgnoresBlips) {
+  // A flat zero baseline has sigma 0; the floor of 10 keeps single-device
+  // blips inside a band of +/- 40.
+  Baseline(HealthEvaluator::kSpikeWarmup, 0);
+  EXPECT_FALSE(Step(41));
+  ASSERT_EQ(evaluator_.failures().size(), 1u);
+  EXPECT_DOUBLE_EQ(evaluator_.failures()[0].check.bound, 40.0);
+  EXPECT_TRUE(Step(40));
+}
+
+TEST_F(DeviationMonitorTest, DropBelowTheBandFails) {
+  Baseline(HealthEvaluator::kSpikeWarmup, 100);
+  EXPECT_FALSE(Step(50));
+  EXPECT_DOUBLE_EQ(evaluator_.failures()[0].check.bound, 60.0);
+}
+
+TEST_F(DeviationMonitorTest, NoAlertWithinNormalVariation) {
+  Tick(total_);
+  Rng rng(2);
+  int failures = 0;
+  for (int i = 0; i < 500; ++i) {
+    if (!Step(std::round(rng.Normal(100.0, 10.0)))) ++failures;
+  }
+  EXPECT_LE(failures, 2);  // 4-sigma band: very rare false positives
+}
+
+TEST_F(DeviationMonitorTest, AdaptsToSlowDrift) {
+  // A slow diurnal drift does not fail: the rolling baseline tracks it.
+  Tick(total_);
+  Rng rng(3);
+  int failures = 0;
+  for (int i = 0; i < 500; ++i) {
+    const double base = 200.0 + 100.0 * std::sin(i * 0.02);
+    if (!Step(std::round(base + rng.Normal(0, 5)))) ++failures;
+  }
+  EXPECT_LE(failures, 5);
+}
+
+TEST_F(DeviationMonitorTest, OutliersDoNotContaminateBaseline) {
+  // Failing deltas stay out of the baseline: otherwise one spike drags the
+  // mean up and inflates sigma, and a sustained incident stops failing
+  // after its first tick.
+  Baseline(HealthEvaluator::kSpikeWarmup, 10);
+  for (int i = 0; i < 5; ++i) EXPECT_FALSE(Step(100)) << "tick " << i;
+  ASSERT_EQ(evaluator_.failures().size(), 5u);
+  EXPECT_DOUBLE_EQ(evaluator_.failures().back().check.bound, 50.0);
+  EXPECT_TRUE(Step(10));
 }
 
 }  // namespace

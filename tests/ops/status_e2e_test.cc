@@ -2,8 +2,10 @@
 // port, run simulated hours, and scrape every endpoint over real HTTP.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <string>
+#include <thread>
 
 #include "src/core/fl_system.h"
 #include "src/data/blobs.h"
@@ -161,6 +163,39 @@ TEST(StatusE2eTest, HealthzGoesUnhealthyWhenPolicyViolated) {
   const auto parsed = ops::JsonValue::Parse(body);
   ASSERT_TRUE(parsed.ok());
   EXPECT_FALSE(parsed.value().Find("healthy")->AsBool(true));
+}
+
+TEST(StatusE2eTest, HealthzGoesUnhealthyWhenTheSimStopsTicking) {
+  if (!telemetry::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
+  FLSystemConfig config = SmallConfig();
+  config.statusz_port = 0;
+  config.health_policy.max_sample_staleness_wall_ms = 100;
+  FLSystem system(config);
+  AddSmallTask(&system);
+  system.Start();
+  ASSERT_NE(system.ops_plane(), nullptr);
+  system.RunFor(Minutes(5));  // a few stats ticks
+
+  // A wedged sim: nothing calls RunFor, so no tick refreshes the report.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  int status = 0;
+  const std::string body =
+      Get(system.ops_plane()->port(), "/healthz", &status);
+  EXPECT_EQ(status, 503);
+  const auto parsed = ops::JsonValue::Parse(body);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_FALSE(parsed.value().Find("healthy")->AsBool(true));
+  const ops::JsonValue* checks = parsed.value().Find("checks");
+  ASSERT_NE(checks, nullptr);
+  const ops::JsonValue* staleness = nullptr;
+  for (std::size_t i = 0; i < checks->size(); ++i) {
+    if ((*checks)[i].Find("name")->AsString() == "sample_staleness") {
+      staleness = &(*checks)[i];
+    }
+  }
+  ASSERT_NE(staleness, nullptr) << body;
+  EXPECT_FALSE(staleness->Find("ok")->AsBool(true));
+  EXPECT_GE(staleness->Find("observed")->AsDouble(), 100.0);
 }
 
 TEST(StatusE2eTest, PlaneOffByDefaultWithoutEnv) {
