@@ -374,6 +374,19 @@ TEST_F(DeviationMonitorTest, AlertsOnSpikeAfterBaseline) {
   EXPECT_NEAR(failed.check.bound, 100.0 + 4 * 10.0, 3.0);
 }
 
+TEST_F(DeviationMonitorTest, AlertsOnCounterDeltaSpike) {
+  // A steady ~10 rejections per tick; the first tick only seeds the total.
+  Baseline(HealthEvaluator::kSpikeWarmup, 10);
+  EXPECT_TRUE(evaluator_.failures().empty());
+  // A 50x jump between two ticks is the Sec. 5 anomaly.
+  EXPECT_FALSE(Step(500));
+  ASSERT_EQ(evaluator_.failures().size(), 1u);
+  const FailedCheck& failed = evaluator_.failures()[0];
+  EXPECT_EQ(failed.check.name, "rejected_spike");
+  EXPECT_DOUBLE_EQ(failed.check.observed, 500.0);
+  EXPECT_DOUBLE_EQ(failed.check.bound, 10.0 + 4 * 10.0);
+}
+
 TEST_F(DeviationMonitorTest, SigmaFloorIgnoresBlips) {
   // A flat zero baseline has sigma 0; the floor of 10 keeps single-device
   // blips inside a band of +/- 40.
